@@ -23,9 +23,9 @@ from .evaluation import (
     verify_explanations,
     verify_sufficiency,
 )
-from .model import ForwardOutputs, NapModelParams, forward, init_model, predict_class
+from .model import Inference, NapModelParams, infer, init_model, make_predictor
 from .posthoc import AnchorConfig, AnchorResult, estimate_precision, greedy_anchor_search
-from .selfexplain import FeatureSampler, build_masked_input, dual_propagate, extract_subset, senn_losses
+from .selfexplain import FeatureSampler, dual_propagate, senn_losses, subset_mask
 from .training import (
     Checkpoint,
     GridResult,

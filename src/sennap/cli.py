@@ -81,9 +81,6 @@ class Settings:
                 ) from None
         return default
 
-    def echo(self, keys: dict[str, object]) -> dict[str, object]:
-        return {f"effective.{k}": v for k, v in keys.items()}
-
 
 def _columns(settings: Settings) -> ColumnMap:
     return ColumnMap(
@@ -173,12 +170,11 @@ def _default_checkpoint(out_dir: Path, method: str) -> Path:
     return out_dir / "models" / "selfexplain.ckpt"
 
 
-def _load_ckpt(settings: Settings, out_dir: Path, method: str) -> Checkpoint:
-    path = settings.get("checkpoint", None)
+def _checkpoint_path(path: str | None, out_dir: Path, method: str) -> Path:
     path = Path(path) if path else _default_checkpoint(out_dir, method)
     if not path.exists():
         raise ConfigError(f"checkpoint {path} does not exist; train a model first")
-    return load_checkpoint(path)
+    return path
 
 
 def _write_jsonl(path: Path, records):
@@ -374,7 +370,7 @@ def cmd_explain(args) -> int:
     seed = settings.get("seed", 7, int)
     threads = settings.get("threads", 1, int)
     prepared = Prepared(out_dir)
-    ckpt = _load_ckpt(settings, out_dir, method)
+    ckpt = load_checkpoint(_checkpoint_path(settings.get("checkpoint", None), out_dir, method))
     _check_spec(ckpt, prepared.spec)
 
     test_set = prepared.dataset("test", "eval")
@@ -417,7 +413,8 @@ def cmd_verify(args) -> int:
     seed = settings.get("seed", 7, int)
     threads = settings.get("threads", 1, int)
     prepared = Prepared(out_dir)
-    ckpt = _load_ckpt(settings, out_dir, method)
+    ckpt_path = _checkpoint_path(settings.get("checkpoint", None), out_dir, method)
+    ckpt = load_checkpoint(ckpt_path)
     _check_spec(ckpt, prepared.spec)
 
     records = _read_jsonl(out_dir / "explanations" / f"{method}.jsonl")
@@ -431,7 +428,9 @@ def cmd_verify(args) -> int:
     ver_dir.mkdir(parents=True, exist_ok=True)
     _write_jsonl(ver_dir / f"{method}.jsonl", [e.to_record() for e in verified])
     report = summarize(verified, delta=delta, n_samples=samples, seed=seed)
-    write_manifest(ver_dir / f"{method}.summary.txt", report.as_rows())
+    write_manifest(
+        ver_dir / f"{method}.summary.txt", {**report.as_rows(), "checkpoint": ckpt_path}
+    )
     print(
         f"{method}: existing {100 * report.existing_rate:.2f}%, "
         f"sufficient of existing {100 * report.sufficient_among_existing:.2f}%, "
@@ -453,9 +452,11 @@ def cmd_report(args) -> int:
         if not path.exists():
             continue
         explanations = [Explanation.from_record(r) for r in _read_jsonl(path)]
-        ckpt = _load_ckpt(settings, out_dir, method)
-        acc = accuracy(ckpt.params, test_set)
         summary_kv = read_manifest(out_dir / "verification" / f"{method}.summary.txt")
+        # the model `verify` used; summaries written before the path was recorded
+        # fall back to the method's default checkpoint
+        ckpt = load_checkpoint(_checkpoint_path(summary_kv.get("checkpoint"), out_dir, method))
+        acc = accuracy(ckpt.params, test_set)
         reports.append(
             summarize(
                 explanations,
@@ -570,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("report", help="aggregate tables and example renderings")
     _add_common(p)
-    p.add_argument("--checkpoint", help="checkpoint override for accuracy")
     p.set_defaults(func=cmd_report)
 
     return parser

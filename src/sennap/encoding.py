@@ -149,10 +149,6 @@ class EncodedInstance:
     def dummy_rows(self) -> tuple[int, ...]:
         return tuple(range(self.k - self.prefix_length))
 
-    def forced_features(self, spec: EncodingSpec) -> np.ndarray:
-        """Flat indices of the always-included event-index features."""
-        return np.flatnonzero(spec.forced_flat_mask())
-
 
 @dataclass
 class Dataset:

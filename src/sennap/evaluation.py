@@ -29,9 +29,9 @@ from .encoding import (
     KIND_WEEKDAY,
 )
 from .errors import ConfigError
-from .model import NapModelParams, forward_graph, make_predictor
+from .model import NapModelParams, infer, make_predictor
 from .posthoc import AnchorConfig, estimate_precision, greedy_anchor_search
-from .selfexplain import FeatureSampler, extract_subset
+from .selfexplain import FeatureSampler, subset_mask
 
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
@@ -122,17 +122,12 @@ def instance_rng(seed: int, instance_id: str) -> np.random.Generator:
     )
 
 
-def accuracy(params: NapModelParams, dataset: Dataset, batch_size: int = 512) -> float:
+def accuracy(params: NapModelParams, dataset: Dataset) -> float:
     """Fraction of instances whose argmax matches the target class."""
     if len(dataset) == 0:
         raise ConfigError("cannot compute accuracy on an empty instance set")
-    hits = 0
-    for start in range(0, len(dataset), batch_size):
-        chunk = dataset.x[start : start + batch_size]
-        out = forward_graph(params, chunk, train=False, nap_only=True)
-        pred = np.argmax(out.nap_logits.value, axis=1)
-        hits += int(np.sum(pred == dataset.y_activity[start : start + chunk.shape[0]]))
-    return hits / len(dataset)
+    classes = infer(params, dataset.x, nap_only=True).classes
+    return int(np.sum(classes == dataset.y_activity)) / len(dataset)
 
 
 def verify_sufficiency(
@@ -160,7 +155,7 @@ def explain_selfexplain(
     tau: float = 0.5,
     limit: int | None = None,
 ) -> list[Explanation]:
-    """Per-instance explanations: one forward pass plus subset extraction, timed."""
+    """Per-instance explanations: one inference pass plus the subset mask, timed."""
     if not params.selfexplain:
         raise ConfigError("checkpoint has no explanation head")
     forced = spec.forced_flat_mask()
@@ -169,16 +164,15 @@ def explain_selfexplain(
     for i in range(n):
         x = dataset.x[i : i + 1]
         t0 = time.perf_counter()
-        out = forward_graph(params, x, train=False)
-        subset = extract_subset(out.exp_scores.value[0], tau, forced)
+        scores = infer(params, x).scores[0]
+        subset = np.flatnonzero(subset_mask(scores, tau, forced))
         wall = time.perf_counter() - t0
-        scores = out.exp_scores.value[0, subset]
         explanations.append(
             Explanation(
                 instance_id=dataset.ids[i],
                 method="selfexplain",
                 indices=tuple(int(j) for j in subset),
-                scores=tuple(float(s) for s in scores),
+                scores=tuple(float(s) for s in scores[subset]),
                 wall_time_s=wall,
             )
         )

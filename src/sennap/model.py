@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoding import EXTRA_FEATURES
 from .neural import (
     BatchNormParams,
     DenseParams,
@@ -31,12 +32,10 @@ from .neural import (
     mul,
     reshape,
     sigmoid,
-    softmax,
 )
 
 HIDDEN_SIZE = 100
 DROPOUT_RATE = 0.2
-EXTRA_FEATURES = 5
 
 
 @dataclass
@@ -168,15 +167,6 @@ class GraphOutputs:
     shared_last: Var
 
 
-@dataclass
-class ForwardOutputs:
-    """Plain-numpy outputs of an inference pass."""
-
-    nap_probs: np.ndarray            # (B, |A|+1), rows sum to 1
-    time_pred: np.ndarray            # (B,)
-    explanation_scores: np.ndarray | None  # (B, k*width) in [0, 1]
-
-
 def forward_graph(
     params: NapModelParams,
     x: np.ndarray | Var,
@@ -184,7 +174,6 @@ def forward_graph(
     train: bool,
     rng: np.random.Generator | None = None,
     nap_only: bool = False,
-    with_explanation: bool | None = None,
     bn_update: bool = True,
 ) -> GraphOutputs:
     """Build the forward tape for a (B, k, width) batch.
@@ -200,10 +189,6 @@ def forward_graph(
         )
     if train and params.dropout > 0.0 and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
-    if with_explanation is None:
-        with_explanation = params.selfexplain and not nap_only
-    if with_explanation and params.exp_head is None:
-        raise ValueError("model has no explanation head")
     dtype = node.value.dtype
     update = train and bn_update
 
@@ -230,51 +215,50 @@ def forward_graph(
 
     shared_last = last_step(h2)
     exp_scores = None
-    if with_explanation:
+    if params.selfexplain and not nap_only:
         exp_scores = sigmoid(dense(shared_last, params.exp_head))
 
     return GraphOutputs(nap_logits, time_pred, exp_scores, shared_last)
 
 
-def forward(
-    params: NapModelParams,
-    x: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-    batch_size: int = 512,
-) -> ForwardOutputs:
-    """Numpy-facing forward pass, chunked so large batches stay in memory."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode {mode!r}")
+INFER_CHUNK = 512
+
+
+@dataclass
+class Inference:
+    """Plain-numpy outputs of an inference pass."""
+
+    classes: np.ndarray              # (B,) argmax class, ties to the lowest index
+    time_pred: np.ndarray | None     # (B,); None for a prediction-only pass
+    scores: np.ndarray | None        # (B, k*width) in [0, 1]; None without explanation
+
+
+def infer(params: NapModelParams, x: np.ndarray, *, nap_only: bool = False) -> Inference:
+    """Inference-mode pass over (B, k, width) grids in INFER_CHUNK-row chunks.
+
+    `nap_only` runs the activity head alone, for callers that need only
+    classes.  Batch-norm running statistics never move.
+    """
     x = np.asarray(x)
-    if x.ndim == 2:
-        x = x[None]
-    probs = []
-    times = []
-    scores = []
-    for start in range(0, x.shape[0], batch_size):
-        chunk = x[start : start + batch_size]
-        out = forward_graph(params, chunk, train=(mode == "train"), rng=rng)
-        probs.append(softmax(out.nap_logits.value))
-        times.append(out.time_pred.value)
+    classes, times, scores = [], [], []
+    # an empty batch still makes one pass, so every output keeps its shape
+    for start in range(0, max(x.shape[0], 1), INFER_CHUNK):
+        out = forward_graph(
+            params, x[start : start + INFER_CHUNK], train=False, nap_only=nap_only
+        )
+        classes.append(np.argmax(out.nap_logits.value, axis=1))
+        if out.time_pred is not None:
+            times.append(out.time_pred.value)
         if out.exp_scores is not None:
             scores.append(out.exp_scores.value)
-    return ForwardOutputs(
-        nap_probs=np.concatenate(probs),
-        time_pred=np.concatenate(times),
-        explanation_scores=np.concatenate(scores) if scores else None,
+    return Inference(
+        classes=np.concatenate(classes),
+        time_pred=np.concatenate(times) if times else None,
+        scores=np.concatenate(scores) if scores else None,
     )
 
 
-def predict_class(nap_probs: np.ndarray) -> np.ndarray | int:
-    """Argmax class; ties resolve to the lowest index."""
-    probs = np.asarray(nap_probs)
-    if probs.ndim == 1:
-        return int(np.argmax(probs))
-    return np.argmax(probs, axis=-1)
-
-
-def make_predictor(params: NapModelParams, batch_size: int = 512):
+def make_predictor(params: NapModelParams):
     """Class-prediction closure over flat (B, k*width) inputs (inference mode)."""
     k, width = params.k, params.width
 
@@ -282,14 +266,6 @@ def make_predictor(params: NapModelParams, batch_size: int = 512):
         flat = np.asarray(flat, dtype=np.float32)
         if flat.ndim == 1:
             flat = flat[None]
-        grids = flat.reshape(-1, k, width)
-        classes = np.empty(grids.shape[0], dtype=np.int64)
-        for start in range(0, grids.shape[0], batch_size):
-            chunk = grids[start : start + batch_size]
-            out = forward_graph(params, chunk, train=False, nap_only=True)
-            classes[start : start + chunk.shape[0]] = np.argmax(
-                out.nap_logits.value, axis=1
-            )
-        return classes
+        return infer(params, flat.reshape(-1, k, width), nap_only=True).classes
 
     return predict

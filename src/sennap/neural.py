@@ -411,29 +411,6 @@ def dropout_mask(
     return keep.astype(dtype) * np.asarray(1.0 / (1.0 - rate), dtype=dtype)
 
 
-def lstm_layer_forward(
-    params: LSTMLayerParams,
-    xs: np.ndarray,
-    dropout: float = 0.0,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Convenience forward pass; train mode applies inverted dropout to outputs."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode {mode!r}")
-    xs = np.asarray(xs)
-    squeeze = xs.ndim == 2
-    if squeeze:
-        xs = xs[None]
-    out = lstm_layer(constant(xs), params)
-    value = out.value
-    if mode == "train" and dropout > 0.0:
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng")
-        value = value * dropout_mask(rng, value.shape, dropout, value.dtype)
-    return value[0] if squeeze else value
-
-
 # ---------------------------------------------------------------------------
 # batch normalization
 # ---------------------------------------------------------------------------

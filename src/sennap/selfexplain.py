@@ -1,4 +1,4 @@
-"""Dual propagation: subset extraction, complement resampling, joint losses.
+"""Dual propagation: the subset mask, complement resampling, joint losses.
 
 Every batch propagates once normally; the explanation scores then pick the
 candidate subset S (threshold tau, event-index columns always forced in), a
@@ -83,36 +83,11 @@ class FeatureSampler:
         return out
 
 
-def extract_subset(scores: np.ndarray, tau: float, forced: np.ndarray) -> np.ndarray:
-    """Flat indices with score >= tau, plus the forced set."""
+def subset_mask(scores: np.ndarray, tau: float, forced: np.ndarray) -> np.ndarray:
+    """Boolean subset S over (..., n) scores: score >= tau, plus the forced set."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    scores = np.asarray(scores)
-    forced = np.asarray(forced)
-    if forced.dtype != bool:
-        mask = np.zeros(scores.shape[-1], dtype=bool)
-        mask[forced] = True
-        forced = mask
-    return np.flatnonzero((scores >= tau) | forced)
-
-
-def subset_mask(scores: np.ndarray, tau: float, forced: np.ndarray) -> np.ndarray:
-    """Batched boolean version of extract_subset."""
     return (np.asarray(scores) >= tau) | np.asarray(forced, dtype=bool)
-
-
-def build_masked_input(
-    x_flat: np.ndarray,
-    subset: np.ndarray,
-    sampler: FeatureSampler,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """z with z_S = x_S and every complement feature freshly drawn from D."""
-    x_flat = np.asarray(x_flat, dtype=np.float32)
-    mask = np.zeros(x_flat.shape[-1], dtype=bool)
-    mask[np.asarray(subset, dtype=np.int64)] = True
-    noise = sampler.draw(rng, 1)[0]
-    return np.where(mask, x_flat, noise)
 
 
 @dataclass
@@ -143,7 +118,7 @@ def dual_propagate(
         raise ValueError("dual propagation needs a model with an explanation head")
     x = np.asarray(x, dtype=np.float32)
     B = x.shape[0]
-    first = forward_graph(params, x, train=train, rng=rng, bn_update=train)
+    first = forward_graph(params, x, train=train, rng=rng)
     predicted = np.argmax(first.nap_logits.value, axis=1)
 
     forced = np.broadcast_to(sampler.forced_mask, (B, sampler.n_features))

@@ -25,8 +25,8 @@ import numpy as np
 
 from .encoding import Dataset, EncodingSpec
 from .errors import CheckpointError, ConfigError, TrainingError
-from .evaluation import instance_rng, verify_sufficiency
-from .model import NapModelParams, forward_graph, init_model, make_predictor
+from .evaluation import Explanation, summarize, verify_explanations
+from .model import NapModelParams, forward_graph, infer, init_model
 from .neural import AdamState, adam_step, backward
 from .selfexplain import FeatureSampler, dual_propagate, senn_losses, subset_mask
 
@@ -57,6 +57,10 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
         if self.xi < 0 or self.lam < 0:
             raise ConfigError("loss coefficients must be nonnegative")
+        if self.mode == "baseline" and self.xi > 0:
+            raise ConfigError(
+                "xi > 0 needs mode selfexplain (a baseline model has no explanation scores)"
+            )
         if not 0.0 < self.tau < 1.0:
             raise ConfigError("tau must lie in (0, 1)")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
@@ -111,10 +115,7 @@ def _batch_losses(params, x, y_act, y_time, config, sampler, rng, *, train):
             dual.first, dual.nap_logits_masked, dual.predicted,
             y_act, y_time, config.lam, config.xi,
         )
-    with_exp = config.mode == "selfexplain"
-    first = forward_graph(
-        params, x, train=train, rng=rng, with_explanation=with_exp
-    )
+    first = forward_graph(params, x, train=train, rng=rng)
     return senn_losses(first, None, None, y_act, y_time, 0.0, config.xi)
 
 
@@ -276,36 +277,26 @@ def _cell_metrics(
     delta: float,
     n_samples: int,
 ):
-    """Validation accuracy plus faithfulness/size over the first `limit` instances."""
-    from .evaluation import accuracy as _accuracy
+    """Validation accuracy plus faithfulness/size over the first `limit` instances.
 
-    acc = _accuracy(ckpt.params, selection)
+    One inference pass over the whole selection set yields both the classes
+    and the explanation scores.  It is not cut to `limit` rows: BLAS rounds
+    1-3 row matmuls differently from larger batches, so the scores would move.
+    """
+    out = infer(ckpt.params, selection.x)
+    acc = int(np.sum(out.classes == selection.y_activity)) / len(selection)
     n = min(limit, len(selection))
-    predict = make_predictor(ckpt.params)
-    forced = ckpt.spec.forced_flat_mask()
-    sufficient = 0
-    sizes = []
-    for start in range(0, n, 256):
-        x = selection.x[start : start + 256]
-        out = forward_graph(ckpt.params, x, train=False)
-        masks = subset_mask(out.exp_scores.value, ckpt.config.tau, forced)
-        for row in range(x.shape[0]):
-            i = start + row
-            if i >= n:
-                break
-            subset = np.flatnonzero(masks[row])
-            sizes.append(subset.size)
-            ok, _ = verify_sufficiency(
-                predict,
-                x[row].reshape(-1),
-                subset,
-                sampler,
-                delta,
-                n_samples,
-                instance_rng(ckpt.config.seed, selection.ids[i]),
-            )
-            sufficient += int(ok)
-    return acc, sufficient / n, float(np.mean(sizes))
+    masks = subset_mask(out.scores[:n], ckpt.config.tau, ckpt.spec.forced_flat_mask())
+    explanations = [
+        Explanation(selection.ids[i], "selfexplain", tuple(np.flatnonzero(mask)), None, 0.0)
+        for i, mask in enumerate(masks)
+    ]
+    verified = verify_explanations(
+        ckpt.params, selection, explanations, sampler, delta, n_samples,
+        seed=ckpt.config.seed,
+    )
+    report = summarize(verified)
+    return acc, report.sufficient_overall, report.mean_size
 
 
 def grid_search(
@@ -330,6 +321,8 @@ def grid_search(
     cells = []
     plan = grid_plan(grid)
     selection = selection_set if selection_set is not None else validation
+    if len(selection) == 0:
+        raise ConfigError("grid selection set is empty")
     sampler = FeatureSampler.fit(spec, train.x)
     checkpoints: dict[int, Checkpoint] = {}
     for cell_no, (lr, xi) in enumerate(plan):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from sennap.cli import main
-from sennap.training import load_checkpoint, read_manifest
+from sennap.cli import Prepared, main
+from sennap.evaluation import accuracy
+from sennap.training import load_checkpoint, read_manifest, save_checkpoint
 
 from conftest import write_markov_csv
 
@@ -137,6 +139,40 @@ class TestPipelineArtifacts:
         for r in rows:
             assert r["accuracy"] is not None
 
+    def test_report_accuracy_from_the_verified_checkpoint(self, workdir, tmp_path):
+        _, source = workdir
+        out = tmp_path / "runs"
+        shutil.copytree(source, out)
+        test_set = Prepared(out).dataset("test", "eval")
+        # a model that always predicts one class, with an accuracy unlike the default's
+        other = load_checkpoint(out / "models" / "selfexplain.ckpt")
+        default_acc = accuracy(other.params, test_set)
+        head = other.params.act_head
+        head.W.value = np.zeros_like(head.W.value)
+        for cls in range(head.b.value.size):
+            head.b.value = np.eye(head.b.value.size, dtype=np.float32)[cls]
+            if accuracy(other.params, test_set) != default_acc:
+                break
+        other_path = tmp_path / "other.ckpt"
+        save_checkpoint(other, other_path)
+        assert main(["verify", "--out", str(out), "--seed", "5", "--method", "selfexplain",
+                     "--samples", "5", "--checkpoint", str(other_path)]) == 0
+        summary = read_manifest(out / "verification" / "selfexplain.summary.txt")
+        assert summary["checkpoint"] == str(other_path)
+        # a summary written before the path was recorded falls back to the default
+        posthoc_summary = out / "verification" / "posthoc.summary.txt"
+        kept = [l for l in posthoc_summary.read_text().splitlines()
+                if not l.startswith("checkpoint=")]
+        posthoc_summary.write_text("\n".join(kept) + "\n")
+        assert main(["report", "--out", str(out)]) == 0
+
+        rows = {json.loads(l)["method"]: json.loads(l)
+                for l in (out / "report" / "report.jsonl").read_text().splitlines()}
+        assert rows["selfexplain"]["accuracy"] == accuracy(other.params, test_set)
+        assert rows["selfexplain"]["accuracy"] != default_acc
+        baseline = load_checkpoint(out / "models" / "baseline.ckpt")
+        assert rows["posthoc"]["accuracy"] == accuracy(baseline.params, test_set)
+
 
 class TestCliErrors:
     def test_missing_data_flag(self, tmp_path):
@@ -149,6 +185,13 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert code == 1
         assert "timestamp" in captured.err
+
+    def test_baseline_with_cardinality_weight(self, workdir, capsys):
+        _, out = workdir
+        code = main(["train", "--out", str(out), "--mode", "baseline", "--xi", "1e-9"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_unprepared_directory(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "none"), "--mode", "baseline"]) == 1

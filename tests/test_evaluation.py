@@ -204,6 +204,22 @@ class TestVerifyExplanations:
         assert not np.array_equal(a, c)
 
 
+class TestInferenceLeavesBatchNorm:
+    def test_buffers_bitwise_unchanged(self, toy_data, senn_ckpt):
+        spec, train, _, test_eval = toy_data
+        params = senn_ckpt.params
+        before = [(name, buf.copy()) for name, buf in params.named_buffers()]
+        make_predictor(params)(test_eval.x[:5].reshape(5, -1))
+        accuracy(params, test_eval)
+        explanations = explain_selfexplain(params, test_eval, spec, limit=3)
+        verify_explanations(
+            params, test_eval, explanations, FeatureSampler.fit(spec, train.x),
+            n_samples=10,
+        )
+        for (name, old), (_, new) in zip(before, params.named_buffers()):
+            assert old.tobytes() == new.tobytes(), name
+
+
 def _records(n_total, n_timeout, n_sufficient, method="posthoc"):
     records = []
     for i in range(n_total):

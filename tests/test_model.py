@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sennap.model import (
-    forward,
-    forward_graph,
-    init_model,
-    make_predictor,
-    predict_class,
-)
+from sennap.model import forward_graph, infer, init_model, make_predictor
 from sennap.neural import max_rel_error, softmax_cross_entropy, mae_loss, add
 from sennap.selfexplain import senn_losses
 
@@ -31,78 +25,111 @@ def _input(batch=3, seed=0, dtype=np.float32):
     return x
 
 
+def _zeroed_model(seed):
+    params = init_model(VOCAB, K, seed=seed)
+    for _, p in params.named_parameters():
+        p.value = np.zeros_like(p.value)
+    return params
+
+
+def _predict(params, x):
+    return make_predictor(params)(x.reshape(x.shape[0], -1))
+
+
 class TestForward:
     def test_nap_probs_is_distribution(self):
         params = init_model(VOCAB, K, seed=1)
-        out = forward(params, _input(batch=8))
-        np.testing.assert_allclose(out.nap_probs.sum(axis=1), 1.0, atol=1e-6)
-        assert np.all(out.nap_probs >= 0)
-        assert out.nap_probs.shape == (8, VOCAB + 1)
+        out = infer(params, _input(batch=8))
+        assert out.classes.shape == (8,)
+        assert np.all((out.classes >= 0) & (out.classes <= VOCAB))
         assert out.time_pred.shape == (8,)
 
     def test_zeroed_model_gives_uniform_probs(self):
-        params = init_model(VOCAB, K, seed=1)
-        for _, p in params.named_parameters():
-            p.value = np.zeros_like(p.value)
-        out = forward(params, _input())
-        np.testing.assert_allclose(out.nap_probs, 1.0 / (VOCAB + 1), atol=1e-7)
+        params = _zeroed_model(seed=1)
+        out = infer(params, _input())
+        np.testing.assert_array_equal(out.classes, 0)
+        np.testing.assert_array_equal(out.time_pred, 0.0)
 
     def test_explanation_scores_in_unit_interval(self):
         params = init_model(VOCAB, K, selfexplain=True, seed=2)
-        out = forward(params, _input(batch=6))
-        assert out.explanation_scores.shape == (6, K * WIDTH)
-        assert np.all(out.explanation_scores >= 0)
-        assert np.all(out.explanation_scores <= 1)
+        out = infer(params, _input(batch=6))
+        assert out.scores.shape == (6, K * WIDTH)
+        assert np.all(out.scores >= 0)
+        assert np.all(out.scores <= 1)
 
     def test_baseline_has_no_scores(self):
         params = init_model(VOCAB, K, seed=3)
-        assert forward(params, _input()).explanation_scores is None
+        assert infer(params, _input()).scores is None
 
     def test_inference_deterministic_train_stochastic(self):
         params = init_model(VOCAB, K, seed=4)
         x = _input()
-        a = forward(params, x).nap_probs
-        b = forward(params, x).nap_probs
-        np.testing.assert_array_equal(a, b)
+        a = infer(params, x)
+        b = infer(params, x)
+        np.testing.assert_array_equal(a.classes, b.classes)
+        np.testing.assert_array_equal(a.time_pred, b.time_pred)
         rng = np.random.default_rng(0)
-        t1 = forward(params, x, mode="train", rng=rng).nap_probs
-        t2 = forward(params, x, mode="train", rng=rng).nap_probs
-        assert not np.array_equal(t1, t2)
+        t1 = forward_graph(params, x, train=True, rng=rng, bn_update=False)
+        t2 = forward_graph(params, x, train=True, rng=rng, bn_update=False)
+        assert not np.array_equal(t1.nap_logits.value, t2.nap_logits.value)
 
     def test_input_shape_validated(self):
         params = init_model(VOCAB, K, seed=5)
         with pytest.raises(ValueError, match="expected"):
-            forward(params, np.zeros((2, K, WIDTH + 1), dtype=np.float32))
+            infer(params, np.zeros((2, K, WIDTH + 1), dtype=np.float32))
 
     def test_chunked_forward_matches_single_batch(self):
-        params = init_model(VOCAB, K, seed=6)
-        x = _input(batch=10)
-        whole = forward(params, x, batch_size=512).nap_probs
-        chunked = forward(params, x, batch_size=3).nap_probs
-        np.testing.assert_allclose(whole, chunked, rtol=1e-6)
+        # 600 rows span two chunks; halves of 300 cut them elsewhere
+        params = init_model(VOCAB, K, selfexplain=True, seed=6)
+        x = _input(batch=600)
+        whole = infer(params, x)
+        halves = [infer(params, x[:300]), infer(params, x[300:])]
+        np.testing.assert_array_equal(
+            whole.classes, np.concatenate([h.classes for h in halves])
+        )
+        np.testing.assert_allclose(
+            whole.scores, np.concatenate([h.scores for h in halves]), rtol=1e-6
+        )
+        np.testing.assert_allclose(
+            whole.time_pred, np.concatenate([h.time_pred for h in halves]),
+            rtol=1e-5, atol=1e-6,
+        )
 
     def test_predictor_closure_matches_forward(self):
-        params = init_model(VOCAB, K, seed=7)
+        params = init_model(VOCAB, K, selfexplain=True, seed=7)
         x = _input(batch=5)
-        classes = make_predictor(params)(x.reshape(5, -1))
-        np.testing.assert_array_equal(classes, predict_class(forward(params, x).nap_probs))
+        np.testing.assert_array_equal(_predict(params, x), infer(params, x).classes)
+        np.testing.assert_array_equal(
+            _predict(params, x), infer(params, x, nap_only=True).classes
+        )
 
 
 class TestPredictClass:
+    def _biased(self, bias):
+        params = _zeroed_model(seed=9)
+        params.act_head.b.value = np.asarray(bias, dtype=np.float32)
+        return params
+
     def test_plain_argmax(self):
-        assert predict_class(np.array([0.1, 0.7, 0.2])) == 1
+        params = self._biased([0.1, 0.7, 0.2, 0.0, 0.0])
+        np.testing.assert_array_equal(_predict(params, _input()), 1)
 
     def test_uniform_ties_to_lowest_index(self):
-        assert predict_class(np.full(5, 0.2)) == 0
+        np.testing.assert_array_equal(_predict(_zeroed_model(seed=1), _input()), 0)
 
     def test_one_hot_at_eos(self):
-        probs = np.zeros(VOCAB + 1)
-        probs[VOCAB] = 1.0
-        assert predict_class(probs) == VOCAB
+        bias = np.zeros(VOCAB + 1)
+        bias[VOCAB] = 1.0
+        np.testing.assert_array_equal(_predict(self._biased(bias), _input()), VOCAB)
 
     def test_batched(self):
-        probs = np.array([[0.6, 0.4], [0.1, 0.9]])
-        np.testing.assert_array_equal(predict_class(probs), [0, 1])
+        params = init_model(VOCAB, K, seed=10)
+        x = _input(batch=7)
+        rows = [_predict(params, x[i : i + 1])[0] for i in range(7)]
+        np.testing.assert_array_equal(_predict(params, x), rows)
+        flat = x.reshape(7, -1)
+        assert make_predictor(params)(flat[0]).shape == (1,)
+        assert make_predictor(params)(flat[:0]).shape == (0,)
 
 
 class TestParameters:

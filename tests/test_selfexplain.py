@@ -15,9 +15,7 @@ from sennap.selfexplain import (
     SAMPLE_INDEX,
     SAMPLE_UNIFORM,
     FeatureSampler,
-    build_masked_input,
     dual_propagate,
-    extract_subset,
     senn_losses,
     subset_mask,
 )
@@ -37,25 +35,22 @@ def _toy_spec_and_x(n_cases=30, seed=6):
 
 class TestExtractSubset:
     def test_threshold_selection(self):
-        s = extract_subset(np.array([0.7, 0.2, 0.5]), 0.5, np.zeros(3, dtype=bool))
-        np.testing.assert_array_equal(s, [0, 2])
+        m = subset_mask(np.array([0.7, 0.2, 0.5]), 0.5, np.zeros(3, dtype=bool))
+        np.testing.assert_array_equal(np.flatnonzero(m), [0, 2])
 
     def test_zero_scores_keep_only_forced(self):
         forced = np.array([False, True, False, True])
-        s = extract_subset(np.zeros(4), 0.5, forced)
-        np.testing.assert_array_equal(s, [1, 3])
+        m = subset_mask(np.zeros(4), 0.5, forced)
+        np.testing.assert_array_equal(np.flatnonzero(m), [1, 3])
 
     def test_all_ones_select_everything(self):
-        s = extract_subset(np.ones(6), 0.5, np.zeros(6, dtype=bool))
-        np.testing.assert_array_equal(s, np.arange(6))
-
-    def test_forced_as_indices(self):
-        s = extract_subset(np.zeros(4), 0.5, np.array([2]))
-        np.testing.assert_array_equal(s, [2])
+        m = subset_mask(np.ones(6), 0.5, np.zeros(6, dtype=bool))
+        np.testing.assert_array_equal(np.flatnonzero(m), np.arange(6))
 
     def test_tau_out_of_range(self):
-        with pytest.raises(ValueError):
-            extract_subset(np.zeros(3), 1.0, np.zeros(3, dtype=bool))
+        for tau in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                subset_mask(np.zeros(3), tau, np.zeros(3, dtype=bool))
 
 
 class TestFeatureSampler:
@@ -107,13 +102,29 @@ class TestFeatureSampler:
             )
 
 
+def _recording_predictor():
+    """Constant-class predictor that keeps every batch it is asked about."""
+    seen = []
+
+    def predict(z):
+        seen.append(np.array(z))
+        return np.zeros(len(z), dtype=np.int64)
+
+    return predict, seen
+
+
 class TestBuildMaskedInput:
+    """The masked inputs estimate_precision feeds the predictor."""
+
     def test_full_subset_reproduces_input_bitwise(self):
         spec, data = _toy_spec_and_x()
         sampler = FeatureSampler.fit(spec, data.x)
         x = data.x[0].reshape(-1)
-        z = build_masked_input(x, np.arange(x.size), sampler, np.random.default_rng(0))
-        np.testing.assert_array_equal(z, x)
+        predict, seen = _recording_predictor()
+        estimate_precision(
+            predict, x, np.arange(x.size), sampler, 4, np.random.default_rng(0)
+        )
+        np.testing.assert_array_equal(seen[-1], np.broadcast_to(x, (4, x.size)))
 
     def test_empty_subset_degenerate_sampler_gives_zeros(self):
         n = 6
@@ -122,24 +133,27 @@ class TestBuildMaskedInput:
             lo=np.zeros(n, dtype=np.float32),
             hi=np.zeros(n, dtype=np.float32),
         )
-        z = build_masked_input(
-            np.ones(n, dtype=np.float32), np.array([], dtype=int), sampler,
-            np.random.default_rng(0),
+        predict, seen = _recording_predictor()
+        estimate_precision(
+            predict, np.ones(n, dtype=np.float32), np.array([], dtype=int), sampler,
+            3, np.random.default_rng(0),
         )
-        np.testing.assert_array_equal(z, np.zeros(n))
+        np.testing.assert_array_equal(seen[-1], np.zeros((3, n)))
 
     def test_seeded_draws_reproducible_and_fresh(self):
         spec, data = _toy_spec_and_x()
         sampler = FeatureSampler.fit(spec, data.x)
         x = data.x[0].reshape(-1)
         empty = np.array([], dtype=int)
-        a = build_masked_input(x, empty, sampler, np.random.default_rng(3))
-        b = build_masked_input(x, empty, sampler, np.random.default_rng(3))
-        np.testing.assert_array_equal(a, b)
+        predict, seen = _recording_predictor()
+        # each estimate asks for x's class first, then for the masked batch
+        estimate_precision(predict, x, empty, sampler, 2, np.random.default_rng(3))
+        estimate_precision(predict, x, empty, sampler, 2, np.random.default_rng(3))
+        np.testing.assert_array_equal(seen[1], seen[3])
         rng = np.random.default_rng(3)
-        first = build_masked_input(x, empty, sampler, rng)
-        second = build_masked_input(x, empty, sampler, rng)
-        assert not np.array_equal(first, second)
+        estimate_precision(predict, x, empty, sampler, 2, rng)
+        estimate_precision(predict, x, empty, sampler, 2, rng)
+        assert not np.array_equal(seen[5], seen[7])
 
 
 class TestDualPropagate:

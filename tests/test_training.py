@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sennap.encoding import Dataset
-from sennap.errors import CheckpointError, TrainingError
+from sennap.errors import CheckpointError, ConfigError, TrainingError
 from sennap.evaluation import accuracy
 from sennap.training import (
     CHECKPOINT_MAGIC,
@@ -119,6 +119,8 @@ class TestTrainConfig:
             TrainConfig(tau=1.5)
         with pytest.raises(Exception):
             TrainConfig(xi=-1e-6)
+        with pytest.raises(ConfigError, match="selfexplain"):
+            TrainConfig(mode="baseline", xi=1e-9)
 
     def test_metadata_round_trip(self):
         config = TrainConfig(mode="selfexplain", learning_rate=1e-4, xi=1e-9, seed=42)
@@ -217,6 +219,14 @@ class TestGridSearch:
         second, _ = run()
         assert first.cells == second.cells
         assert first.selected == second.selected
+
+    def test_empty_selection_set_rejected_before_training(self, tiny_sets):
+        spec, train, val = tiny_sets
+        with pytest.raises(ConfigError, match="selection"):
+            grid_search(
+                train, val, spec, TrainConfig(max_epochs=1, seed=21),
+                grid=((0.002,), (1e-6,)), selection_set=_subset(val, 0),
+            )
 
     def test_selection_prefers_accuracy_then_faithfulness_then_size(self):
         from sennap.training import GridCell, GridResult
