@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import Dataset, EncodingSpec, encode_dataset, fit_normalizers
+from .encoding import Dataset, EncodedInstance, EncodingSpec, encode_dataset, fit_normalizers
 from .errors import ConfigError, SennapError, SpecMismatchError
 from .eventlog import ColumnMap, SplitSpec, generate_prefixes, parse_csv, split_chronological
 from .evaluation import (
@@ -40,7 +40,6 @@ from .training import (
     save_checkpoint,
     write_manifest,
 )
-from .encoding import encode_prefix
 
 
 def _load_config_file(path: str | None) -> dict[str, str]:
@@ -367,6 +366,8 @@ def cmd_explain(args) -> int:
     if method not in ("selfexplain", "posthoc"):
         raise ConfigError(f"--method must be selfexplain or posthoc, got {method!r}")
     limit = settings.get("limit", 200, int)
+    if limit < 1:
+        raise ConfigError(f"--limit must be >= 1, got {limit}")
     seed = settings.get("seed", 7, int)
     threads = settings.get("threads", 1, int)
     prepared = Prepared(out_dir)
@@ -444,6 +445,7 @@ def cmd_report(args) -> int:
     out_dir = Path(settings.get("out", "runs"))
     prepared = Prepared(out_dir)
     test_set = prepared.dataset("test", "eval")
+    row_of = {iid: i for i, iid in enumerate(test_set.ids)}
 
     reports = []
     rendered = []
@@ -470,19 +472,14 @@ def cmd_report(args) -> int:
             (e for e in explanations if e.status == "found" and e.sufficient), None
         )
         if shown is not None:
-            cases = {c.case_id: c for c in prepared.log.cases}
-            case_id = shown.instance_id.rsplit("#", 1)[0]
-            length = int(shown.instance_id.rsplit("#", 1)[1])
-            record = next(
-                r
-                for r in generate_prefixes(
-                    [cases[case_id]], prepared.spec_vocab_map(), prepared.spec.k, "eval"
-                )
-                if r.length == length
+            if shown.instance_id not in row_of:
+                raise ConfigError(f"instance {shown.instance_id!r} not in the test split")
+            i = row_of[shown.instance_id]
+            instance = EncodedInstance(
+                test_set.x[i], int(test_set.y_activity[i]), float(test_set.y_time[i]),
+                test_set.prefix_lengths[i], shown.instance_id,
             )
-            rendered.append(
-                render_explanation(shown, encode_prefix(record, prepared.spec), prepared.spec)
-            )
+            rendered.append(render_explanation(shown, instance, prepared.spec))
     if not reports:
         raise ConfigError(f"no verification results under {out_dir}; run `verify` first")
 

@@ -72,10 +72,6 @@ class EncodingSpec:
         return self.k * self.width
 
     @property
-    def eos_index(self) -> int:
-        return self.vocab_size
-
-    @property
     def n_classes(self) -> int:
         return self.vocab_size + 1
 
@@ -87,9 +83,6 @@ class EncodingSpec:
 
     def flatten(self, row: int, col: int) -> int:
         return row * self.width + col
-
-    def unflatten(self, flat: int) -> tuple[int, int]:
-        return divmod(flat, self.width)
 
     def column_kind(self, col: int) -> str:
         if col < self.vocab_size:
@@ -140,14 +133,6 @@ class EncodedInstance:
     target_time_delta: float      # seconds / mean_since_prev
     prefix_length: int
     instance_id: str
-
-    @property
-    def k(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def dummy_rows(self) -> tuple[int, ...]:
-        return tuple(range(self.k - self.prefix_length))
 
 
 @dataclass

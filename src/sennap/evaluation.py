@@ -122,6 +122,22 @@ def instance_rng(seed: int, instance_id: str) -> np.random.Generator:
     )
 
 
+def check_verification(delta: float, n_samples: int):
+    """Reject a sufficiency threshold outside (0, 1] or fewer than one sample."""
+    if not 0.0 < delta <= 1.0:
+        raise ConfigError(f"delta must lie in (0, 1], got {delta}")
+    if n_samples < 1:
+        raise ConfigError(f"need at least one verification sample, got {n_samples}")
+
+
+def _map_in_order(fn: Callable, items: Sequence, threads: int) -> list:
+    """Apply `fn` to every item, on `threads` threads when above 1; results keep order."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def accuracy(params: NapModelParams, dataset: Dataset) -> float:
     """Fraction of instances whose argmax matches the target class."""
     if len(dataset) == 0:
@@ -140,8 +156,7 @@ def verify_sufficiency(
     rng: np.random.Generator | None = None,
 ) -> tuple[bool, float]:
     """Monte-Carlo sufficiency check: estimated precision >= delta."""
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError(f"delta must lie in (0, 1], got {delta}")
+    check_verification(delta, n_samples)
     if rng is None:
         rng = np.random.default_rng(0)
     rate = estimate_precision(predict, x_flat, subset, sampler, n_samples, rng)
@@ -206,10 +221,7 @@ def explain_posthoc(
             precision=result.precision if result.status == "found" else None,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, range(n)))
-    return [solve(i) for i in range(n)]
+    return _map_in_order(solve, range(n), threads)
 
 
 def verify_explanations(
@@ -223,6 +235,7 @@ def verify_explanations(
     threads: int = 1,
 ) -> list[Explanation]:
     """Return copies with sufficiency flags filled (timeouts stay unverified)."""
+    check_verification(delta, n_samples)
     predict = make_predictor(params)
     by_id = {iid: i for i, iid in enumerate(dataset.ids)}
 
@@ -246,10 +259,7 @@ def verify_explanations(
         )
         return replace(expl, sufficient=ok, precision=rate)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(check, explanations))
-    return [check(e) for e in explanations]
+    return _map_in_order(check, explanations, threads)
 
 
 def summarize(

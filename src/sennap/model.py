@@ -56,7 +56,6 @@ class NapModelParams:
     vocab_size: int
     k: int
     m: int = EXTRA_FEATURES
-    hidden: int = HIDDEN_SIZE
     dropout: float = DROPOUT_RATE
 
     @property

@@ -2,7 +2,7 @@
 
 Greedy construction over individual flat features of the encoded grid: each
 round batch-estimates the prediction-preservation precision of every
-single-feature extension and keeps the best (or the best `beam_width` sets),
+single-feature extension of the current subset and keeps the best one,
 stopping once the estimate clears the precision threshold or the wall clock
 runs out.  Works against any class-prediction closure, so the same machinery
 is testable on analytic models.
@@ -16,6 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import ConfigError
 from .selfexplain import FeatureSampler
 
 
@@ -23,17 +24,16 @@ from .selfexplain import FeatureSampler
 class AnchorConfig:
     precision_threshold: float = 0.95
     n_samples: int = 100
-    beam_width: int = 1
     timeout_s: float = 600.0
     seed: int = 7
 
     def __post_init__(self):
         if not 0.0 < self.precision_threshold <= 1.0:
-            raise ValueError("precision threshold must lie in (0, 1]")
-        if self.n_samples < 1 or self.beam_width < 1:
-            raise ValueError("n_samples and beam_width must be >= 1")
+            raise ConfigError("precision threshold must lie in (0, 1]")
+        if self.n_samples < 1:
+            raise ConfigError("n_samples must be >= 1")
         if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
+            raise ConfigError("timeout must be positive")
 
 
 @dataclass
@@ -108,48 +108,28 @@ def greedy_anchor_search(
             samples_used, rounds,
         )
 
-    def confirm(beams, rounds):
-        """Re-estimate threshold-clearing beams on fresh draws; None if all fail."""
-        while beams[0][0] >= config.precision_threshold:
-            confirmed = precision_of(beams[0][1])
-            if confirmed >= config.precision_threshold:
-                return result("found", beams[0][1], confirmed, rounds)
-            beams[0] = (confirmed, beams[0][1])
-            beams.sort(key=lambda item: (-item[0], item[1]))
-        return None
-
-    empty_precision = precision_of(())
-    beams: list[tuple[float, tuple[int, ...]]] = [(empty_precision, ())]
-    found = confirm(beams, 0)
-    if found is not None:
-        return found
-
-    best_precision, best_subset = beams[0]
+    subset: tuple[int, ...] = ()
+    precision = precision_of(subset)
+    best_precision, best_subset = -1.0, subset
     rounds = 0
     while True:
+        if precision >= config.precision_threshold:
+            precision = precision_of(subset)
+            if precision >= config.precision_threshold:
+                return result("found", subset, precision, rounds)
+        # a failed confirmation keeps the fresh, lower estimate
+        if precision > best_precision:
+            best_precision, best_subset = precision, subset
         rounds += 1
-        candidates: list[tuple[float, tuple[int, ...]]] = []
-        tried: set[tuple[int, ...]] = set()
-        for _, base in beams:
-            for feature in range(n):
-                if feature in base:
-                    continue
-                extended = tuple(sorted(base + (feature,)))
-                if extended in tried:
-                    continue
-                tried.add(extended)
-                if time.perf_counter() - start > config.timeout_s:
-                    return result("timeout", best_subset, best_precision, rounds)
-                candidates.append((precision_of(extended), extended))
-        if not candidates:
-            # beams already cover the full feature set; the full set always
-            # estimates at 1.0, so this cannot happen with threshold <= 1
-            return result("found", best_subset, best_precision, rounds)
-        # deterministic: higher precision first, ties to the smaller index tuple
-        candidates.sort(key=lambda item: (-item[0], item[1]))
-        beams = candidates[: config.beam_width]
-        found = confirm(beams, rounds)
-        if found is not None:
-            return found
-        if beams[0][0] > best_precision:
-            best_precision, best_subset = beams[0]
+        # the full set estimates at exactly 1.0, so some feature is always left;
+        # ties go to the smallest feature index
+        base, precision = subset, -1.0
+        for feature in range(n):
+            if feature in base:
+                continue
+            if time.perf_counter() - start > config.timeout_s:
+                return result("timeout", best_subset, best_precision, rounds)
+            extended = tuple(sorted(base + (feature,)))
+            estimate = precision_of(extended)
+            if estimate > precision:
+                precision, subset = estimate, extended

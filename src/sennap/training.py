@@ -25,7 +25,7 @@ import numpy as np
 
 from .encoding import Dataset, EncodingSpec
 from .errors import CheckpointError, ConfigError, TrainingError
-from .evaluation import Explanation, summarize, verify_explanations
+from .evaluation import Explanation, check_verification, summarize, verify_explanations
 from .model import NapModelParams, forward_graph, infer, init_model
 from .neural import AdamState, adam_step, backward
 from .selfexplain import FeatureSampler, dual_propagate, senn_losses, subset_mask
@@ -143,13 +143,8 @@ def fit(
     spec: EncodingSpec,
     config: TrainConfig,
     log: Callable[[str], None] | None = None,
-    eval_train: bool = False,
 ) -> Checkpoint:
-    """Train one model; returns the parameters of the best validation epoch.
-
-    `eval_train` additionally records a dropout-free training-set evaluation
-    per epoch under the "train_eval" history key (costs one extra pass).
-    """
+    """Train one model; returns the parameters of the best validation epoch."""
     if len(train) == 0 or len(validation) == 0:
         raise TrainingError("train and validation sets must be nonempty")
     selfexplain = config.mode == "selfexplain"
@@ -197,9 +192,6 @@ def fit(
             for key, value in comps.items():
                 totals[key] = totals.get(key, 0.0) + value * weight
         train_stats = {key: value / n for key, value in totals.items()}
-        if eval_train:
-            clean = _evaluate_loss(params, train, config, sampler, rng)
-            train_stats.update({f"train_eval.{k}": v for k, v in clean.items()})
         val_stats = _evaluate_loss(params, validation, config, sampler, rng)
         history.append(EpochStats(epoch, train_stats, val_stats))
         if log:
@@ -249,9 +241,6 @@ class GridCell:
 class GridResult:
     cells: list[GridCell]
     selected: GridCell | None
-
-    def ok_cells(self) -> list[GridCell]:
-        return [c for c in self.cells if c.status == "ok"]
 
 
 def grid_plan(grid: str | tuple[Sequence[float], Sequence[float]]):
@@ -323,6 +312,9 @@ def grid_search(
     selection = selection_set if selection_set is not None else validation
     if len(selection) == 0:
         raise ConfigError("grid selection set is empty")
+    if selection_limit < 1:
+        raise ConfigError(f"selection limit must be >= 1, got {selection_limit}")
+    check_verification(delta, n_samples)
     sampler = FeatureSampler.fit(spec, train.x)
     checkpoints: dict[int, Checkpoint] = {}
     for cell_no, (lr, xi) in enumerate(plan):

@@ -71,6 +71,26 @@ def workdir(tmp_path_factory):
     return csv_path, out
 
 
+def _copy_runs(workdir, tmp_path):
+    """A private copy of the shared pipeline artifacts."""
+    _, source = workdir
+    out = tmp_path / "runs"
+    shutil.copytree(source, out)
+    return out
+
+
+def _tree_bytes(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _assert_one_error_line(capsys):
+    """Check stderr holds a single error line; returns stdout."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return captured.out
+
+
 class TestPipelineArtifacts:
     def test_prepare_manifest_records_log_shape(self, workdir):
         _, out = workdir
@@ -193,6 +213,51 @@ class TestCliErrors:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "posthoc", "--delta", "0"],
+            ["--method", "posthoc", "--samples", "0"],
+            ["--method", "posthoc", "--timeout", "0"],
+            ["--method", "selfexplain", "--limit", "0"],
+            ["--method", "posthoc", "--limit", "0"],
+        ],
+        ids=["delta", "samples", "timeout", "limit-selfexplain", "limit-posthoc"],
+    )
+    def test_invalid_explain_flags(self, workdir, tmp_path, capsys, flags):
+        out = _copy_runs(workdir, tmp_path)
+        before = _tree_bytes(out / "explanations")
+        code = main(["explain", "--out", str(out), *flags])
+        assert code == 1
+        _assert_one_error_line(capsys)
+        assert _tree_bytes(out / "explanations") == before
+
+    @pytest.mark.parametrize(
+        "flags", [["--samples", "0"], ["--delta", "0"]], ids=["samples", "delta"]
+    )
+    def test_invalid_verify_flags(self, workdir, tmp_path, capsys, flags):
+        out = _copy_runs(workdir, tmp_path)
+        before = _tree_bytes(out / "verification")
+        code = main(["verify", "--out", str(out), "--method", "selfexplain", *flags])
+        assert code == 1
+        _assert_one_error_line(capsys)
+        assert _tree_bytes(out / "verification") == before
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--samples", "0"], ["--delta", "0"], ["--eval-limit", "0"]],
+        ids=["samples", "delta", "eval-limit"],
+    )
+    def test_invalid_gridsearch_flags_rejected_before_training(
+        self, workdir, tmp_path, capsys, flags
+    ):
+        out = _copy_runs(workdir, tmp_path)
+        code = main(["gridsearch", "--out", str(out), "--grid", "small",
+                     "--epochs", "1", *flags])
+        assert code == 1
+        assert "grid cell" not in _assert_one_error_line(capsys)
+        assert not list((out / "models").rglob("cell_*.ckpt"))
+
     def test_unprepared_directory(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "none"), "--mode", "baseline"]) == 1
 
@@ -208,6 +273,16 @@ class TestCliErrors:
         assert main(["prepare", "--data", str(csv_path), "--out", str(out)]) == 0
         assert main(["report", "--out", str(out)]) == 1
         assert "verify" in capsys.readouterr().err
+
+    def test_report_example_outside_the_test_split(self, workdir, tmp_path, capsys):
+        out = _copy_runs(workdir, tmp_path)
+        path = out / "verification" / "selfexplain.jsonl"
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        for record in records:
+            record["instance"] = "nocase#1"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", "--out", str(out)]) == 1
+        _assert_one_error_line(capsys)
 
     def test_spec_mismatch_between_checkpoint_and_data(self, workdir, tmp_path, capsys):
         # checkpoint trained on the 60-case log applied to a different log

@@ -65,7 +65,7 @@ class TestEncodePrefix:
         assert inst.x.shape == (4, 8)
         np.testing.assert_array_equal(inst.x[:3], 0.0)
         np.testing.assert_allclose(inst.x[3], [1, 0, 0, 1, 0, 0, 0, 0])
-        assert inst.dummy_rows == (0, 1, 2)
+        assert inst.prefix_length == 1
 
     def test_second_event_hand_computed(self):
         spec = _spec(mean_first=3600.0, mean_prev=3600.0)
@@ -83,7 +83,7 @@ class TestEncodePrefix:
         spec = _spec(k=3)
         stamps = [("a", 0), ("b", 10), ("c", 30)]
         inst = encode_prefix(_record(stamps), spec)
-        assert inst.dummy_rows == ()
+        assert inst.prefix_length == spec.k
 
     def test_unknown_activity_named_in_error(self):
         spec = _spec()
@@ -138,7 +138,7 @@ class TestFlatIndexing:
         spec = _spec(k=5)
         for row in range(spec.k):
             for col in range(spec.width):
-                assert spec.unflatten(spec.flatten(row, col)) == (row, col)
+                assert divmod(spec.flatten(row, col), spec.width) == (row, col)
 
     def test_forced_mask_hits_event_index_column_every_row(self):
         spec = _spec(k=3)

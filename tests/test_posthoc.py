@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sennap.errors import ConfigError
 from sennap.model import make_predictor
 from sennap.posthoc import AnchorConfig, estimate_precision, greedy_anchor_search
 from sennap.selfexplain import SAMPLE_UNIFORM, FeatureSampler
@@ -141,17 +142,6 @@ class TestGreedySearch:
         assert a.precision == b.precision
         assert a.samples_used == b.samples_used
 
-    def test_beam_width_two_still_finds_anchor(self):
-        predict = _threshold_model()
-        result = greedy_anchor_search(
-            predict,
-            np.array([0.95, 0.5], dtype=np.float32),
-            AnchorConfig(n_samples=200, beam_width=2, seed=4),
-            _uniform_sampler(2),
-        )
-        assert result.status == "found"
-        assert 0 in result.indices
-
 
 class TestAnchorsOnTrainedModel:
     def test_found_anchors_reverify_with_fresh_seed(self, toy_data, baseline_ckpt):
@@ -179,11 +169,9 @@ class TestAnchorsOnTrainedModel:
 
 class TestAnchorConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AnchorConfig(precision_threshold=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AnchorConfig(timeout_s=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AnchorConfig(n_samples=0)
-        with pytest.raises(ValueError):
-            AnchorConfig(beam_width=0)

@@ -46,8 +46,10 @@ class TestFit:
             mode="baseline", learning_rate=0.002, batch_size=64,
             max_epochs=12, patience=50, seed=1,
         )
-        ckpt = fit(_subset(train, 20), _subset(val, 8), spec, config, eval_train=True)
-        ce = [h.train["train_eval.ce"] for h in ckpt.history[:11]]
+        # the training rows as the validation set: a dropout-free pass over them
+        rows = _subset(train, 20)
+        ckpt = fit(rows, rows, spec, config)
+        ce = [h.val["ce"] for h in ckpt.history[:11]]
         nonincreasing = sum(ce[i + 1] <= ce[i] + 1e-9 for i in range(10))
         assert nonincreasing >= 8
 
@@ -229,7 +231,7 @@ class TestGridSearch:
             )
 
     def test_selection_prefers_accuracy_then_faithfulness_then_size(self):
-        from sennap.training import GridCell, GridResult
+        from sennap.training import GridCell
 
         cells = [
             GridCell(1e-2, 1e-5, "ok", val_accuracy=0.7, val_faithfulness=0.5, mean_size=9),
@@ -246,7 +248,6 @@ class TestGridSearch:
             ),
         )
         assert ordered[0][0] == 3
-        assert GridResult(cells, cells[3]).ok_cells() == cells
 
 
 class TestManifest:
