@@ -24,8 +24,9 @@ from .evaluation import (
     verify_sufficiency,
 )
 from .model import Inference, NapModelParams, infer, init_model, make_predictor
+from .neural import subset_mask
 from .posthoc import AnchorConfig, AnchorResult, estimate_precision, greedy_anchor_search
-from .selfexplain import FeatureSampler, dual_propagate, senn_losses, subset_mask
+from .selfexplain import FeatureSampler, dual_propagate, senn_losses
 from .training import (
     Checkpoint,
     GridResult,

@@ -30,8 +30,9 @@ from .encoding import (
 )
 from .errors import ConfigError
 from .model import NapModelParams, infer, make_predictor
+from .neural import subset_mask
 from .posthoc import AnchorConfig, estimate_precision, greedy_anchor_search
-from .selfexplain import FeatureSampler, subset_mask
+from .selfexplain import FeatureSampler
 
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 

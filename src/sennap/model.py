@@ -21,13 +21,16 @@ from .neural import (
     LSTMLayerParams,
     Var,
     batch_norm,
+    batch_norm_infer,
     constant,
     dense,
     dropout_mask,
+    expit,
     init_batchnorm,
     init_dense,
     init_lstm,
     last_step,
+    lstm_forward,
     lstm_layer,
     mul,
     reshape,
@@ -233,23 +236,40 @@ class Inference:
 
 
 def infer(params: NapModelParams, x: np.ndarray, *, nap_only: bool = False) -> Inference:
-    """Inference-mode pass over (B, k, width) grids in INFER_CHUNK-row chunks.
+    """Tape-free inference pass over (B, k, width) grids in INFER_CHUNK-row chunks.
 
+    The same arithmetic as `forward_graph(train=False)` without the tape: the
+    LSTM kernel runs time-major, batch norm is the affine map through the
+    running statistics, and the branch LSTMs feed only their last step on.
     `nap_only` runs the activity head alone, for callers that need only
     classes.  Batch-norm running statistics never move.
     """
     x = np.asarray(x)
+    if x.ndim != 3 or x.shape[1:] != (params.k, params.width):
+        raise ValueError(f"expected (B, {params.k}, {params.width}) input, got {x.shape}")
+
+    def branch(h2, bn_in, lstm, bn_out, head):
+        h, _ = lstm_forward(batch_norm_infer(h2, bn_in), lstm)
+        return batch_norm_infer(h[-1], bn_out) @ head.W.value + head.b.value
+
     classes, times, scores = [], [], []
     # an empty batch still makes one pass, so every output keeps its shape
     for start in range(0, max(x.shape[0], 1), INFER_CHUNK):
-        out = forward_graph(
-            params, x[start : start + INFER_CHUNK], train=False, nap_only=nap_only
+        xs = np.ascontiguousarray(x[start : start + INFER_CHUNK].transpose(1, 0, 2))
+        h1, _ = lstm_forward(xs, params.shared1)
+        h2, _ = lstm_forward(h1[1:], params.shared2)
+        h2 = h2[1:]
+        logits = branch(h2, params.act_bn_in, params.act_lstm, params.act_bn_out, params.act_head)
+        classes.append(np.argmax(logits, axis=1))
+        if nap_only:
+            continue
+        time_out = branch(
+            h2, params.time_bn_in, params.time_lstm, params.time_bn_out, params.time_head
         )
-        classes.append(np.argmax(out.nap_logits.value, axis=1))
-        if out.time_pred is not None:
-            times.append(out.time_pred.value)
-        if out.exp_scores is not None:
-            scores.append(out.exp_scores.value)
+        times.append(time_out.reshape(-1))
+        if params.selfexplain:
+            exp = params.exp_head
+            scores.append(expit(h2[-1] @ exp.W.value + exp.b.value))
     return Inference(
         classes=np.concatenate(classes),
         time_pred=np.concatenate(times) if times else None,

@@ -133,7 +133,8 @@ def scale(a: Var, factor: float) -> Var:
     return Var(a.value * factor, parents=(a,), backward=back)
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+def expit(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid of an ndarray, exp-based (the LSTM kernel uses tanh)."""
     # overflow-free: compute sigma(|x|) in place, then mirror for negative x
     s = np.abs(x)
     np.negative(s, out=s)
@@ -144,7 +145,7 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Var) -> Var:
-    y = _sigmoid_np(a.value)
+    y = expit(a.value)
 
     def back(g):
         a.accumulate(g * y * (1.0 - y))
@@ -277,22 +278,90 @@ def lstm_cell_step(
     if x_t.shape != (params.input_size,):
         raise ValueError(f"input shape {x_t.shape} does not match D={params.input_size}")
     hx = np.concatenate([h_prev, x_t])
-    f = _sigmoid_np(params.W_f.value @ hx + params.b_f.value)
-    i = _sigmoid_np(params.W_i.value @ hx + params.b_i.value)
+    f = expit(params.W_f.value @ hx + params.b_f.value)
+    i = expit(params.W_i.value @ hx + params.b_i.value)
     c_bar = np.tanh(params.W_c.value @ hx + params.b_c.value)
     c = f * c_prev + i * c_bar
-    o = _sigmoid_np(params.W_o.value @ hx + params.b_o.value)
+    o = expit(params.W_o.value @ hx + params.b_o.value)
     h = o * np.tanh(c)
     return h, c
 
 
-def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
-    """Full-sequence LSTM node, h_0 = c_0 = 0, fused gate matmuls.
+@dataclass
+class LSTMCache:
+    """Per-step activations of one `lstm_forward` call, kept for BPTT."""
 
-    Input (B, T, D) -> output (B, T, H).  The input-side gate contributions
-    and the weight gradients are computed as single whole-sequence matmuls;
-    only the hidden-state recurrence runs per step.  Backward is classic BPTT
-    over the cached per-step activations.
+    w_cat: np.ndarray   # (H+D, 4H) unscaled gate weights, rows [:H] act on h
+    gates: np.ndarray   # (T, B, 4H) activated gates f, i, c_bar, o
+    c: np.ndarray       # (T+1, B, H) cell states, c[0] = 0
+    tanh_c: np.ndarray  # (T, B, H)
+
+
+def lstm_forward(
+    xs: np.ndarray, params: LSTMLayerParams, *, keep_cache: bool = False
+) -> tuple[np.ndarray, LSTMCache | None]:
+    """The LSTM kernel over a time-major (T, B, D) sequence, h_0 = c_0 = 0.
+
+    Returns the hidden states as (T+1, B, H) with h[0] = 0, so h[1:] is the
+    output sequence and h[:-1] the previous states, and the BPTT cache when
+    `keep_cache` is set.  The f/i/o weight and bias columns are scaled by 1/2
+    once (exact), so a single in-place tanh over the (B, 4H) gate block gives
+    the candidate and, through sigmoid(x) = 0.5 tanh(x/2) + 0.5, the sigmoid
+    gates.  The input-side pre-activations of every step are one matmul;
+    only the recurrence runs per step.
+    """
+    T, B, D = xs.shape
+    H = params.hidden_size
+    dtype = xs.dtype
+    # column blocks in gate order [f, i, c, o]; rows [:H] act on h, [H:] on x
+    w_cat = np.concatenate(
+        [params.W_f.value.T, params.W_i.value.T, params.W_c.value.T, params.W_o.value.T],
+        axis=1,
+    ).astype(dtype, copy=False)
+    b_cat = np.concatenate(
+        [params.b_f.value, params.b_i.value, params.b_c.value, params.b_o.value]
+    ).astype(dtype, copy=False)
+    half = np.ones(4 * H, dtype=dtype)
+    half[: 2 * H] = 0.5
+    half[3 * H :] = 0.5
+    w_h = w_cat[:H] * half
+
+    # (T, B, 4H): half-scaled input-side pre-activations, activated in place
+    gates = (xs.reshape(T * B, D) @ (w_cat[H:] * half) + b_cat * half).reshape(T, B, 4 * H)
+    h = np.zeros((T + 1, B, H), dtype=dtype)
+    c = np.zeros((T + 1, B, H), dtype=dtype) if keep_cache else np.zeros((1, B, H), dtype=dtype)
+    tanh_c = np.empty((T, B, H), dtype=dtype) if keep_cache else np.empty((1, B, H), dtype=dtype)
+    rec = np.empty((B, 4 * H), dtype=dtype)
+    ic = np.empty((B, H), dtype=dtype)
+    for t in range(T):
+        g = gates[t]
+        if t:
+            np.matmul(h[t], w_h, out=rec)
+            g += rec
+        np.tanh(g, out=g)
+        sig = g[:, : 2 * H]
+        sig *= 0.5
+        sig += 0.5
+        o = g[:, 3 * H :]
+        o *= 0.5
+        o += 0.5
+        c_prev, c_new = (c[t], c[t + 1]) if keep_cache else (c[0], c[0])
+        tc = tanh_c[t] if keep_cache else tanh_c[0]
+        np.multiply(g[:, :H], c_prev, out=c_new)
+        np.multiply(g[:, H : 2 * H], g[:, 2 * H : 3 * H], out=ic)
+        c_new += ic
+        np.tanh(c_new, out=tc)
+        np.multiply(o, tc, out=h[t + 1])
+    cache = LSTMCache(w_cat, gates, c, tanh_c) if keep_cache else None
+    return h, cache
+
+
+def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
+    """Full-sequence LSTM node: `lstm_forward` with its cache, then BPTT.
+
+    Input (B, T, D) -> output (B, T, H).  The weight gradients are single
+    whole-sequence matmuls; only the recurrence runs per step.  Backward
+    uses the unscaled weights.
     """
     xv = x.value
     if xv.ndim != 3 or xv.shape[2] != params.input_size:
@@ -302,47 +371,12 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
     B, T, D = xv.shape
     H = params.hidden_size
     dtype = xv.dtype
-    # column blocks in gate order [f, i, c, o]; rows [:H] act on h, [H:] on x
-    w_cat = np.concatenate(
-        [params.W_f.value.T, params.W_i.value.T, params.W_c.value.T, params.W_o.value.T],
-        axis=1,
-    ).astype(dtype, copy=False)
-    b_cat = np.concatenate(
-        [params.b_f.value, params.b_i.value, params.b_c.value, params.b_o.value]
-    ).astype(dtype, copy=False)
-    w_h = w_cat[:H]
-    w_x = w_cat[H:]
-
-    # (T, B, 4H): input-side gate pre-activations for every step at once
-    x_part = (xv.reshape(B * T, D) @ w_x + b_cat).reshape(B, T, 4 * H)
-    x_part = np.ascontiguousarray(x_part.transpose(1, 0, 2))
-
-    h_prev_cache = np.empty((T, B, H), dtype=dtype)
-    gate_cache = np.empty((T, B, 4 * H), dtype=dtype)
-    c_cache = np.empty((T, B, H), dtype=dtype)
-    tanh_c_cache = np.empty((T, B, H), dtype=dtype)
-    out = np.empty((B, T, H), dtype=dtype)
-
-    h = np.zeros((B, H), dtype=dtype)
-    c = np.zeros((B, H), dtype=dtype)
-    for t in range(T):
-        h_prev_cache[t] = h
-        raw = x_part[t] + h @ w_h
-        f = _sigmoid_np(raw[:, :H])
-        i = _sigmoid_np(raw[:, H : 2 * H])
-        c_bar = np.tanh(raw[:, 2 * H : 3 * H])
-        o = _sigmoid_np(raw[:, 3 * H :])
-        c_new = f * c + i * c_bar
-        tanh_c = np.tanh(c_new)
-        h = o * tanh_c
-        gate_cache[t, :, :H] = f
-        gate_cache[t, :, H : 2 * H] = i
-        gate_cache[t, :, 2 * H : 3 * H] = c_bar
-        gate_cache[t, :, 3 * H :] = o
-        c_cache[t] = c_new
-        tanh_c_cache[t] = tanh_c
-        out[:, t, :] = h
-        c = c_new
+    xs = np.ascontiguousarray(xv.transpose(1, 0, 2))
+    h, cache = lstm_forward(xs, params, keep_cache=True)
+    w_h = cache.w_cat[:H]
+    w_x = cache.w_cat[H:]
+    gate_cache = cache.gates
+    out = h[1:].transpose(1, 0, 2)
 
     def back(g):
         d_raw_all = np.empty((T, B, 4 * H), dtype=dtype)
@@ -353,8 +387,8 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
             i = gate_cache[t, :, H : 2 * H]
             c_bar = gate_cache[t, :, 2 * H : 3 * H]
             o = gate_cache[t, :, 3 * H :]
-            tanh_c = tanh_c_cache[t]
-            c_prev = c_cache[t - 1] if t > 0 else np.zeros((B, H), dtype=dtype)
+            tanh_c = cache.tanh_c[t]
+            c_prev = cache.c[t]
 
             dh = g[:, t, :] + dh_next
             dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
@@ -367,9 +401,8 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
             dh_next = d_raw @ w_h.T
 
         d_flat = d_raw_all.reshape(T * B, 4 * H)
-        d_w_h = h_prev_cache.reshape(T * B, H).T @ d_flat
-        x_steps = np.ascontiguousarray(xv.transpose(1, 0, 2)).reshape(T * B, D)
-        d_w_x = x_steps.T @ d_flat
+        d_w_h = h[:-1].reshape(T * B, H).T @ d_flat
+        d_w_x = xs.reshape(T * B, D).T @ d_flat
         d_bcat = d_flat.sum(axis=0)
 
         for block, (W, b) in enumerate(
@@ -448,6 +481,18 @@ def init_batchnorm(num_features: int, dtype=np.float32) -> BatchNormParams:
     )
 
 
+def _running_norm(x: np.ndarray, bn: BatchNormParams):
+    """Infer-mode batch norm over the trailing axis: (out, x_hat, inv_std)."""
+    inv_std = 1.0 / np.sqrt(bn.running_var + x.dtype.type(bn.eps))
+    x_hat = (x - bn.running_mean) * inv_std
+    return bn.gamma.value * x_hat + bn.beta.value, x_hat, inv_std
+
+
+def batch_norm_infer(x: np.ndarray, bn: BatchNormParams) -> np.ndarray:
+    """Tape-free infer-mode batch norm; the same bits as `batch_norm(train=False)`."""
+    return _running_norm(x, bn)[0]
+
+
 def batch_norm(x: Var, bn: BatchNormParams, train: bool, update_running: bool = True) -> Var:
     """Normalize over all axes but the last.
 
@@ -472,10 +517,10 @@ def batch_norm(x: Var, bn: BatchNormParams, train: bool, update_running: bool = 
             m = bn.momentum
             bn.running_mean[...] = (1.0 - m) * bn.running_mean + m * mean
             bn.running_var[...] = (1.0 - m) * bn.running_var + m * var
+        out = (bn.gamma.value * x_hat + bn.beta.value).reshape(xv.shape)
     else:
-        inv_std = 1.0 / np.sqrt(bn.running_var + eps)
-        x_hat = (flat - bn.running_mean) * inv_std
-    out = (bn.gamma.value * x_hat + bn.beta.value).reshape(xv.shape)
+        out, x_hat, inv_std = _running_norm(flat, bn)
+        out = out.reshape(xv.shape)
 
     def back(g):
         g_flat = g.reshape(-1, C)
@@ -563,6 +608,13 @@ def l1_batch_mean(values: Var) -> Var:
     return Var(np.asarray(loss, dtype=vv.dtype), parents=(values,), backward=back)
 
 
+def subset_mask(scores: np.ndarray, tau: float, forced: np.ndarray) -> np.ndarray:
+    """Boolean subset S over (..., n) scores: score >= tau, plus the forced set."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    return (np.asarray(scores) >= tau) | np.asarray(forced, dtype=bool)
+
+
 def masked_blend(
     scores: Var,
     x_flat: np.ndarray,
@@ -570,14 +622,14 @@ def masked_blend(
     forced: np.ndarray,
     tau: float,
 ) -> tuple[Var, np.ndarray]:
-    """z = x where (scores >= tau or forced), sampled noise elsewhere.
+    """z = x on the `subset_mask` of the scores, sampled noise elsewhere.
 
     The hard mask is treated as identity for the gradient back to the scores
     (straight-through); positions the scores cannot control (forced columns)
     pass no gradient.  Returns (z node, hard mask).
     """
     sv = scores.value
-    hard = (sv >= tau) | forced
+    hard = subset_mask(sv, tau, forced)
     z = np.where(hard, x_flat, noise).astype(sv.dtype)
     pass_through = (~forced).astype(sv.dtype)
 

@@ -25,6 +25,7 @@ from .neural import (
     scale,
     add,
     softmax_cross_entropy,
+    subset_mask,
 )
 
 SAMPLE_ACTIVITY = 0  # Bernoulli(0.5) over {0, 1}
@@ -81,13 +82,6 @@ class FeatureSampler:
         activity = self.kinds == SAMPLE_ACTIVITY
         out[:, activity] = (u[:, activity] < 0.5).astype(np.float32)
         return out
-
-
-def subset_mask(scores: np.ndarray, tau: float, forced: np.ndarray) -> np.ndarray:
-    """Boolean subset S over (..., n) scores: score >= tau, plus the forced set."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    return (np.asarray(scores) >= tau) | np.asarray(forced, dtype=bool)
 
 
 @dataclass

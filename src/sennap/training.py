@@ -27,8 +27,8 @@ from .encoding import Dataset, EncodingSpec
 from .errors import CheckpointError, ConfigError, TrainingError
 from .evaluation import Explanation, check_verification, summarize, verify_explanations
 from .model import NapModelParams, forward_graph, infer, init_model
-from .neural import AdamState, adam_step, backward
-from .selfexplain import FeatureSampler, dual_propagate, senn_losses, subset_mask
+from .neural import AdamState, adam_step, backward, subset_mask
+from .selfexplain import FeatureSampler, dual_propagate, senn_losses
 
 LEARNING_RATE_GRID = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 XI_GRID_FULL = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
@@ -206,6 +206,11 @@ def fit(
         elif epoch - best_epoch > config.patience:
             break
 
+    if best_params is None:
+        raise TrainingError(
+            f"no epoch of {len(history)} gave a finite validation loss "
+            f"(last {history[-1].val['total']}; lr={config.learning_rate}, xi={config.xi})"
+        )
     return Checkpoint(
         spec=spec,
         config=config,

@@ -104,6 +104,34 @@ class TestForward:
         )
 
 
+class TestTapeFreeInfer:
+    """`infer` runs the LSTM kernel without a tape; `forward_graph` is the oracle."""
+
+    @pytest.mark.parametrize("selfexplain", [False, True])
+    @pytest.mark.parametrize("batch", [1, 600])
+    def test_matches_forward_graph(self, selfexplain, batch):
+        params = init_model(VOCAB, K, selfexplain=selfexplain, seed=11)
+        rng = np.random.default_rng(12)
+        # spread weights and batch-norm statistics so that four classes occur
+        for _, p in params.named_parameters():
+            p.value = p.value + rng.normal(0, 1.0, p.value.shape).astype(p.value.dtype)
+        for name, buf in params.named_buffers():
+            if name.endswith("running_var"):
+                buf[...] = rng.uniform(0.2, 0.5, buf.shape)
+            else:
+                buf[...] = rng.normal(0, 0.2, buf.shape)
+        x = _input(batch=batch, seed=13)
+        fast = infer(params, x)
+        graph = forward_graph(params, x, train=False)
+        np.testing.assert_array_equal(fast.classes, np.argmax(graph.nap_logits.value, axis=1))
+        np.testing.assert_allclose(fast.time_pred, graph.time_pred.value, rtol=1e-5, atol=1e-6)
+        if selfexplain:
+            np.testing.assert_allclose(fast.scores, graph.exp_scores.value, rtol=1e-5, atol=1e-7)
+        else:
+            assert fast.scores is None
+        np.testing.assert_array_equal(infer(params, x, nap_only=True).classes, fast.classes)
+
+
 class TestPredictClass:
     def _biased(self, bias):
         params = _zeroed_model(seed=9)

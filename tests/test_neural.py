@@ -123,6 +123,50 @@ class TestLstmLayer:
                 h, c = lstm_cell_step(params, h, c, xs[b, t])
                 np.testing.assert_allclose(out[b, t], h, rtol=1e-9, atol=1e-12)
 
+    @staticmethod
+    def _saturated(seed, dtype):
+        """Weights and inputs whose gate pre-activations reach +-40 and beyond."""
+        rng = np.random.default_rng(seed)
+        params = init_lstm(rng, 3, 4, dtype)
+        for _, p in params.named("s"):
+            p.value = rng.normal(0, 2, size=p.value.shape).astype(dtype)
+        xs = rng.normal(0, 4, (3, 8, 3)).astype(dtype)
+        return params, xs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_saturated_layer_matches_cell_steps(self, seed, dtype):
+        params, xs = self._saturated(seed, dtype)
+        out = lstm_layer(constant(xs), params).value
+        assert out.dtype == dtype
+        assert np.all(np.isfinite(out))
+        tol = {"rtol": 1e-5, "atol": 1e-6} if dtype == np.float32 else {"rtol": 1e-9, "atol": 1e-12}
+        peak = 0.0
+        for b in range(xs.shape[0]):
+            h = np.zeros(4, dtype=dtype)
+            c = np.zeros(4, dtype=dtype)
+            for t in range(xs.shape[1]):
+                hx = np.concatenate([h, xs[b, t]])
+                peak = max(peak, float(np.abs(params.W_i.value @ hx + params.b_i.value).max()))
+                h, c = lstm_cell_step(params, h, c, xs[b, t])
+                np.testing.assert_allclose(out[b, t], h, **tol)
+        assert peak > 30.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_saturated_gradient_check(self, seed):
+        params, xs_value = self._saturated(300 + seed, np.float64)
+        rng = np.random.default_rng(seed)
+        xs = parameter(xs_value)
+        classes = rng.integers(0, 4, xs_value.shape[0])
+        head = init_dense(rng, 4, 4, np.float64)
+
+        def loss():
+            final = neural.last_step(lstm_layer(xs, params))
+            return softmax_cross_entropy(dense(final, head), classes)
+
+        wrt = [xs] + [p for _, p in params.named("s")] + [head.W, head.b]
+        assert max_rel_error(loss, wrt, rng, entries_per_var=3) < 1e-3
+
     def test_dropout_zero_train_equals_infer(self):
         rng = np.random.default_rng(0)
         params = init_lstm(rng, 3, 4)

@@ -98,6 +98,15 @@ class TestFit:
         with pytest.raises(TrainingError, match="epoch 0"):
             fit(broken, val, spec, config)
 
+    def test_no_finite_validation_loss_raises(self, tiny_sets):
+        spec, train, val = tiny_sets
+        x = val.x.copy()
+        x[0, 0, 0] = np.nan
+        broken = replace(val, x=x)
+        config = TrainConfig(mode="baseline", max_epochs=2, seed=3)
+        with pytest.raises(TrainingError, match="finite validation loss"):
+            fit(train, broken, spec, config)
+
     def test_empty_sets_rejected(self, tiny_sets):
         spec, train, val = tiny_sets
         empty = _subset(train, 0)
@@ -221,6 +230,24 @@ class TestGridSearch:
         second, _ = run()
         assert first.cells == second.cells
         assert first.selected == second.selected
+
+    def test_cell_without_finite_validation_loss_recorded_as_failed(self, tiny_sets):
+        # one Adam step at lr 1e30 overflows the weights; with a single epoch
+        # the training loss stays finite and only the validation loss is NaN
+        spec, train, val = tiny_sets
+        config = TrainConfig(max_epochs=1, batch_size=64, seed=21)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result, best = grid_search(
+                train, val, spec, config,
+                grid=((0.002, 1e30), (1e-9,)),
+                selection_limit=4, n_samples=10,
+            )
+        ok, failed = result.cells
+        assert ok.status == "ok"
+        assert failed.status == "failed"
+        assert "finite validation loss" in failed.error
+        assert result.selected is ok
+        assert best.config.learning_rate == 0.002
 
     def test_empty_selection_set_rejected_before_training(self, tiny_sets):
         spec, train, val = tiny_sets
