@@ -8,6 +8,7 @@ same file yields identical logs, splits, and prefix sets.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -134,7 +135,16 @@ def parse_csv(path: str | Path, columns: ColumnMap | None = None) -> EventLog:
     """
     columns = columns or ColumnMap()
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the event log ({exc.strerror})") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise LogParseError(f"{path}: line {line_no}: not valid UTF-8") from None
+    with io.StringIO(text, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -77,28 +77,35 @@ class NapModelParams:
     def n_classes(self) -> int:
         return self.vocab_size + 1
 
-    def named_parameters(self) -> list[tuple[str, Var]]:
-        groups = [
-            self.shared1.named("shared1"),
-            self.shared2.named("shared2"),
-            self.act_bn_in.named("act_bn_in"),
-            self.act_lstm.named("act_lstm"),
-            self.act_bn_out.named("act_bn_out"),
-            self.act_head.named("act_head"),
-            self.time_bn_in.named("time_bn_in"),
-            self.time_lstm.named("time_lstm"),
-            self.time_bn_out.named("time_bn_out"),
-            self.time_head.named("time_head"),
-        ]
+    def _groups(self) -> list[tuple[str, LSTMLayerParams | BatchNormParams | DenseParams]]:
+        names = ["shared1", "shared2", "act_bn_in", "act_lstm", "act_bn_out", "act_head",
+                 "time_bn_in", "time_lstm", "time_bn_out", "time_head"]
         if self.exp_head is not None:
-            groups.append(self.exp_head.named("exp_head"))
-        return [pair for group in groups for pair in group]
+            names.append("exp_head")
+        return [(name, getattr(self, name)) for name in names]
+
+    def named_parameters(self) -> list[tuple[str, Var]]:
+        return [pair for prefix, group in self._groups() for pair in group.named(prefix)]
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
         out = []
         for prefix in ("act_bn_in", "act_bn_out", "time_bn_in", "time_bn_out"):
             out.extend(getattr(self, prefix).named_buffers(prefix))
         return out
+
+    def sections(self) -> list[tuple[str, np.ndarray]]:
+        """Every stored array as (name, array): the checkpoint's sections, in order.
+
+        Each LSTM contributes its per-gate views of the packed weights, so
+        writing into a section writes into the live parameter.
+        """
+        out = []
+        for prefix, group in self._groups():
+            if isinstance(group, LSTMLayerParams):
+                out.extend(group.gate_views(prefix))
+            else:
+                out.extend((name, p.value) for name, p in group.named(prefix))
+        return out + self.named_buffers()
 
     def parameter_count(self) -> int:
         return sum(int(p.value.size) for _, p in self.named_parameters())
@@ -110,14 +117,10 @@ class NapModelParams:
             self.k,
             selfexplain=self.selfexplain,
             seed=0,
-            dtype=self.shared1.W_f.value.dtype,
+            dtype=self.shared1.W.value.dtype,
         )
-        src_params = dict(self.named_parameters())
-        for name, p in clone.named_parameters():
-            p.value = src_params[name].value.copy()
-        src_buffers = dict(self.named_buffers())
-        for name, buf in clone.named_buffers():
-            buf[...] = src_buffers[name]
+        for (_, dst), (_, src) in zip(clone.sections(), self.sections()):
+            dst[...] = src
         return clone
 
 
@@ -166,7 +169,6 @@ class GraphOutputs:
     nap_logits: Var
     time_pred: Var | None
     exp_scores: Var | None
-    shared_last: Var
 
 
 def forward_graph(
@@ -215,12 +217,11 @@ def forward_graph(
         t_last = batch_norm(last_step(t_seq), params.time_bn_out, train, update)
         time_pred = reshape(dense(t_last, params.time_head), (node.value.shape[0],))
 
-    shared_last = last_step(h2)
     exp_scores = None
     if params.selfexplain and not nap_only:
-        exp_scores = sigmoid(dense(shared_last, params.exp_head))
+        exp_scores = sigmoid(dense(last_step(h2), params.exp_head))
 
-    return GraphOutputs(nap_logits, time_pred, exp_scores, shared_last)
+    return GraphOutputs(nap_logits, time_pred, exp_scores)
 
 
 INFER_CHUNK = 512

@@ -220,44 +220,48 @@ def dense(x: Var, params: DenseParams) -> Var:
 
 @dataclass
 class LSTMLayerParams:
-    """Gate weights over the concatenation [h_prev, x_t] (hidden block first)."""
+    """Packed gate weights over the concatenation [h_prev, x_t].
 
-    W_f: Var
-    W_i: Var
-    W_c: Var
-    W_o: Var
-    b_f: Var
-    b_i: Var
-    b_c: Var
-    b_o: Var
-    hidden_size: int
-    input_size: int
+    `W` is (H+D, 4H): rows [:H] act on h, rows [H:] on x, and the column
+    blocks are the gates in the order f, i, c, o; `b` is (4H,).
+    """
+
+    W: Var
+    b: Var
+
+    @property
+    def hidden_size(self) -> int:
+        return self.W.value.shape[1] // 4
+
+    @property
+    def input_size(self) -> int:
+        return self.W.value.shape[0] - self.hidden_size
 
     def named(self, prefix: str):
-        return [
-            (f"{prefix}.{name}", getattr(self, name))
-            for name in ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o")
-        ]
+        return [(f"{prefix}.W", self.W), (f"{prefix}.b", self.b)]
+
+    def gate_views(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        """Per-gate (H, H+D) weight and (H,) bias views, the checkpoint sections."""
+        H = self.hidden_size
+        blocks = [(gate, slice(n * H, (n + 1) * H)) for n, gate in enumerate("fico")]
+        weights = [(f"{prefix}.W_{gate}", self.W.value[:, cols].T) for gate, cols in blocks]
+        return weights + [(f"{prefix}.b_{gate}", self.b.value[cols]) for gate, cols in blocks]
 
 
 def init_lstm(
     rng: np.random.Generator, input_size: int, hidden_size: int, dtype=np.float32
 ) -> LSTMLayerParams:
-    def weight():
-        return parameter(glorot_uniform(rng, (hidden_size, hidden_size + input_size), dtype))
-
+    # one glorot draw per gate over (H, H+D), in gate order, packed transposed:
+    # each gate keeps its own limit and the random stream is unchanged
+    blocks = [
+        glorot_uniform(rng, (hidden_size, hidden_size + input_size), dtype).T for _ in range(4)
+    ]
+    b = np.zeros(4 * hidden_size, dtype=dtype)
+    # forget bias starts at 1 so early training retains cell state
+    b[:hidden_size] = 1.0
     return LSTMLayerParams(
-        W_f=weight(),
-        W_i=weight(),
-        W_c=weight(),
-        W_o=weight(),
-        # forget bias starts at 1 so early training retains cell state
-        b_f=parameter(np.ones(hidden_size, dtype=dtype)),
-        b_i=parameter(np.zeros(hidden_size, dtype=dtype)),
-        b_c=parameter(np.zeros(hidden_size, dtype=dtype)),
-        b_o=parameter(np.zeros(hidden_size, dtype=dtype)),
-        hidden_size=hidden_size,
-        input_size=input_size,
+        W=parameter(np.ascontiguousarray(np.concatenate(blocks, axis=1))),
+        b=parameter(b),
     )
 
 
@@ -277,12 +281,13 @@ def lstm_cell_step(
         )
     if x_t.shape != (params.input_size,):
         raise ValueError(f"input shape {x_t.shape} does not match D={params.input_size}")
-    hx = np.concatenate([h_prev, x_t])
-    f = expit(params.W_f.value @ hx + params.b_f.value)
-    i = expit(params.W_i.value @ hx + params.b_i.value)
-    c_bar = np.tanh(params.W_c.value @ hx + params.b_c.value)
+    H = params.hidden_size
+    z = np.concatenate([h_prev, x_t]) @ params.W.value + params.b.value
+    f = expit(z[:H])
+    i = expit(z[H : 2 * H])
+    c_bar = np.tanh(z[2 * H : 3 * H])
     c = f * c_prev + i * c_bar
-    o = expit(params.W_o.value @ hx + params.b_o.value)
+    o = expit(z[3 * H :])
     h = o * np.tanh(c)
     return h, c
 
@@ -291,7 +296,6 @@ def lstm_cell_step(
 class LSTMCache:
     """Per-step activations of one `lstm_forward` call, kept for BPTT."""
 
-    w_cat: np.ndarray   # (H+D, 4H) unscaled gate weights, rows [:H] act on h
     gates: np.ndarray   # (T, B, 4H) activated gates f, i, c_bar, o
     c: np.ndarray       # (T+1, B, H) cell states, c[0] = 0
     tanh_c: np.ndarray  # (T, B, H)
@@ -313,21 +317,19 @@ def lstm_forward(
     T, B, D = xs.shape
     H = params.hidden_size
     dtype = xs.dtype
-    # column blocks in gate order [f, i, c, o]; rows [:H] act on h, [H:] on x
-    w_cat = np.concatenate(
-        [params.W_f.value.T, params.W_i.value.T, params.W_c.value.T, params.W_o.value.T],
-        axis=1,
-    ).astype(dtype, copy=False)
-    b_cat = np.concatenate(
-        [params.b_f.value, params.b_i.value, params.b_c.value, params.b_o.value]
-    ).astype(dtype, copy=False)
+    W = params.W.value.astype(dtype, copy=False)
     half = np.ones(4 * H, dtype=dtype)
     half[: 2 * H] = 0.5
     half[3 * H :] = 0.5
-    w_h = w_cat[:H] * half
+    # column-major here and a row-major W^T in `lstm_layer`'s backward: BLAS
+    # rounds small-batch products differently per layout, and these layouts
+    # keep same-seed checkpoints and predictions bit-identical across releases
+    w_half = np.multiply(W, half, order="F")
+    w_h = w_half[:H]
 
     # (T, B, 4H): half-scaled input-side pre-activations, activated in place
-    gates = (xs.reshape(T * B, D) @ (w_cat[H:] * half) + b_cat * half).reshape(T, B, 4 * H)
+    b = params.b.value.astype(dtype, copy=False)
+    gates = (xs.reshape(T * B, D) @ w_half[H:] + b * half).reshape(T, B, 4 * H)
     h = np.zeros((T + 1, B, H), dtype=dtype)
     c = np.zeros((T + 1, B, H), dtype=dtype) if keep_cache else np.zeros((1, B, H), dtype=dtype)
     tanh_c = np.empty((T, B, H), dtype=dtype) if keep_cache else np.empty((1, B, H), dtype=dtype)
@@ -352,7 +354,7 @@ def lstm_forward(
         c_new += ic
         np.tanh(c_new, out=tc)
         np.multiply(o, tc, out=h[t + 1])
-    cache = LSTMCache(w_cat, gates, c, tanh_c) if keep_cache else None
+    cache = LSTMCache(gates, c, tanh_c) if keep_cache else None
     return h, cache
 
 
@@ -373,12 +375,12 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
     dtype = xv.dtype
     xs = np.ascontiguousarray(xv.transpose(1, 0, 2))
     h, cache = lstm_forward(xs, params, keep_cache=True)
-    w_h = cache.w_cat[:H]
-    w_x = cache.w_cat[H:]
     gate_cache = cache.gates
     out = h[1:].transpose(1, 0, 2)
 
     def back(g):
+        # (4H, H+D) row-major; the layout note is in `lstm_forward`
+        w_t = np.ascontiguousarray(params.W.value.T, dtype=dtype)
         d_raw_all = np.empty((T, B, 4 * H), dtype=dtype)
         dh_next = np.zeros((B, H), dtype=dtype)
         dc_next = np.zeros((B, H), dtype=dtype)
@@ -398,38 +400,20 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
             d_raw[:, 2 * H : 3 * H] = (dc * i) * (1.0 - c_bar * c_bar)
             d_raw[:, 3 * H :] = (dh * tanh_c) * (o * (1.0 - o))
             dc_next = dc * f
-            dh_next = d_raw @ w_h.T
+            dh_next = d_raw @ w_t[:, :H]
 
         d_flat = d_raw_all.reshape(T * B, 4 * H)
-        d_w_h = h[:-1].reshape(T * B, H).T @ d_flat
-        d_w_x = xs.reshape(T * B, D).T @ d_flat
-        d_bcat = d_flat.sum(axis=0)
-
-        for block, (W, b) in enumerate(
-            ((params.W_f, params.b_f), (params.W_i, params.b_i),
-             (params.W_c, params.b_c), (params.W_o, params.b_o))
-        ):
-            cols = slice(block * H, (block + 1) * H)
-            W.accumulate(
-                np.concatenate([d_w_h[:, cols].T, d_w_x[:, cols].T], axis=1)
-            )
-            b.accumulate(d_bcat[cols])
+        # the h-side and x-side weight gradients, one matmul each
+        d_w = np.empty((H + D, 4 * H), dtype=dtype)
+        np.matmul(h[:-1].reshape(T * B, H).T, d_flat, out=d_w[:H])
+        np.matmul(xs.reshape(T * B, D).T, d_flat, out=d_w[H:])
+        params.W.accumulate(d_w)
+        params.b.accumulate(d_flat.sum(axis=0))
         if x.requires_grad:
-            dx = (d_flat @ w_x.T).reshape(T, B, D)
+            dx = (d_flat @ w_t[:, H:]).reshape(T, B, D)
             x.accumulate(dx.transpose(1, 0, 2))
 
-    parents = (
-        x,
-        params.W_f,
-        params.W_i,
-        params.W_c,
-        params.W_o,
-        params.b_f,
-        params.b_i,
-        params.b_c,
-        params.b_o,
-    )
-    return Var(out, parents=parents, backward=back)
+    return Var(out, parents=(x, params.W, params.b), backward=back)
 
 
 def dropout_mask(

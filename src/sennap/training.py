@@ -9,13 +9,15 @@ Checkpoint container layout (little-endian):
     magic "SENNAPCK" | u32 version | u64 metadata length | metadata UTF-8
     key=value lines | u32 section count | sections.
 Each section: u16 name length, name UTF-8, u8 rank, rank x u32 dims, then the
-row-major float32 payload.  Sections hold every named parameter tensor plus
-the batch-norm running statistics.
+row-major float32 payload, rank at most 2.  Sections hold every parameter
+tensor, then the batch-norm running statistics.  Each LSTM's packed weights
+are stored per gate: W_f, W_i, W_c, W_o as (H, H+D), then b_f, b_i, b_c, b_o.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .encoding import Dataset, EncodingSpec
-from .errors import CheckpointError, ConfigError, TrainingError
+from .errors import CheckpointError, ConfigError, SennapError, TrainingError
 from .evaluation import Explanation, check_verification, summarize, verify_explanations
 from .model import NapModelParams, forward_graph, infer, init_model
 from .neural import AdamState, adam_step, backward, subset_mask
@@ -119,8 +121,15 @@ def _batch_losses(params, x, y_act, y_time, config, sampler, rng, *, train):
     return senn_losses(first, None, None, y_act, y_time, 0.0, config.xi)
 
 
-def _evaluate_loss(params, dataset, config, sampler, rng, batch_size=1024):
-    """Inference-mode loss over a dataset (weighted mean of batch components)."""
+def _evaluate_loss(params, dataset, config, sampler, batch_size=1024):
+    """Inference-mode loss over a dataset (weighted mean of batch components).
+
+    The complement noise comes from a stream re-seeded on every call, so the
+    loss depends only on the parameters and never moves the training stream.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(3,))
+    )
     totals: dict[str, float] = {}
     seen = 0
     for start in range(0, len(dataset), batch_size):
@@ -192,7 +201,7 @@ def fit(
             for key, value in comps.items():
                 totals[key] = totals.get(key, 0.0) + value * weight
         train_stats = {key: value / n for key, value in totals.items()}
-        val_stats = _evaluate_loss(params, validation, config, sampler, rng)
+        val_stats = _evaluate_loss(params, validation, config, sampler)
         history.append(EpochStats(epoch, train_stats, val_stats))
         if log:
             log(
@@ -383,9 +392,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path):
     meta["history"] = _history_to_json(ckpt.history)
     meta_block = "".join(f"{k}={v}\n" for k, v in meta.items()).encode("utf-8")
 
-    sections = [(name, p.value) for name, p in ckpt.params.named_parameters()]
-    sections += ckpt.params.named_buffers()
-
+    sections = ckpt.params.sections()
     with Path(path).open("wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<I", ckpt.version))
@@ -402,45 +409,55 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path):
             handle.write(data.tobytes())
 
 
-def _read_exact(handle, count: int, what: str) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
+# sections are vectors and matrices; the bound keeps a corrupt rank byte out of numpy
+MAX_SECTION_RANK = 2
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint container back into live model parameters."""
     path = Path(path)
-    with path.open("rb") as handle:
-        magic = handle.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(handle, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version} "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
-        (meta_len,) = struct.unpack("<Q", _read_exact(handle, 8, "metadata length"))
-        meta_block = _read_exact(handle, meta_len, "metadata").decode("utf-8")
-        meta: dict[str, str] = {}
-        for line in meta_block.splitlines():
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = value
-        (n_sections,) = struct.unpack("<I", _read_exact(handle, 4, "section count"))
-        sections: dict[str, np.ndarray] = {}
-        for _ in range(n_sections):
-            (name_len,) = struct.unpack("<H", _read_exact(handle, 2, "section name"))
-            name = _read_exact(handle, name_len, "section name").decode("utf-8")
-            (rank,) = struct.unpack("<B", _read_exact(handle, 1, "section rank"))
-            dims = struct.unpack(
-                f"<{rank}I", _read_exact(handle, 4 * rank, "section dims")
-            )
-            count = int(np.prod(dims)) if rank else 1
-            payload = _read_exact(handle, 4 * count, f"section {name!r} data")
-            sections[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    data = path.read_bytes()
+    offset = 0
+
+    def take(count: int, what: str) -> bytes:
+        # every declared length is checked against the bytes left before the read
+        nonlocal offset
+        if count > len(data) - offset:
+            raise CheckpointError(f"{path}: truncated checkpoint while reading {what}")
+        offset += count
+        return data[offset - count : offset]
+
+    def text(count: int, what: str) -> str:
+        try:
+            return take(count, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} is not valid UTF-8") from None
+
+    if take(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    (version,) = struct.unpack("<I", take(4, "version"))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {version} "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
+    (meta_len,) = struct.unpack("<Q", take(8, "metadata length"))
+    meta: dict[str, str] = {}
+    for line in text(meta_len, "metadata").splitlines():
+        if line:
+            key, _, value = line.partition("=")
+            meta[key] = value
+    (n_sections,) = struct.unpack("<I", take(4, "section count"))
+    sections: dict[str, np.ndarray] = {}
+    for _ in range(n_sections):
+        (name_len,) = struct.unpack("<H", take(2, "section name"))
+        name = text(name_len, "section name")
+        (rank,) = struct.unpack("<B", take(1, "section rank"))
+        if rank > MAX_SECTION_RANK:
+            raise CheckpointError(f"{path}: section {name!r} has rank {rank}")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, "section dims"))
+        payload = take(4 * math.prod(dims), f"section {name!r} data")
+        sections[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
 
     try:
         spec = EncodingSpec.from_metadata(meta)
@@ -448,25 +465,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         history = _history_from_json(meta["history"])
         best_epoch = int(meta["best_epoch"])
         best_val_loss = float(meta["best_val_loss"])
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, SennapError) as exc:
         raise CheckpointError(f"{path}: malformed metadata ({exc})") from None
 
     params = init_model(
         spec.vocab_size, spec.k, selfexplain=config.mode == "selfexplain", seed=0
     )
-    for name, p in params.named_parameters():
+    for name, array in params.sections():
         if name not in sections:
-            raise CheckpointError(f"{path}: missing parameter section {name!r}")
-        if sections[name].shape != p.value.shape:
+            raise CheckpointError(f"{path}: missing section {name!r}")
+        if sections[name].shape != array.shape:
             raise CheckpointError(
                 f"{path}: section {name!r} has shape {sections[name].shape}, "
-                f"expected {p.value.shape}"
+                f"expected {array.shape}"
             )
-        p.value = sections[name]
-    for name, buf in params.named_buffers():
-        if name not in sections:
-            raise CheckpointError(f"{path}: missing buffer section {name!r}")
-        buf[...] = sections[name]
+        array[...] = sections[name]
     return Checkpoint(
         spec=spec,
         config=config,

@@ -206,6 +206,18 @@ class TestCliErrors:
         assert code == 1
         assert "timestamp" in captured.err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_data_path(self, tmp_path, capsys, kind):
+        path = tmp_path / "log.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"case,activity,timestamp\nc1,\xe9t\xe9,1\n")
+        code = main(["prepare", "--data", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0], err
+
     def test_baseline_with_cardinality_weight(self, workdir, capsys):
         _, out = workdir
         code = main(["train", "--out", str(out), "--mode", "baseline", "--xi", "1e-9"])

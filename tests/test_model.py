@@ -181,8 +181,8 @@ class TestParameters:
     def test_copy_is_deep(self):
         params = init_model(VOCAB, K, seed=8)
         clone = params.copy()
-        clone.shared1.W_f.value[0, 0] += 1.0
-        assert params.shared1.W_f.value[0, 0] != clone.shared1.W_f.value[0, 0]
+        clone.shared1.W.value[0, 0] += 1.0
+        assert params.shared1.W.value[0, 0] != clone.shared1.W.value[0, 0]
         clone.act_bn_in.running_mean[0] += 1.0
         assert params.act_bn_in.running_mean[0] != clone.act_bn_in.running_mean[0]
 

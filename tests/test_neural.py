@@ -73,20 +73,23 @@ class TestLstmCellStep:
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
-        def gate(W, b, squash):
+        def gate(block, squash):
+            # column block `block` of the packed (H+D, 4H) weights, gate order f, i, c, o
+            cols = slice(block * H, (block + 1) * H)
+            W, b = params.W.value[:, cols], params.b.value[cols]
             hx = list(h_prev) + list(x_t)
             out = []
             for row in range(H):
-                acc = b.value[row]
+                acc = b[row]
                 for col in range(H + D):
-                    acc += W.value[row][col] * hx[col]
+                    acc += W[col][row] * hx[col]
                 out.append(squash(acc))
             return out
 
-        f = gate(params.W_f, params.b_f, sig)
-        i = gate(params.W_i, params.b_i, sig)
-        c_bar = gate(params.W_c, params.b_c, math.tanh)
-        o = gate(params.W_o, params.b_o, sig)
+        f = gate(0, sig)
+        i = gate(1, sig)
+        c_bar = gate(2, math.tanh)
+        o = gate(3, sig)
         c_expect = [f[j] * c_prev[j] + i[j] * c_bar[j] for j in range(H)]
         h_expect = [o[j] * math.tanh(c_expect[j]) for j in range(H)]
 
@@ -147,7 +150,8 @@ class TestLstmLayer:
             c = np.zeros(4, dtype=dtype)
             for t in range(xs.shape[1]):
                 hx = np.concatenate([h, xs[b, t]])
-                peak = max(peak, float(np.abs(params.W_i.value @ hx + params.b_i.value).max()))
+                i_pre = hx @ params.W.value[:, 4:8] + params.b.value[4:8]  # the i block
+                peak = max(peak, float(np.abs(i_pre).max()))
                 h, c = lstm_cell_step(params, h, c, xs[b, t])
                 np.testing.assert_allclose(out[b, t], h, **tol)
         assert peak > 30.0

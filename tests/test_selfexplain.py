@@ -257,7 +257,6 @@ class TestSennLosses:
             nap_logits=out.nap_logits,
             time_pred=out.time_pred,
             exp_scores=constant(np.zeros_like(out.exp_scores.value)),
-            shared_last=out.shared_last,
         )
         _, comps = senn_losses(silenced, None, None, y_act, y_time, 0.0, 1.0)
         assert comps["card"] == 0.0

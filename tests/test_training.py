@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 from sennap.encoding import Dataset
 from sennap.errors import CheckpointError, ConfigError, TrainingError
 from sennap.evaluation import accuracy
+from sennap.selfexplain import FeatureSampler
 from sennap.training import (
     CHECKPOINT_MAGIC,
     TrainConfig,
+    _evaluate_loss,
     fit,
     grid_plan,
     grid_search,
@@ -113,6 +116,21 @@ class TestFit:
         with pytest.raises(TrainingError, match="nonempty"):
             fit(empty, val, spec, TrainConfig())
 
+    def test_validation_size_leaves_training_unchanged(self, tiny_sets):
+        spec, train, val = tiny_sets
+        config = TrainConfig(mode="selfexplain", xi=1e-5, max_epochs=2, patience=10, seed=3)
+        full = fit(train, val, spec, config)
+        half = fit(train, _subset(val, len(val) // 2), spec, config)
+        assert full.history[1].train == half.history[1].train
+
+    def test_validation_loss_repeatable(self, tiny_sets):
+        spec, train, val = tiny_sets
+        config = TrainConfig(mode="selfexplain", xi=1e-5, max_epochs=1, seed=3)
+        params = fit(train, val, spec, config).params
+        sampler = FeatureSampler.fit(spec, train.x)
+        first = _evaluate_loss(params, val, config, sampler)
+        assert _evaluate_loss(params, val, config, sampler) == first
+
     def test_early_stopping_respects_patience(self, tiny_sets):
         spec, train, val = tiny_sets
         config = TrainConfig(mode="baseline", max_epochs=40, patience=2, seed=4)
@@ -193,6 +211,87 @@ class TestCheckpointIO:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+
+    @staticmethod
+    def _sections(blob: bytes) -> dict[str, tuple[tuple[int, ...], int, int]]:
+        """Walk the container: name -> (shape, header offset, payload offset), in file order."""
+        (meta_len,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC) + 4)
+        offset = len(CHECKPOINT_MAGIC) + 12 + meta_len
+        (count,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+        out = {}
+        for _ in range(count):
+            start = offset
+            (name_len,) = struct.unpack_from("<H", blob, offset)
+            name = blob[offset + 2 : offset + 2 + name_len].decode("utf-8")
+            offset += 2 + name_len
+            rank = blob[offset]
+            shape = struct.unpack_from(f"<{rank}I", blob, offset + 1)
+            offset += 1 + 4 * rank
+            out[name] = (shape, start, offset)
+            offset += 4 * int(np.prod(shape))
+        return out
+
+    def test_lstm_weights_stored_per_gate(self, tiny_sets, tmp_path):
+        spec, train, val = tiny_sets
+        ckpt = fit(train, val, spec, TrainConfig(max_epochs=1, seed=15))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        blob = bytearray(path.read_bytes())
+        sections = self._sections(bytes(blob))
+        names = list(sections)
+        gates = "fico"
+
+        def read(name):
+            shape, _, at = sections[name]
+            return np.frombuffer(blob, "<f4", int(np.prod(shape)), at).reshape(shape)
+
+        for layer in ("shared1", "shared2", "act_lstm", "time_lstm"):
+            expected = [f"{layer}.W_{g}" for g in gates] + [f"{layer}.b_{g}" for g in gates]
+            start = names.index(expected[0])
+            assert names[start : start + 8] == expected
+            lstm = getattr(ckpt.params, layer)
+            H = lstm.W.value.shape[1] // 4
+            for n, g in enumerate(gates):
+                cols = slice(n * H, (n + 1) * H)
+                np.testing.assert_array_equal(read(f"{layer}.W_{g}"), lstm.W.value[:, cols].T)
+                np.testing.assert_array_equal(read(f"{layer}.b_{g}"), lstm.b.value[cols])
+
+        shape, _, at = sections["shared1.W_i"]
+        known = np.arange(np.prod(shape), dtype="<f4").reshape(shape) / 1000
+        blob[at : at + known.nbytes] = known.tobytes()
+        path.write_bytes(bytes(blob))
+        W = load_checkpoint(path).params.shared1.W.value
+        H = shape[0]
+        np.testing.assert_array_equal(W[:, H : 2 * H].T, known)
+        np.testing.assert_array_equal(W[:, :H], ckpt.params.shared1.W.value[:, :H])
+        np.testing.assert_array_equal(W[:, 2 * H :], ckpt.params.shared1.W.value[:, 2 * H :])
+
+    def test_corrupt_header_ends_in_checkpoint_error(self, tiny_sets, tmp_path):
+        spec, train, val = tiny_sets
+        ckpt = fit(train, val, spec, TrainConfig(max_epochs=1, seed=16))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        first = list(self._sections(blob).values())[:3]
+        # the fixed header (magic, version, metadata length), the section count
+        # and the first three section headers
+        header = list(range(len(CHECKPOINT_MAGIC) + 12))
+        header += range(first[0][1] - 4, first[0][1])
+        for _, start, payload in first:
+            header += range(start, payload)
+        variants = []
+        for at in header:
+            variants.append(blob[:at])
+            for mask in (0x01, 0x80, 0xFF):
+                variants.append(blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1 :])
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
 
 
 class TestGridSearch:
