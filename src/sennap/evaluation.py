@@ -39,7 +39,13 @@ _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 @dataclass
 class Explanation:
-    """One explanation record; size counts forced and dummy-row features."""
+    """One explanation record; size counts forced and dummy-row features.
+
+    A post-hoc record carries the search's cost, `rounds` and `samples_used`,
+    and a timed-out search its best subset so far and that subset's estimate
+    in `best_indices` and `best_precision`.  A timeout still has no
+    `indices`: it is not an existing explanation.
+    """
 
     instance_id: str
     method: str                       # "selfexplain" | "posthoc"
@@ -49,13 +55,17 @@ class Explanation:
     status: str = "found"
     precision: float | None = None
     sufficient: bool | None = None
+    rounds: int | None = None
+    samples_used: int | None = None
+    best_indices: tuple[int, ...] | None = None
+    best_precision: float | None = None
 
     @property
     def size(self) -> int:
         return len(self.indices)
 
     def to_record(self) -> dict:
-        return {
+        record = {
             "instance": self.instance_id,
             "method": self.method,
             "status": self.status,
@@ -66,9 +76,18 @@ class Explanation:
             "precision": self.precision,
             "sufficient": self.sufficient,
         }
+        if self.rounds is not None:
+            record.update(
+                rounds=self.rounds,
+                samples_used=self.samples_used,
+                best_indices=list(self.best_indices) if self.best_indices is not None else None,
+                best_precision=self.best_precision,
+            )
+        return record
 
     @classmethod
     def from_record(cls, record: dict) -> "Explanation":
+        best = record.get("best_indices")
         return cls(
             instance_id=record["instance"],
             method=record["method"],
@@ -78,6 +97,10 @@ class Explanation:
             status=record.get("status", "found"),
             precision=record.get("precision"),
             sufficient=record.get("sufficient"),
+            rounds=record.get("rounds"),
+            samples_used=record.get("samples_used"),
+            best_indices=tuple(best) if best is not None else None,
+            best_precision=record.get("best_precision"),
         )
 
 
@@ -212,14 +235,19 @@ def explain_posthoc(
         result = greedy_anchor_search(
             predict, dataset.x[i].reshape(-1), config, sampler, rng
         )
+        found = result.status == "found"
         return Explanation(
             instance_id=dataset.ids[i],
             method="posthoc",
-            indices=result.indices if result.status == "found" else (),
+            indices=result.indices if found else (),
             scores=None,
             wall_time_s=result.wall_time_s,
             status=result.status,
-            precision=result.precision if result.status == "found" else None,
+            precision=result.precision if found else None,
+            rounds=result.rounds,
+            samples_used=result.samples_used,
+            best_indices=None if found else result.indices,
+            best_precision=None if found else result.precision,
         )
 
     return _map_in_order(solve, range(n), threads)

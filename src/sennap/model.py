@@ -26,12 +26,13 @@ from .neural import (
     dense,
     dropout_mask,
     expit,
+    half_scaled,
     init_batchnorm,
     init_dense,
     init_lstm,
     last_step,
-    lstm_forward,
     lstm_layer,
+    lstm_prefix_forward,
     mul,
     reshape,
     sigmoid,
@@ -116,7 +117,7 @@ class NapModelParams:
             self.vocab_size,
             self.k,
             selfexplain=self.selfexplain,
-            seed=0,
+            seed=None,
             dtype=self.shared1.W.value.dtype,
         )
         for (_, dst), (_, src) in zip(clone.sections(), self.sections()):
@@ -129,17 +130,22 @@ def init_model(
     k: int,
     *,
     selfexplain: bool = False,
-    seed: int = 0,
+    seed: int | None = 0,
     dtype=np.float32,
 ) -> NapModelParams:
-    """Initialize all weights from a seed.
+    """Initialize all weights from a seed; `seed=None` allocates them without draws.
 
     The explanation head draws from its own derived stream so the trunk and
     branch weights are identical between baseline and self-explaining models
-    built from the same seed.
+    built from the same seed.  Without a seed the weights that would be
+    drawn are zeros: a target to copy or load values into.
     """
-    trunk_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    head_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    def stream(key: int) -> np.random.Generator | None:
+        if seed is None:
+            return None
+        return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
+    trunk_rng, head_rng = stream(0), stream(1)
     width = vocab_size + EXTRA_FEATURES
     n_classes = vocab_size + 1
     params = NapModelParams(
@@ -228,6 +234,47 @@ INFER_CHUNK = 512
 
 
 @dataclass
+class PrefixTree:
+    """The distinct prefixes of a (B, T, D) batch: one node per step and prefix."""
+
+    inputs: np.ndarray                 # (N, D) each node's input row
+    offsets: list[int]                 # step t's nodes are offsets[t]:offsets[t+1]
+    parents: list[np.ndarray | None]   # per step, as `lstm_prefix_forward` reads them
+    leaves: np.ndarray                 # (B,) each row's last-step node, from offsets[T-1]
+
+
+def prefix_tree(x: np.ndarray) -> PrefixTree:
+    """Group the rows whose steps 0..t are byte-identical into one node of step t."""
+    B, T, D = x.shape
+    bits = np.ascontiguousarray(x).view(f"u{x.itemsize}")
+    # in byte order, the rows that share a byte prefix form one run
+    order = np.argsort(
+        bits.reshape(B, T * D).view(np.dtype((np.void, x.itemsize * T * D))).ravel(),
+        kind="stable",
+    )
+    ordered = bits[order]
+    # a sorted row opens a new node at every step from its first difference
+    # to the row before it on
+    differs = np.any(ordered[1:] != ordered[:-1], axis=2)
+    first = np.where(differs.any(axis=1), differs.argmax(axis=1), T)
+    opens = np.ones((T, B), dtype=bool)
+    opens[:, 1:] = first <= np.arange(T)[:, None]
+    node = np.cumsum(opens, axis=1) - 1  # (T, B) node of each sorted row, per step
+    offsets = [0, *np.cumsum(opens.sum(axis=1)).tolist()]
+    steps, rows = np.nonzero(opens)
+    parents: list[np.ndarray | None] = [None]
+    for t in range(1, T):
+        lo, hi = offsets[t], offsets[t + 1]
+        if hi - lo != lo - offsets[t - 1]:
+            parents.append(offsets[t - 1] + node[t - 1, rows[lo:hi]])
+        else:
+            parents.append(None)
+    leaves = np.empty(B, dtype=np.intp)
+    leaves[order] = node[T - 1]
+    return PrefixTree(x[order[rows], steps], offsets, parents, leaves)
+
+
+@dataclass
 class Inference:
     """Plain-numpy outputs of an inference pass."""
 
@@ -239,38 +286,43 @@ class Inference:
 def infer(params: NapModelParams, x: np.ndarray, *, nap_only: bool = False) -> Inference:
     """Tape-free inference pass over (B, k, width) grids in INFER_CHUNK-row chunks.
 
-    The same arithmetic as `forward_graph(train=False)` without the tape: the
-    LSTM kernel runs time-major, batch norm is the affine map through the
-    running statistics, and the branch LSTMs feed only their last step on.
-    `nap_only` runs the activity head alone, for callers that need only
-    classes.  Batch-norm running statistics never move.
+    The same arithmetic as `forward_graph(train=False)` without the tape, run
+    once per distinct input prefix: the LSTMs are causal and infer-mode batch
+    norm is per feature, so rows that agree on steps 0..t agree on every
+    state up to step t.  Each chunk becomes a `prefix_tree`; every LSTM layer
+    steps its nodes, and the heads read each row's last-step node.  `nap_only`
+    runs the activity head alone, for callers that need only classes.
+    Batch-norm running statistics never move.
     """
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[1:] != (params.k, params.width):
         raise ValueError(f"expected (B, {params.k}, {params.width}) input, got {x.shape}")
-
-    def branch(h2, bn_in, lstm, bn_out, head):
-        h, _ = lstm_forward(batch_norm_infer(h2, bn_in), lstm)
-        return batch_norm_infer(h[-1], bn_out) @ head.W.value + head.b.value
+    layers = ("shared1", "shared2", "act_lstm") + (() if nap_only else ("time_lstm",))
+    weights = {name: half_scaled(getattr(params, name), x.dtype) for name in layers}
 
     classes, times, scores = [], [], []
     # an empty batch still makes one pass, so every output keeps its shape
     for start in range(0, max(x.shape[0], 1), INFER_CHUNK):
-        xs = np.ascontiguousarray(x[start : start + INFER_CHUNK].transpose(1, 0, 2))
-        h1, _ = lstm_forward(xs, params.shared1)
-        h2, _ = lstm_forward(h1[1:], params.shared2)
-        h2 = h2[1:]
-        logits = branch(h2, params.act_bn_in, params.act_lstm, params.act_bn_out, params.act_head)
-        classes.append(np.argmax(logits, axis=1))
+        tree = prefix_tree(x[start : start + INFER_CHUNK])
+        last = slice(tree.offsets[-2], None)
+
+        def lstm(inputs, name):
+            return lstm_prefix_forward(inputs, tree.offsets, tree.parents, weights[name])
+
+        def branch(bn_in, name, bn_out, head):
+            h = lstm(batch_norm_infer(h2, bn_in), name)[last]
+            return batch_norm_infer(h, bn_out) @ head.W.value + head.b.value
+
+        h2 = lstm(lstm(tree.inputs, "shared1"), "shared2")
+        logits = branch(params.act_bn_in, "act_lstm", params.act_bn_out, params.act_head)
+        classes.append(np.argmax(logits, axis=1)[tree.leaves])
         if nap_only:
             continue
-        time_out = branch(
-            h2, params.time_bn_in, params.time_lstm, params.time_bn_out, params.time_head
-        )
-        times.append(time_out.reshape(-1))
+        time_out = branch(params.time_bn_in, "time_lstm", params.time_bn_out, params.time_head)
+        times.append(time_out.reshape(-1)[tree.leaves])
         if params.selfexplain:
             exp = params.exp_head
-            scores.append(expit(h2[-1] @ exp.W.value + exp.b.value))
+            scores.append(expit(h2[last] @ exp.W.value + exp.b.value)[tree.leaves])
     return Inference(
         classes=np.concatenate(classes),
         time_pred=np.concatenate(times) if times else None,

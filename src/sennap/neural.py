@@ -12,6 +12,7 @@ float64 in gradient checks).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -196,13 +197,18 @@ class DenseParams:
         return [(f"{prefix}.W", self.W), (f"{prefix}.b", self.b)]
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Glorot-uniform weights; without an rng, zeros of the shape (no draws)."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
     fan_in, fan_out = shape[0], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def init_dense(rng: np.random.Generator, d_in: int, d_out: int, dtype=np.float32) -> DenseParams:
+def init_dense(
+    rng: np.random.Generator | None, d_in: int, d_out: int, dtype=np.float32
+) -> DenseParams:
     return DenseParams(
         W=parameter(glorot_uniform(rng, (d_in, d_out), dtype)),
         b=parameter(np.zeros(d_out, dtype=dtype)),
@@ -249,7 +255,7 @@ class LSTMLayerParams:
 
 
 def init_lstm(
-    rng: np.random.Generator, input_size: int, hidden_size: int, dtype=np.float32
+    rng: np.random.Generator | None, input_size: int, hidden_size: int, dtype=np.float32
 ) -> LSTMLayerParams:
     # one glorot draw per gate over (H, H+D), in gate order, packed transposed:
     # each gate keeps its own limit and the random stream is unchanged
@@ -301,38 +307,74 @@ class LSTMCache:
     tanh_c: np.ndarray  # (T, B, H)
 
 
-def lstm_forward(
-    xs: np.ndarray, params: LSTMLayerParams, *, keep_cache: bool = False
-) -> tuple[np.ndarray, LSTMCache | None]:
-    """The LSTM kernel over a time-major (T, B, D) sequence, h_0 = c_0 = 0.
+def half_scaled(params: LSTMLayerParams, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's (H+D, 4H) weight and (4H,) bias with the f/i/o columns scaled by 1/2.
+
+    The scaling is exact, and it lets one tanh over the gate block give every
+    gate (see `lstm_cell_update`).  The weight is column-major here and
+    `lstm_layer`'s backward reads a row-major W^T: BLAS rounds small-batch
+    products differently per layout, and these layouts keep same-seed
+    checkpoints and predictions bit-identical across releases.
+    """
+    H = params.hidden_size
+    half = np.ones(4 * H, dtype=dtype)
+    half[: 2 * H] = 0.5
+    half[3 * H :] = 0.5
+    W = params.W.value.astype(dtype, copy=False)
+    b = params.b.value.astype(dtype, copy=False)
+    return np.multiply(W, half, order="F"), b * half
+
+
+def lstm_cell_update(
+    g: np.ndarray,
+    c_prev: np.ndarray,
+    c: np.ndarray,
+    tanh_c: np.ndarray,
+    h: np.ndarray,
+    scratch: np.ndarray,
+):
+    """One step's fused gate activation and state update, in place.
+
+    `g` holds the (B, 4H) half-scaled pre-activations of the gates f, i, c, o.
+    A single tanh over the block gives the candidate and, through
+    sigmoid(x) = 0.5 tanh(x/2) + 0.5, the sigmoid gates.  Writes the cell
+    state to `c`, its tanh to `tanh_c` and the hidden state to `h`;
+    `scratch` is a (B, H) buffer.
+    """
+    H = c.shape[1]
+    np.tanh(g, out=g)
+    sig = g[:, : 2 * H]
+    sig *= 0.5
+    sig += 0.5
+    o = g[:, 3 * H :]
+    o *= 0.5
+    o += 0.5
+    np.multiply(g[:, :H], c_prev, out=c)
+    np.multiply(g[:, H : 2 * H], g[:, 2 * H : 3 * H], out=scratch)
+    c += scratch
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
+
+
+def lstm_forward(xs: np.ndarray, params: LSTMLayerParams) -> tuple[np.ndarray, LSTMCache]:
+    """The training kernel over a time-major (T, B, D) sequence, h_0 = c_0 = 0.
 
     Returns the hidden states as (T+1, B, H) with h[0] = 0, so h[1:] is the
-    output sequence and h[:-1] the previous states, and the BPTT cache when
-    `keep_cache` is set.  The f/i/o weight and bias columns are scaled by 1/2
-    once (exact), so a single in-place tanh over the (B, 4H) gate block gives
-    the candidate and, through sigmoid(x) = 0.5 tanh(x/2) + 0.5, the sigmoid
-    gates.  The input-side pre-activations of every step are one matmul;
-    only the recurrence runs per step.
+    output sequence and h[:-1] the previous states, and the BPTT cache.  The
+    input-side pre-activations of every step are one matmul; only the
+    recurrence runs per step.
     """
     T, B, D = xs.shape
     H = params.hidden_size
     dtype = xs.dtype
-    W = params.W.value.astype(dtype, copy=False)
-    half = np.ones(4 * H, dtype=dtype)
-    half[: 2 * H] = 0.5
-    half[3 * H :] = 0.5
-    # column-major here and a row-major W^T in `lstm_layer`'s backward: BLAS
-    # rounds small-batch products differently per layout, and these layouts
-    # keep same-seed checkpoints and predictions bit-identical across releases
-    w_half = np.multiply(W, half, order="F")
+    w_half, b_half = half_scaled(params, dtype)
     w_h = w_half[:H]
 
     # (T, B, 4H): half-scaled input-side pre-activations, activated in place
-    b = params.b.value.astype(dtype, copy=False)
-    gates = (xs.reshape(T * B, D) @ w_half[H:] + b * half).reshape(T, B, 4 * H)
+    gates = (xs.reshape(T * B, D) @ w_half[H:] + b_half).reshape(T, B, 4 * H)
     h = np.zeros((T + 1, B, H), dtype=dtype)
-    c = np.zeros((T + 1, B, H), dtype=dtype) if keep_cache else np.zeros((1, B, H), dtype=dtype)
-    tanh_c = np.empty((T, B, H), dtype=dtype) if keep_cache else np.empty((1, B, H), dtype=dtype)
+    c = np.zeros((T + 1, B, H), dtype=dtype)
+    tanh_c = np.empty((T, B, H), dtype=dtype)
     rec = np.empty((B, 4 * H), dtype=dtype)
     ic = np.empty((B, H), dtype=dtype)
     for t in range(T):
@@ -340,22 +382,62 @@ def lstm_forward(
         if t:
             np.matmul(h[t], w_h, out=rec)
             g += rec
-        np.tanh(g, out=g)
-        sig = g[:, : 2 * H]
-        sig *= 0.5
-        sig += 0.5
-        o = g[:, 3 * H :]
-        o *= 0.5
-        o += 0.5
-        c_prev, c_new = (c[t], c[t + 1]) if keep_cache else (c[0], c[0])
-        tc = tanh_c[t] if keep_cache else tanh_c[0]
-        np.multiply(g[:, :H], c_prev, out=c_new)
-        np.multiply(g[:, H : 2 * H], g[:, 2 * H : 3 * H], out=ic)
-        c_new += ic
-        np.tanh(c_new, out=tc)
-        np.multiply(o, tc, out=h[t + 1])
-    cache = LSTMCache(gates, c, tanh_c) if keep_cache else None
-    return h, cache
+        lstm_cell_update(g, c[t], c[t + 1], tanh_c[t], h[t + 1], ic)
+    return h, LSTMCache(gates, c, tanh_c)
+
+
+# nodes per input-side projection in `lstm_prefix_forward`: one matmul covers
+# as many whole steps as fit, so a small tree is projected at once and a large
+# one never holds an (N, 4H) block
+PROJECTION_ROWS = 1024
+
+
+def lstm_prefix_forward(
+    inputs: np.ndarray,
+    offsets: Sequence[int],
+    parents: Sequence[np.ndarray | None],
+    weights: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Tape-free LSTM over a prefix tree: one node per distinct input prefix.
+
+    The nodes are ordered by step: step t's nodes are `offsets[t]:offsets[t+1]`,
+    and each continues the (h, c) of the step t-1 node that `parents[t]` names
+    (None at step 0, and where step t's nodes continue step t-1's in order).
+    `inputs` holds each node's (D,) input row and `weights` comes from
+    `half_scaled`.  Returns the (N, H) hidden states.
+    """
+    w_half, b_half = weights
+    H = w_half.shape[1] // 4
+    dtype = inputs.dtype
+    w_h, w_x = w_half[:H], w_half[H:]
+    h = np.empty((inputs.shape[0], H), dtype=dtype)
+    c = np.empty_like(h)
+    steps = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+    widest = max(step.stop - step.start for step in steps)
+    projected = np.empty((max(widest, min(len(inputs), PROJECTION_ROWS)), 4 * H), dtype=dtype)
+    block = slice(0, 0)
+    rec = np.empty((widest, 4 * H), dtype=dtype)
+    tanh_c = np.empty((widest, H), dtype=dtype)
+    ic = np.empty_like(tanh_c)
+    for t, step in enumerate(steps):
+        n = step.stop - step.start
+        if step.stop > block.stop:
+            last = max(t + 1, bisect.bisect_right(offsets, step.start + PROJECTION_ROWS) - 1)
+            block = slice(step.start, offsets[last])
+            proj = projected[: block.stop - block.start]
+            np.matmul(inputs[block], w_x, out=proj)
+            proj += b_half
+        g = projected[step.start - block.start : step.stop - block.start]
+        if t == 0:
+            c_prev = np.zeros((n, H), dtype=dtype)
+        else:
+            rows = steps[t - 1] if parents[t] is None else parents[t]
+            h_prev, c_prev = h[rows], c[rows]
+            r = rec[:n]
+            np.matmul(h_prev, w_h, out=r)
+            g += r
+        lstm_cell_update(g, c_prev, c[step], tanh_c[:n], h[step], ic[:n])
+    return h
 
 
 def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
@@ -374,12 +456,12 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
     H = params.hidden_size
     dtype = xv.dtype
     xs = np.ascontiguousarray(xv.transpose(1, 0, 2))
-    h, cache = lstm_forward(xs, params, keep_cache=True)
+    h, cache = lstm_forward(xs, params)
     gate_cache = cache.gates
     out = h[1:].transpose(1, 0, 2)
 
     def back(g):
-        # (4H, H+D) row-major; the layout note is in `lstm_forward`
+        # (4H, H+D) row-major; the layout note is in `half_scaled`
         w_t = np.ascontiguousarray(params.W.value.T, dtype=dtype)
         d_raw_all = np.empty((T, B, 4 * H), dtype=dtype)
         dh_next = np.zeros((B, H), dtype=dtype)

@@ -1,15 +1,16 @@
 """Anchors-style post-hoc sufficient-subset search with a per-instance timeout.
 
 Greedy construction over individual flat features of the encoded grid: each
-round batch-estimates the prediction-preservation precision of every
-single-feature extension of the current subset and keeps the best one,
-stopping once the estimate clears the precision threshold or the wall clock
-runs out.  Works against any class-prediction closure, so the same machinery
-is testable on analytic models.
+round estimates the prediction-preservation precision of every single-feature
+extension of the current subset on one shared set of complement draws and
+keeps the best one, stopping once the estimate clears the precision threshold
+or the wall clock runs out.  Works against any class-prediction closure, so
+the same machinery is testable on analytic models.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -32,8 +33,8 @@ class AnchorConfig:
             raise ConfigError("precision threshold must lie in (0, 1]")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if self.timeout_s <= 0:
-            raise ConfigError("timeout must be positive")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ConfigError(f"timeout must be positive and finite, got {self.timeout_s}")
 
 
 @dataclass
@@ -71,6 +72,27 @@ def estimate_precision(
     return float(np.mean(predict(z) == target))
 
 
+def extension_precisions(
+    predict: Callable[[np.ndarray], np.ndarray],
+    x_flat: np.ndarray,
+    base: np.ndarray,
+    columns: np.ndarray,
+    target: int,
+) -> np.ndarray:
+    """Precision of each extension by one of `columns`, on common base rows.
+
+    Candidate j's rows are the (S, n) `base` rows with column j set to x_j, so
+    every candidate sees the same complement draws.  All candidates go to
+    `predict` in one call, laid out base-major: the rows of one base row are
+    adjacent and share everything before their own column.
+    """
+    S, n = base.shape
+    rows = np.repeat(base[:, None, :], len(columns), axis=1)
+    rows[:, np.arange(len(columns)), columns] = x_flat[columns]
+    kept = predict(rows.reshape(-1, n)).reshape(S, len(columns)) == target
+    return kept.mean(axis=0)
+
+
 def greedy_anchor_search(
     predict: Callable[[np.ndarray], np.ndarray],
     x_flat: np.ndarray,
@@ -80,35 +102,38 @@ def greedy_anchor_search(
 ) -> AnchorResult:
     """Grow a feature subset until its estimated precision clears the threshold.
 
-    A candidate only counts as found after a confirmation estimate on fresh
-    draws also clears the threshold; picking the maximum of many noisy
-    estimates would otherwise systematically overstate precision.  Features
-    are never removed once added.  Timeout produces status "timeout" with the
-    best subset found so far, not an error.
+    Each round draws its S complement rows once, base = where(subset, x, draws),
+    and estimates every one-feature extension on those common draws with
+    `extension_precisions`, one `predict` call per event row.  A candidate
+    only counts as found after a confirmation estimate on fresh draws also
+    clears the threshold; picking the maximum of many noisy estimates would
+    otherwise systematically overstate precision.  Features are never
+    removed once added, and ties go to the smallest feature index.  The
+    timeout is checked before every call; it produces status "timeout" with
+    the best subset found so far, not an error.  `samples_used` counts S per
+    candidate estimate.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     x_flat = np.asarray(x_flat, dtype=np.float32).reshape(-1)
     n = x_flat.shape[0]
+    S = config.n_samples
     target = int(predict(x_flat[None])[0])
     samples_used = 0
 
-    def precision_of(subset: tuple[int, ...]) -> float:
+    def precision_of(subset: np.ndarray) -> float:
         nonlocal samples_used
-        samples_used += config.n_samples
-        return estimate_precision(
-            predict, x_flat, np.array(subset, dtype=np.int64), sampler,
-            config.n_samples, rng, target=target,
-        )
+        samples_used += S
+        return estimate_precision(predict, x_flat, subset, sampler, S, rng, target=target)
 
     def result(status, subset, precision, rounds):
         return AnchorResult(
-            status, subset, precision, time.perf_counter() - start,
-            samples_used, rounds,
+            status, tuple(int(j) for j in np.flatnonzero(subset)), precision,
+            time.perf_counter() - start, samples_used, rounds,
         )
 
-    subset: tuple[int, ...] = ()
+    subset = np.zeros(n, dtype=bool)
     precision = precision_of(subset)
     best_precision, best_subset = -1.0, subset
     rounds = 0
@@ -121,15 +146,17 @@ def greedy_anchor_search(
         if precision > best_precision:
             best_precision, best_subset = precision, subset
         rounds += 1
-        # the full set estimates at exactly 1.0, so some feature is always left;
-        # ties go to the smallest feature index
-        base, precision = subset, -1.0
-        for feature in range(n):
-            if feature in base:
-                continue
+        base = np.where(subset, x_flat, sampler.draw(rng, S))
+        # the full set estimates at exactly 1.0, so some feature is always left
+        free = np.flatnonzero(~subset)
+        estimates = np.full(n, -1.0)
+        for columns in np.split(free, np.flatnonzero(np.diff(free // sampler.row_width)) + 1):
             if time.perf_counter() - start > config.timeout_s:
                 return result("timeout", best_subset, best_precision, rounds)
-            extended = tuple(sorted(base + (feature,)))
-            estimate = precision_of(extended)
-            if estimate > precision:
-                precision, subset = estimate, extended
+            estimates[columns] = extension_precisions(predict, x_flat, base, columns, target)
+            samples_used += S * len(columns)
+        # argmax takes the first maximum: ties go to the smallest feature index
+        best = int(np.argmax(estimates))
+        precision = float(estimates[best])
+        subset = subset.copy()
+        subset[best] = True

@@ -55,6 +55,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("baseline", "selfexplain"):
             raise ConfigError(f"unknown training mode {self.mode!r}")
+        for name in ("learning_rate", "xi", "lam", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ConfigError("learning rate must be positive")
         if self.xi < 0 or self.lam < 0:
@@ -469,7 +472,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: malformed metadata ({exc})") from None
 
     params = init_model(
-        spec.vocab_size, spec.k, selfexplain=config.mode == "selfexplain", seed=0
+        spec.vocab_size, spec.k, selfexplain=config.mode == "selfexplain", seed=None
     )
     for name, array in params.sections():
         if name not in sections:

@@ -245,6 +245,25 @@ class TestCliErrors:
         assert _tree_bytes(out / "explanations") == before
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--mode", "selfexplain", "--xi", "nan"],
+            ["train", "--mode", "selfexplain", "--lam", "nan"],
+            ["train", "--mode", "baseline", "--lr", "inf"],
+            ["explain", "--method", "posthoc", "--timeout", "nan"],
+            ["explain", "--method", "posthoc", "--timeout", "inf"],
+        ],
+        ids=["xi-nan", "lam-nan", "lr-inf", "timeout-nan", "timeout-inf"],
+    )
+    def test_non_finite_values_rejected(self, workdir, tmp_path, capsys, argv):
+        out = _copy_runs(workdir, tmp_path)
+        before = {d: _tree_bytes(out / d) for d in ("models", "explanations")}
+        code = main([*argv, "--out", str(out)])
+        assert code == 1
+        _assert_one_error_line(capsys)
+        assert {d: _tree_bytes(out / d) for d in before} == before
+
+    @pytest.mark.parametrize(
         "flags", [["--samples", "0"], ["--delta", "0"]], ids=["samples", "delta"]
     )
     def test_invalid_verify_flags(self, workdir, tmp_path, capsys, flags):

@@ -160,6 +160,43 @@ class TestExplainPosthoc:
             assert a.status == "found"
             assert a.indices == b.indices
             assert a.status == b.status
+            assert a.rounds is not None and a.samples_used >= config.n_samples
+            # equal in everything but wall time: precision, rounds, samples_used
+            ra, rb = a.to_record(), b.to_record()
+            assert ra.pop("wall_time_s") >= 0.0 and rb.pop("wall_time_s") >= 0.0
+            assert ra == rb
+
+    def test_timeout_record_keeps_the_best_subset_apart(self, toy_data, baseline_ckpt):
+        spec, train, _, test_eval = toy_data
+        config = AnchorConfig(n_samples=20, timeout_s=1e-9, seed=2)
+        (expl,) = explain_posthoc(
+            baseline_ckpt.params, test_eval, config, FeatureSampler.fit(spec, train.x), limit=1
+        )
+        assert expl.status == "timeout"
+        assert expl.indices == () and expl.precision is None
+        assert expl.best_indices == () and 0.0 <= expl.best_precision <= 1.0
+        assert expl.rounds == 1 and expl.samples_used == config.n_samples
+        assert Explanation.from_record(expl.to_record()) == expl
+        assert summarize([expl]).n_existing == 0
+
+
+class TestExplanationRecords:
+    def test_older_records_still_read(self):
+        old = {
+            "instance": "c#2", "method": "posthoc", "status": "found", "size": 1,
+            "indices": [4], "scores": None, "wall_time_s": 0.5, "precision": 0.97,
+            "sufficient": None,
+        }
+        expl = Explanation.from_record(old)
+        assert expl.indices == (4,) and expl.precision == 0.97
+        assert expl.rounds is None and expl.best_indices is None
+        assert expl.to_record() == old
+
+    def test_selfexplain_records_carry_no_search_cost(self):
+        expl = Explanation("c#1", "selfexplain", (1, 2), (0.7, 0.9), 0.001)
+        record = expl.to_record()
+        assert "rounds" not in record and "best_indices" not in record
+        assert Explanation.from_record(record) == expl
 
 
 class TestVerifyExplanations:

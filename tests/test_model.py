@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sennap.model import forward_graph, infer, init_model, make_predictor
+from sennap.model import forward_graph, infer, init_model, make_predictor, prefix_tree
 from sennap.neural import max_rel_error, softmax_cross_entropy, mae_loss, add
 from sennap.selfexplain import senn_losses
 
@@ -104,22 +105,46 @@ class TestForward:
         )
 
 
+def _spread_model(selfexplain):
+    params = init_model(VOCAB, K, selfexplain=selfexplain, seed=11)
+    rng = np.random.default_rng(12)
+    # spread weights and batch-norm statistics so that four classes occur
+    for _, p in params.named_parameters():
+        p.value = p.value + rng.normal(0, 1.0, p.value.shape).astype(p.value.dtype)
+    for name, buf in params.named_buffers():
+        if name.endswith("running_var"):
+            buf[...] = rng.uniform(0.2, 0.5, buf.shape)
+        else:
+            buf[...] = rng.normal(0, 0.2, buf.shape)
+    return params
+
+
+def _shared_prefix_batch(seed, n_rows):
+    """Rows built from a few sources: copies, copies re-drawn after some step,
+    and sources shifted left with all-zero padding rows in front."""
+    rng = np.random.default_rng(seed)
+    sources = _input(batch=3, seed=seed)
+    rows = []
+    for _ in range(n_rows):
+        row = sources[rng.integers(3)].copy()
+        kind = rng.integers(3)
+        if kind == 1:
+            t = rng.integers(K)
+            row[t + 1 :] = _input(batch=1, seed=int(rng.integers(1 << 30)))[0, t + 1 :]
+        elif kind == 2:
+            pad = rng.integers(1, K)
+            row = np.concatenate([np.zeros((pad, WIDTH), row.dtype), row[: K - pad]])
+        rows.append(row)
+    return np.stack(rows)
+
+
 class TestTapeFreeInfer:
     """`infer` runs the LSTM kernel without a tape; `forward_graph` is the oracle."""
 
     @pytest.mark.parametrize("selfexplain", [False, True])
     @pytest.mark.parametrize("batch", [1, 600])
     def test_matches_forward_graph(self, selfexplain, batch):
-        params = init_model(VOCAB, K, selfexplain=selfexplain, seed=11)
-        rng = np.random.default_rng(12)
-        # spread weights and batch-norm statistics so that four classes occur
-        for _, p in params.named_parameters():
-            p.value = p.value + rng.normal(0, 1.0, p.value.shape).astype(p.value.dtype)
-        for name, buf in params.named_buffers():
-            if name.endswith("running_var"):
-                buf[...] = rng.uniform(0.2, 0.5, buf.shape)
-            else:
-                buf[...] = rng.normal(0, 0.2, buf.shape)
+        params = _spread_model(selfexplain)
         x = _input(batch=batch, seed=13)
         fast = infer(params, x)
         graph = forward_graph(params, x, train=False)
@@ -130,6 +155,46 @@ class TestTapeFreeInfer:
         else:
             assert fast.scores is None
         np.testing.assert_array_equal(infer(params, x, nap_only=True).classes, fast.classes)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31), n_rows=st.integers(1, 300), selfexplain=st.booleans())
+    def test_shared_prefixes_match_forward_graph(self, seed, n_rows, selfexplain):
+        # float64: on this spread model float32 rounding alone moves
+        # `forward_graph`'s own time head by up to 1e-4 between batch sizes
+        params = _spread_model(selfexplain)
+        x = _shared_prefix_batch(seed, n_rows).astype(np.float64)
+        fast = infer(params, x)
+        graph = forward_graph(params, x, train=False)
+        np.testing.assert_array_equal(fast.classes, np.argmax(graph.nap_logits.value, axis=1))
+        np.testing.assert_allclose(fast.time_pred, graph.time_pred.value, rtol=1e-5, atol=1e-6)
+        if selfexplain:
+            np.testing.assert_allclose(fast.scores, graph.exp_scores.value, rtol=1e-5, atol=1e-7)
+
+
+class TestPrefixTree:
+    def test_one_node_per_distinct_prefix(self):
+        x = _input(batch=2, seed=3)
+        late = x[0].copy()
+        late[3:] = x[1, 3:]  # equal to row 0 on steps 0..2
+        batch = np.stack([x[0], x[1], x[0], late, x[1]])
+        tree = prefix_tree(batch)
+        distinct = [len({batch[b, : t + 1].tobytes() for b in range(5)}) for t in range(K)]
+        assert np.diff(tree.offsets).tolist() == distinct == [2, 2, 2, 3, 3]
+        last = tree.inputs[tree.offsets[-2] :]
+        np.testing.assert_array_equal(last[tree.leaves], batch[:, -1])
+        assert tree.leaves[0] == tree.leaves[2] and tree.leaves[1] == tree.leaves[4]
+
+    def test_padding_rows_shared(self):
+        x = _input(batch=4, seed=5)
+        for b in range(4):
+            x[b, : b + 1] = 0.0  # prefixes of four lengths, left-padded
+        tree = prefix_tree(x)
+        assert np.diff(tree.offsets).tolist() == [1, 2, 3, 4, 4]
+
+    def test_empty_batch(self):
+        tree = prefix_tree(np.zeros((0, K, WIDTH), dtype=np.float32))
+        assert tree.offsets == [0] * (K + 1)
+        assert tree.leaves.shape == (0,)
 
 
 class TestPredictClass:
@@ -177,6 +242,18 @@ class TestParameters:
         senn = dict(init_model(VOCAB, K, selfexplain=True, seed=21).named_parameters())
         for name, p in base.items():
             np.testing.assert_array_equal(p.value, senn[name].value)
+
+    def test_unseeded_model_draws_nothing(self):
+        seeded = init_model(VOCAB, K, selfexplain=True, seed=3)
+        unseeded = init_model(VOCAB, K, selfexplain=True, seed=None)
+        assert [(n, a.shape) for n, a in unseeded.sections()] == [
+            (n, a.shape) for n, a in seeded.sections()
+        ]
+        for layer in (unseeded.shared1, unseeded.act_head, unseeded.exp_head):
+            assert not layer.W.value.any()
+        clone = seeded.copy()
+        for (_, a), (_, b) in zip(clone.sections(), seeded.sections()):
+            np.testing.assert_array_equal(a, b)
 
     def test_copy_is_deep(self):
         params = init_model(VOCAB, K, seed=8)

@@ -7,7 +7,12 @@ import pytest
 
 from sennap.errors import ConfigError
 from sennap.model import make_predictor
-from sennap.posthoc import AnchorConfig, estimate_precision, greedy_anchor_search
+from sennap.posthoc import (
+    AnchorConfig,
+    estimate_precision,
+    extension_precisions,
+    greedy_anchor_search,
+)
 from sennap.selfexplain import SAMPLE_UNIFORM, FeatureSampler
 
 
@@ -132,6 +137,21 @@ class TestGreedySearch:
         assert result.precision >= 0.95
         assert set(result.indices) == {0, 1}
 
+    def test_ties_go_to_the_smallest_index(self):
+        def either_model(X):
+            X = np.atleast_2d(X)
+            return ((X[:, 0] > 0.5) | (X[:, 1] > 0.5)).astype(np.int64)
+
+        # features 0 and 1 each give precision exactly 1.0
+        result = greedy_anchor_search(
+            either_model,
+            np.array([0.9, 0.9, 0.2], dtype=np.float32),
+            AnchorConfig(n_samples=200, seed=4),
+            _uniform_sampler(3),
+        )
+        assert result.status == "found"
+        assert result.indices == (0,)
+
     def test_deterministic_under_seed(self):
         predict = _threshold_model(feature=1, cut=0.25)
         x = np.array([0.1, 0.8, 0.5], dtype=np.float32)
@@ -141,6 +161,76 @@ class TestGreedySearch:
         assert a.indices == b.indices
         assert a.precision == b.precision
         assert a.samples_used == b.samples_used
+
+
+class TestCommonDraws:
+    def test_round_estimates_equal_explicit_rows(self, toy_data, baseline_ckpt):
+        """Each candidate's estimate is `estimate_precision` on the round's draws."""
+        spec, train, _, test_eval = toy_data
+        predict = make_predictor(baseline_ckpt.params)
+        sampler = FeatureSampler.fit(spec, train.x)
+        x = test_eval.x[0].reshape(-1)
+        target = int(predict(x[None])[0])
+        subset = np.zeros(spec.n_features, dtype=bool)
+        subset[[3, spec.width + 1]] = True
+        columns = np.flatnonzero(~subset)[: 2 * spec.width]
+        base = np.where(subset, x, sampler.draw(np.random.default_rng(8), 40))
+        estimates = extension_precisions(predict, x, base, columns, target)
+        for j, estimate in zip(columns, estimates):
+            extended = subset.copy()
+            extended[j] = True
+            assert estimate == estimate_precision(
+                predict, x, extended, sampler, 40, np.random.default_rng(8), target=target
+            )
+
+    def test_one_base_major_call_per_event_row(self, toy_data, baseline_ckpt):
+        spec, train, _, test_eval = toy_data
+        inner = make_predictor(baseline_ckpt.params)
+        sampler = FeatureSampler.fit(spec, train.x)
+        calls = []
+
+        def predict(flat):
+            calls.append(np.array(flat))
+            return inner(flat)
+
+        x = test_eval.x[1].reshape(-1)
+        config = AnchorConfig(precision_threshold=1.0, n_samples=7, timeout_s=300.0, seed=3)
+        result = greedy_anchor_search(predict, x, config, sampler, np.random.default_rng(21))
+        # calls: the instance, round 0's estimate, which missed, then round 1
+        assert (inner(calls[1]) != inner(calls[0])).any()
+        replay = np.random.default_rng(21)
+        sampler.draw(replay, 7)
+        base = sampler.draw(replay, 7)
+        round1 = calls[2 : 2 + spec.k]
+        assert [c.shape for c in round1] == [(7 * spec.width, spec.n_features)] * spec.k
+        for r, rows in enumerate(round1):
+            rows = rows.reshape(7, spec.width, spec.n_features)
+            for slot in range(spec.width):
+                j = r * spec.width + slot
+                expected = base.copy()
+                expected[:, j] = x[j]
+                np.testing.assert_array_equal(rows[:, slot], expected)
+        # S rows per candidate estimate, and every row submitted counts
+        assert result.samples_used == sum(len(c) for c in calls[1:])
+
+
+    def test_later_rounds_keep_the_subset(self):
+        calls = []
+
+        def both_model(X):
+            X = np.atleast_2d(X)
+            calls.append(X.copy())
+            return ((X[:, 0] > 0.5) & (X[:, 1] > 0.5)).astype(np.int64)
+
+        x = np.array([0.9, 0.9, 0.9], dtype=np.float32)
+        config = AnchorConfig(n_samples=50, timeout_s=20.0, seed=6)
+        result = greedy_anchor_search(both_model, x, config, _uniform_sampler(3))
+        assert result.status == "found" and result.indices == (0, 1)
+        # the instance, round 0, round 1 (one call: no event rows), round 2
+        first, second = calls[2], calls[3]
+        assert first.shape == (3 * 50, 3) and second.shape == (2 * 50, 3)
+        picked = 0 if np.all(second[:, 0] == x[0]) else 1
+        np.testing.assert_array_equal(second[:, picked], x[picked])
 
 
 class TestAnchorsOnTrainedModel:
@@ -175,3 +265,8 @@ class TestAnchorConfig:
             AnchorConfig(timeout_s=0.0)
         with pytest.raises(ConfigError):
             AnchorConfig(n_samples=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            AnchorConfig(timeout_s=value)

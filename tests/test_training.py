@@ -151,6 +151,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="selfexplain"):
             TrainConfig(mode="baseline", xi=1e-9)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "xi", "lam", "tau"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(mode="selfexplain", **{field: value})
+
     def test_metadata_round_trip(self):
         config = TrainConfig(mode="selfexplain", learning_rate=1e-4, xi=1e-9, seed=42)
         assert TrainConfig.from_metadata(config.to_metadata()) == config
