@@ -176,6 +176,13 @@ def _checkpoint_path(path: str | None, out_dir: Path, method: str) -> Path:
     return path
 
 
+def _threads(settings: Settings) -> int:
+    threads = settings.get("threads", 1, int)
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
+    return threads
+
+
 def _write_jsonl(path: Path, records):
     with path.open("w", encoding="utf-8") as handle:
         for record in records:
@@ -369,7 +376,7 @@ def cmd_explain(args) -> int:
     if limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {limit}")
     seed = settings.get("seed", 7, int)
-    threads = settings.get("threads", 1, int)
+    threads = _threads(settings)
     prepared = Prepared(out_dir)
     ckpt = load_checkpoint(_checkpoint_path(settings.get("checkpoint", None), out_dir, method))
     _check_spec(ckpt, prepared.spec)
@@ -412,7 +419,7 @@ def cmd_verify(args) -> int:
     delta = settings.get("delta", 0.95, float)
     samples = settings.get("samples", 100, int)
     seed = settings.get("seed", 7, int)
-    threads = settings.get("threads", 1, int)
+    threads = _threads(settings)
     prepared = Prepared(out_dir)
     ckpt_path = _checkpoint_path(settings.get("checkpoint", None), out_dir, method)
     ckpt = load_checkpoint(ckpt_path)

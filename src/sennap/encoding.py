@@ -46,11 +46,8 @@ class EncodingSpec:
     k: int
     mean_since_first: float
     mean_since_prev: float
-    m: int = EXTRA_FEATURES
 
     def __post_init__(self):
-        if self.m != EXTRA_FEATURES:
-            raise EncodingError(f"layout is fixed at {EXTRA_FEATURES} extra features")
         if self.mean_since_first <= 0 or self.mean_since_prev <= 0:
             raise EncodingError("normalizer means must be positive")
         if self.k < 1 or not self.vocab:
@@ -65,7 +62,7 @@ class EncodingSpec:
 
     @property
     def width(self) -> int:
-        return self.vocab_size + self.m
+        return self.vocab_size + EXTRA_FEATURES
 
     @property
     def n_features(self) -> int:
@@ -106,7 +103,7 @@ class EncodingSpec:
         return {
             "vocab": json.dumps(list(self.vocab)),
             "k": str(self.k),
-            "m": str(self.m),
+            "m": str(EXTRA_FEATURES),
             "mean_since_first": repr(self.mean_since_first),
             "mean_since_prev": repr(self.mean_since_prev),
         }
@@ -115,12 +112,13 @@ class EncodingSpec:
     def from_metadata(cls, meta: dict[str, str]) -> "EncodingSpec":
         import json
 
+        if int(meta.get("m", EXTRA_FEATURES)) != EXTRA_FEATURES:
+            raise EncodingError(f"layout is fixed at {EXTRA_FEATURES} extra features")
         return cls(
             vocab=tuple(json.loads(meta["vocab"])),
             k=int(meta["k"]),
             mean_since_first=float(meta["mean_since_first"]),
             mean_since_prev=float(meta["mean_since_prev"]),
-            m=int(meta.get("m", EXTRA_FEATURES)),
         )
 
 

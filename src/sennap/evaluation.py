@@ -265,6 +265,8 @@ def verify_explanations(
 ) -> list[Explanation]:
     """Return copies with sufficiency flags filled (timeouts stay unverified)."""
     check_verification(delta, n_samples)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     predict = make_predictor(params)
     by_id = {iid: i for i, iid in enumerate(dataset.ids)}
 

@@ -59,7 +59,6 @@ class NapModelParams:
     exp_head: DenseParams | None
     vocab_size: int
     k: int
-    m: int = EXTRA_FEATURES
     dropout: float = DROPOUT_RATE
 
     @property
@@ -68,7 +67,7 @@ class NapModelParams:
 
     @property
     def width(self) -> int:
-        return self.vocab_size + self.m
+        return self.vocab_size + EXTRA_FEATURES
 
     @property
     def n_features(self) -> int:
@@ -279,28 +278,30 @@ class Inference:
     """Plain-numpy outputs of an inference pass."""
 
     classes: np.ndarray              # (B,) argmax class, ties to the lowest index
-    time_pred: np.ndarray | None     # (B,); None for a prediction-only pass
     scores: np.ndarray | None        # (B, k*width) in [0, 1]; None without explanation
 
 
 def infer(params: NapModelParams, x: np.ndarray, *, nap_only: bool = False) -> Inference:
     """Tape-free inference pass over (B, k, width) grids in INFER_CHUNK-row chunks.
 
-    The same arithmetic as `forward_graph(train=False)` without the tape, run
-    once per distinct input prefix: the LSTMs are causal and infer-mode batch
-    norm is per feature, so rows that agree on steps 0..t agree on every
-    state up to step t.  Each chunk becomes a `prefix_tree`; every LSTM layer
-    steps its nodes, and the heads read each row's last-step node.  `nap_only`
-    runs the activity head alone, for callers that need only classes.
-    Batch-norm running statistics never move.
+    The activity and explanation heads of `forward_graph(train=False)`
+    without the tape, run once per distinct input prefix: the LSTMs are
+    causal and infer-mode batch norm is per feature, so rows that agree on
+    steps 0..t agree on every state up to step t.  Each chunk becomes a
+    `prefix_tree`; every LSTM layer steps its nodes, and the heads read each
+    row's last-step node.  The time head, a training target only, is not
+    run.  `nap_only` skips the explanation head too, for callers that need
+    only classes.  Batch-norm running statistics never move.
     """
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[1:] != (params.k, params.width):
         raise ValueError(f"expected (B, {params.k}, {params.width}) input, got {x.shape}")
-    layers = ("shared1", "shared2", "act_lstm") + (() if nap_only else ("time_lstm",))
-    weights = {name: half_scaled(getattr(params, name), x.dtype) for name in layers}
+    weights = {
+        name: half_scaled(getattr(params, name), x.dtype)
+        for name in ("shared1", "shared2", "act_lstm")
+    }
 
-    classes, times, scores = [], [], []
+    classes, scores = [], []
     # an empty batch still makes one pass, so every output keeps its shape
     for start in range(0, max(x.shape[0], 1), INFER_CHUNK):
         tree = prefix_tree(x[start : start + INFER_CHUNK])
@@ -309,23 +310,16 @@ def infer(params: NapModelParams, x: np.ndarray, *, nap_only: bool = False) -> I
         def lstm(inputs, name):
             return lstm_prefix_forward(inputs, tree.offsets, tree.parents, weights[name])
 
-        def branch(bn_in, name, bn_out, head):
-            h = lstm(batch_norm_infer(h2, bn_in), name)[last]
-            return batch_norm_infer(h, bn_out) @ head.W.value + head.b.value
-
         h2 = lstm(lstm(tree.inputs, "shared1"), "shared2")
-        logits = branch(params.act_bn_in, "act_lstm", params.act_bn_out, params.act_head)
+        a_last = lstm(batch_norm_infer(h2, params.act_bn_in), "act_lstm")[last]
+        head = params.act_head
+        logits = batch_norm_infer(a_last, params.act_bn_out) @ head.W.value + head.b.value
         classes.append(np.argmax(logits, axis=1)[tree.leaves])
-        if nap_only:
-            continue
-        time_out = branch(params.time_bn_in, "time_lstm", params.time_bn_out, params.time_head)
-        times.append(time_out.reshape(-1)[tree.leaves])
-        if params.selfexplain:
+        if params.selfexplain and not nap_only:
             exp = params.exp_head
             scores.append(expit(h2[last] @ exp.W.value + exp.b.value)[tree.leaves])
     return Inference(
         classes=np.concatenate(classes),
-        time_pred=np.concatenate(times) if times else None,
         scores=np.concatenate(scores) if scores else None,
     )
 

@@ -154,15 +154,6 @@ def sigmoid(a: Var) -> Var:
     return Var(y, parents=(a,), backward=back)
 
 
-def tanh(a: Var) -> Var:
-    y = np.tanh(a.value)
-
-    def back(g):
-        a.accumulate(g * (1.0 - y * y))
-
-    return Var(y, parents=(a,), backward=back)
-
-
 def reshape(a: Var, shape: tuple[int, ...]) -> Var:
     def back(g):
         a.accumulate(g.reshape(a.value.shape))

@@ -35,6 +35,8 @@ class AnchorConfig:
             raise ConfigError("n_samples must be >= 1")
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
             raise ConfigError(f"timeout must be positive and finite, got {self.timeout_s}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -70,6 +70,8 @@ class TrainConfig:
             raise ConfigError("tau must lie in (0, 1)")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
             raise ConfigError("batch size / epochs / patience out of range")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_metadata(self) -> dict[str, str]:
         out = {}
@@ -107,7 +109,6 @@ class Checkpoint:
     history: list[EpochStats]
     best_epoch: int
     best_val_loss: float
-    version: int = CHECKPOINT_VERSION
 
 
 def _batch_losses(params, x, y_act, y_time, config, sampler, rng, *, train):
@@ -398,7 +399,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path):
     sections = ckpt.params.sections()
     with Path(path).open("wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<I", ckpt.version))
+        handle.write(struct.pack("<I", CHECKPOINT_VERSION))
         handle.write(struct.pack("<Q", len(meta_block)))
         handle.write(meta_block)
         handle.write(struct.pack("<I", len(sections)))
@@ -490,7 +491,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         history=history,
         best_epoch=best_epoch,
         best_val_loss=best_val_loss,
-        version=version,
     )
 
 

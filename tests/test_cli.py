@@ -80,7 +80,10 @@ def _copy_runs(workdir, tmp_path):
 
 
 def _tree_bytes(directory):
-    return {p.name: p.read_bytes() for p in directory.iterdir()}
+    """Every file under `directory`, by relative path, with its bytes."""
+    return {
+        p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()
+    }
 
 
 def _assert_one_error_line(capsys):
@@ -262,6 +265,28 @@ class TestCliErrors:
         assert code == 1
         _assert_one_error_line(capsys)
         assert {d: _tree_bytes(out / d) for d in before} == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--mode", "baseline", "--seed", "-1"],
+            ["gridsearch", "--grid", "small", "--epochs", "1", "--seed", "-1"],
+            ["explain", "--method", "posthoc", "--seed", "-1"],
+            ["verify", "--method", "selfexplain", "--seed", "-1"],
+            ["explain", "--method", "posthoc", "--threads", "0"],
+            ["explain", "--method", "selfexplain", "--threads", "-1"],
+            ["verify", "--method", "posthoc", "--threads", "0"],
+        ],
+        ids=["train-seed", "gridsearch-seed", "explain-seed", "verify-seed",
+             "explain-threads", "explain-selfexplain-threads", "verify-threads"],
+    )
+    def test_negative_seed_and_threads_rejected(self, workdir, tmp_path, capsys, argv):
+        out = _copy_runs(workdir, tmp_path)
+        before = _tree_bytes(out)
+        code = main([*argv, "--out", str(out)])
+        assert code == 1
+        assert "grid cell" not in _assert_one_error_line(capsys)
+        assert _tree_bytes(out) == before
 
     @pytest.mark.parametrize(
         "flags", [["--samples", "0"], ["--delta", "0"]], ids=["samples", "delta"]

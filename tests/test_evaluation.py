@@ -233,6 +233,15 @@ class TestVerifyExplanations:
                 senn_ckpt.params, test_eval, [ghost], sampler, n_samples=5
             )
 
+    def test_negative_seed_rejected(self, toy_data, senn_ckpt):
+        spec, train, _, test_eval = toy_data
+        sampler = FeatureSampler.fit(spec, train.x)
+        explanations = explain_selfexplain(senn_ckpt.params, test_eval, spec, limit=1)
+        with pytest.raises(ConfigError, match="seed"):
+            verify_explanations(
+                senn_ckpt.params, test_eval, explanations, sampler, n_samples=5, seed=-1
+            )
+
     def test_instance_rng_reproducible(self):
         a = instance_rng(3, "case1#4").random(5)
         b = instance_rng(3, "case1#4").random(5)

@@ -40,16 +40,17 @@ def _predict(params, x):
 class TestForward:
     def test_nap_probs_is_distribution(self):
         params = init_model(VOCAB, K, seed=1)
-        out = infer(params, _input(batch=8))
+        x = _input(batch=8)
+        out = infer(params, x)
         assert out.classes.shape == (8,)
         assert np.all((out.classes >= 0) & (out.classes <= VOCAB))
-        assert out.time_pred.shape == (8,)
+        assert forward_graph(params, x, train=False).time_pred.value.shape == (8,)
 
     def test_zeroed_model_gives_uniform_probs(self):
         params = _zeroed_model(seed=1)
-        out = infer(params, _input())
-        np.testing.assert_array_equal(out.classes, 0)
-        np.testing.assert_array_equal(out.time_pred, 0.0)
+        x = _input()
+        np.testing.assert_array_equal(infer(params, x).classes, 0)
+        np.testing.assert_array_equal(forward_graph(params, x, train=False).time_pred.value, 0.0)
 
     def test_explanation_scores_in_unit_interval(self):
         params = init_model(VOCAB, K, selfexplain=True, seed=2)
@@ -68,7 +69,6 @@ class TestForward:
         a = infer(params, x)
         b = infer(params, x)
         np.testing.assert_array_equal(a.classes, b.classes)
-        np.testing.assert_array_equal(a.time_pred, b.time_pred)
         rng = np.random.default_rng(0)
         t1 = forward_graph(params, x, train=True, rng=rng, bn_update=False)
         t2 = forward_graph(params, x, train=True, rng=rng, bn_update=False)
@@ -90,10 +90,6 @@ class TestForward:
         )
         np.testing.assert_allclose(
             whole.scores, np.concatenate([h.scores for h in halves]), rtol=1e-6
-        )
-        np.testing.assert_allclose(
-            whole.time_pred, np.concatenate([h.time_pred for h in halves]),
-            rtol=1e-5, atol=1e-6,
         )
 
     def test_predictor_closure_matches_forward(self):
@@ -149,7 +145,6 @@ class TestTapeFreeInfer:
         fast = infer(params, x)
         graph = forward_graph(params, x, train=False)
         np.testing.assert_array_equal(fast.classes, np.argmax(graph.nap_logits.value, axis=1))
-        np.testing.assert_allclose(fast.time_pred, graph.time_pred.value, rtol=1e-5, atol=1e-6)
         if selfexplain:
             np.testing.assert_allclose(fast.scores, graph.exp_scores.value, rtol=1e-5, atol=1e-7)
         else:
@@ -159,14 +154,13 @@ class TestTapeFreeInfer:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**31), n_rows=st.integers(1, 300), selfexplain=st.booleans())
     def test_shared_prefixes_match_forward_graph(self, seed, n_rows, selfexplain):
-        # float64: on this spread model float32 rounding alone moves
-        # `forward_graph`'s own time head by up to 1e-4 between batch sizes
+        # float64, so the tolerances measure the prefix sharing and not
+        # float32 rounding between batch sizes
         params = _spread_model(selfexplain)
         x = _shared_prefix_batch(seed, n_rows).astype(np.float64)
         fast = infer(params, x)
         graph = forward_graph(params, x, train=False)
         np.testing.assert_array_equal(fast.classes, np.argmax(graph.nap_logits.value, axis=1))
-        np.testing.assert_allclose(fast.time_pred, graph.time_pred.value, rtol=1e-5, atol=1e-6)
         if selfexplain:
             np.testing.assert_allclose(fast.scores, graph.exp_scores.value, rtol=1e-5, atol=1e-7)
 

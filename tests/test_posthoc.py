@@ -265,6 +265,8 @@ class TestAnchorConfig:
             AnchorConfig(timeout_s=0.0)
         with pytest.raises(ConfigError):
             AnchorConfig(n_samples=0)
+        with pytest.raises(ConfigError, match="seed"):
+            AnchorConfig(seed=-1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_timeout_rejected(self, value):

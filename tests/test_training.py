@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sennap.encoding import Dataset
 from sennap.errors import CheckpointError, ConfigError, TrainingError
@@ -150,6 +151,8 @@ class TestTrainConfig:
             TrainConfig(xi=-1e-6)
         with pytest.raises(ConfigError, match="selfexplain"):
             TrainConfig(mode="baseline", xi=1e-9)
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["learning_rate", "xi", "lam", "tau"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -298,6 +301,39 @@ class TestCheckpointIO:
                 load_checkpoint(path)
             except CheckpointError:
                 pass
+
+    @pytest.fixture(scope="class")
+    def senn_blob(self, tiny_sets, tmp_path_factory):
+        spec, train, val = tiny_sets
+        ckpt = fit(train, val, spec, TrainConfig(mode="selfexplain", max_epochs=1, seed=17))
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        return path, path.read_bytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_cut_or_flipped_checkpoint_loads_or_raises(self, senn_blob, data):
+        path, blob = senn_blob
+        sections = list(self._sections(blob).values())
+        starts = [start for _, start, _ in sections] + [len(blob)]
+        regions = {  # the metadata range ends with the section count
+            "metadata": [(len(CHECKPOINT_MAGIC) + 12, starts[0])],
+            "section header": [(start, payload) for _, start, payload in sections],
+            "payload": [(payload, end) for (_, _, payload), end in zip(sections, starts[1:])],
+        }
+        kind = data.draw(st.sampled_from(["cut", *regions]))
+        if kind == "cut":
+            variant = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            lo, hi = data.draw(st.sampled_from(regions[kind]))
+            at = data.draw(st.integers(lo, hi - 1))
+            flipped = blob[at] ^ data.draw(st.integers(1, 255))
+            variant = blob[:at] + bytes([flipped]) + blob[at + 1 :]
+        path.write_bytes(variant)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 class TestGridSearch:
