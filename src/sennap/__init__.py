@@ -1,5 +1,8 @@
 """Self-explaining LSTM next-activity prediction for business-process event logs."""
 
+# set before the submodules load: the grid's cell store keys on it
+__version__ = "0.1.0"
+
 from .encoding import Dataset, EncodedInstance, EncodingSpec, encode_dataset, encode_prefix, fit_normalizers
 from .eventlog import (
     Case,
@@ -36,5 +39,3 @@ from .training import (
     load_checkpoint,
     save_checkpoint,
 )
-
-__version__ = "0.1.0"

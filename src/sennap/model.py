@@ -281,7 +281,21 @@ class Inference:
     scores: np.ndarray | None        # (B, k*width) in [0, 1]; None without explanation
 
 
-def infer(params: NapModelParams, x: np.ndarray, *, nap_only: bool = False) -> Inference:
+def infer_weights(params: NapModelParams, dtype=np.float32) -> dict[str, tuple]:
+    """The half-scaled kernel weights of the LSTMs `infer` runs, for `dtype` input."""
+    return {
+        name: half_scaled(getattr(params, name), dtype)
+        for name in ("shared1", "shared2", "act_lstm")
+    }
+
+
+def infer(
+    params: NapModelParams,
+    x: np.ndarray,
+    *,
+    nap_only: bool = False,
+    weights: dict[str, tuple] | None = None,
+) -> Inference:
     """Tape-free inference pass over (B, k, width) grids in INFER_CHUNK-row chunks.
 
     The activity and explanation heads of `forward_graph(train=False)`
@@ -291,15 +305,15 @@ def infer(params: NapModelParams, x: np.ndarray, *, nap_only: bool = False) -> I
     `prefix_tree`; every LSTM layer steps its nodes, and the heads read each
     row's last-step node.  The time head, a training target only, is not
     run.  `nap_only` skips the explanation head too, for callers that need
-    only classes.  Batch-norm running statistics never move.
+    only classes.  Batch-norm running statistics never move.  Callers that
+    make many calls pass `infer_weights(params, x.dtype)` as `weights`, built
+    once.
     """
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[1:] != (params.k, params.width):
         raise ValueError(f"expected (B, {params.k}, {params.width}) input, got {x.shape}")
-    weights = {
-        name: half_scaled(getattr(params, name), x.dtype)
-        for name in ("shared1", "shared2", "act_lstm")
-    }
+    if weights is None:
+        weights = infer_weights(params, x.dtype)
 
     classes, scores = [], []
     # an empty batch still makes one pass, so every output keeps its shape
@@ -327,11 +341,12 @@ def infer(params: NapModelParams, x: np.ndarray, *, nap_only: bool = False) -> I
 def make_predictor(params: NapModelParams):
     """Class-prediction closure over flat (B, k*width) inputs (inference mode)."""
     k, width = params.k, params.width
+    weights = infer_weights(params, np.float32)
 
     def predict(flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=np.float32)
         if flat.ndim == 1:
             flat = flat[None]
-        return infer(params, flat.reshape(-1, k, width), nap_only=True).classes
+        return infer(params, flat.reshape(-1, k, width), nap_only=True, weights=weights).classes
 
     return predict

@@ -16,15 +16,24 @@ are stored per gate: W_f, W_i, W_c, W_o as (H, H+D), then b_f, b_i, b_c, b_o.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import math
+import multiprocessing
+import os
+import pickle
 import struct
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import __version__
 from .encoding import Dataset, EncodingSpec
 from .errors import CheckpointError, ConfigError, SennapError, TrainingError
 from .evaluation import Explanation, check_verification, summarize, verify_explanations
@@ -306,6 +315,148 @@ def _cell_metrics(
     return acc, report.sufficient_overall, report.mean_size
 
 
+def _cell_keys(
+    train: Dataset, validation: Dataset, spec: EncodingSpec, configs: Sequence[TrainConfig]
+) -> list[str]:
+    """The cell store's key per config: SHA-256 over everything `fit` reads.
+
+    That is the encoding spec, the train and validation arrays, the config,
+    and the checkpoint and package versions.  Selection inputs are not part
+    of it: a cell's metrics are computed again on every search.
+    """
+    base = hashlib.sha256(json.dumps(spec.to_metadata(), sort_keys=True).encode())
+    for data in (train, validation):
+        for array in (data.x, data.y_activity, data.y_time):
+            base.update(f"{array.dtype.str}{array.shape}".encode())
+            base.update(np.ascontiguousarray(array))
+    base.update(f"{CHECKPOINT_VERSION} {__version__}".encode())
+    keys = []
+    for config in configs:
+        digest = base.copy()
+        digest.update(json.dumps(config.to_metadata(), sort_keys=True).encode())
+        keys.append(digest.hexdigest())
+    return keys
+
+
+@dataclass
+class _CellJob:
+    """What every cell of one search reads; each worker receives it once."""
+
+    train: Dataset
+    validation: Dataset
+    selection: Dataset
+    sampler: FeatureSampler
+    spec: EncodingSpec
+    store: Path | None
+    limit: int
+    delta: float
+    n_samples: int
+
+
+_job: _CellJob | None = None  # set in each worker process by its initializer
+
+
+def _start_worker(path: Path):
+    global _job
+    _job = pickle.loads(path.read_bytes())
+
+
+def _run_cell(config: TrainConfig, key: str) -> tuple[GridCell, bytes | None, bool]:
+    """A worker's whole job for one cell: load it from the store or fit it, then score it.
+
+    Returns the cell's record, its checkpoint bytes (None if it failed) and
+    whether it came from the store.  An unreadable stored file is trained
+    again.
+    """
+    job = _job
+    ckpt = None
+    if job.store is not None:
+        path = job.store / f"{key}.ckpt"
+        try:
+            blob = path.read_bytes()
+            ckpt = _parse_checkpoint(blob, path)
+        except (FileNotFoundError, CheckpointError):
+            pass
+    stored = ckpt is not None
+    if not stored:
+        try:
+            ckpt = fit(job.train, job.validation, job.spec, config)
+        except TrainingError as exc:
+            return GridCell(config.learning_rate, config.xi, "failed", error=str(exc)), None, False
+        blob = _checkpoint_bytes(ckpt)
+    acc, faith, size = _cell_metrics(
+        ckpt, job.selection, job.sampler, job.limit, job.delta, job.n_samples
+    )
+    cell = GridCell(
+        config.learning_rate, config.xi, "ok",
+        val_accuracy=acc,
+        val_faithfulness=faith,
+        mean_size=size,
+        best_val_loss=ckpt.best_val_loss,
+        epochs_run=len(ckpt.history),
+    )
+    return cell, blob, stored
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Processes started inside see one BLAS thread; the environment is restored after.
+
+    A spawned child imports numpy before any pool initializer runs, so the
+    setting has to be in the environment it starts with.
+    """
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+@contextlib.contextmanager
+def _cell_pool(job: _CellJob, configs: Sequence[TrainConfig], keys: Sequence[str]):
+    """Submit every cell to a spawned pool; yields the futures in plan order.
+
+    The pool has one worker per available CPU, at most one per cell, each
+    with one BLAS thread, and is shut down on exit.  The workers read `job`
+    from a file: a worker that dies before it reads a large start-up
+    argument would leave the parent blocked writing it.
+    """
+    with tempfile.TemporaryDirectory(prefix="sennap-grid-") as scratch:
+        path = Path(scratch) / "job.pickle"
+        path.write_bytes(pickle.dumps(job))
+        pool = ProcessPoolExecutor(
+            min(_cpu_count(), len(configs)),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_start_worker,
+            initargs=(path,),
+        )
+        try:
+            # the pool starts its workers as tasks arrive
+            with _one_blas_thread():
+                futures = [pool.submit(_run_cell, cfg, key) for cfg, key in zip(configs, keys)]
+            yield futures
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _rank(cell: GridCell):
+    return (-cell.val_accuracy, -cell.val_faithfulness, cell.mean_size)
+
+
 def grid_search(
     train: Dataset,
     validation: Dataset,
@@ -321,11 +472,18 @@ def grid_search(
 ) -> tuple[GridResult, Checkpoint]:
     """Train one self-explaining model per (learning rate, xi) combination.
 
+    Cells run in a pool of spawned worker processes, one per available CPU
+    and at most one per cell, each with one BLAS thread, so records and
+    checkpoints do not depend on the pool size.  `checkpoint_dir` is the cell
+    store: a cell whose key (`_cell_keys`) has a readable checkpoint there is
+    loaded instead of trained, and every newly trained cell is written there.
+    Each worker imports the caller's main module, so a calling script needs
+    the `if __name__ == "__main__":` guard.
+
     Selection: highest validation accuracy, ties broken by higher
     faithfulness rate, then smaller mean explanation size.  Failed cells are
     recorded and excluded; if everything fails the search raises.
     """
-    cells = []
     plan = grid_plan(grid)
     selection = selection_set if selection_set is not None else validation
     if len(selection) == 0:
@@ -333,42 +491,38 @@ def grid_search(
     if selection_limit < 1:
         raise ConfigError(f"selection limit must be >= 1, got {selection_limit}")
     check_verification(delta, n_samples)
-    sampler = FeatureSampler.fit(spec, train.x)
-    checkpoints: dict[int, Checkpoint] = {}
-    for cell_no, (lr, xi) in enumerate(plan):
-        cfg = replace(config, mode="selfexplain", learning_rate=lr, xi=xi)
-        if log:
-            log(f"grid cell {cell_no + 1}/{len(plan)}: lr={lr:g} xi={xi:g}")
-        try:
-            ckpt = fit(train, validation, spec, cfg)
-        except TrainingError as exc:
-            cells.append(GridCell(lr, xi, "failed", error=str(exc)))
-            continue
-        acc, faith, size = _cell_metrics(
-            ckpt, selection, sampler, selection_limit, delta, n_samples
-        )
-        cells.append(
-            GridCell(
-                lr, xi, "ok",
-                val_accuracy=acc,
-                val_faithfulness=faith,
-                mean_size=size,
-                best_val_loss=ckpt.best_val_loss,
-                epochs_run=len(ckpt.history),
-            )
-        )
-        checkpoints[len(cells) - 1] = ckpt
-        if checkpoint_dir is not None:
-            path = Path(checkpoint_dir) / f"cell_lr{lr:g}_xi{xi:g}.ckpt"
-            save_checkpoint(ckpt, path)
-
-    ok = [(i, c) for i, c in enumerate(cells) if c.status == "ok"]
-    if not ok:
-        raise TrainingError("every grid cell failed to train")
-    best_i, best = min(
-        ok, key=lambda item: (-item[1].val_accuracy, -item[1].val_faithfulness, item[1].mean_size)
+    configs = [replace(config, mode="selfexplain", learning_rate=lr, xi=xi) for lr, xi in plan]
+    keys = _cell_keys(train, validation, spec, configs)
+    store = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    if store is not None:
+        store.mkdir(parents=True, exist_ok=True)
+    job = _CellJob(
+        train, validation, selection, FeatureSampler.fit(spec, train.x), spec, store,
+        selection_limit, delta, n_samples,
     )
-    return GridResult(cells=cells, selected=best), checkpoints[best_i]
+
+    cells: list[GridCell] = []
+    best, best_blob = None, None
+    with _cell_pool(job, configs, keys) as futures:
+        for cell_no, (future, key) in enumerate(zip(futures, keys), 1):
+            try:
+                cell, blob, stored = future.result()
+            except BrokenProcessPool as exc:
+                raise TrainingError(f"a grid worker process ended unexpectedly: {exc}") from exc
+            if log:
+                log(
+                    f"grid cell {cell_no}/{len(plan)}: lr={cell.learning_rate:g} "
+                    f"xi={cell.xi:g}" + (" (stored)" if stored else "")
+                )
+            cells.append(cell)
+            if blob is not None and store is not None and not stored:
+                _write_atomic(store / f"{key}.ckpt", blob)
+            if cell.status == "ok" and (best is None or _rank(cell) < _rank(best)):
+                best, best_blob = cell, blob
+
+    if best is None:
+        raise TrainingError("every grid cell failed to train")
+    return GridResult(cells=cells, selected=best), _parse_checkpoint(best_blob, "grid cell")
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +540,7 @@ def _history_from_json(text: str) -> list[EpochStats]:
     return [EpochStats(h["epoch"], h["train"], h["val"]) for h in json.loads(text)]
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path):
+def _checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     """Serialize to the documented container; identical inputs yield identical bytes."""
     meta: dict[str, str] = {}
     meta.update(ckpt.spec.to_metadata())
@@ -397,20 +551,38 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path):
     meta_block = "".join(f"{k}={v}\n" for k, v in meta.items()).encode("utf-8")
 
     sections = ckpt.params.sections()
-    with Path(path).open("wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<I", CHECKPOINT_VERSION))
-        handle.write(struct.pack("<Q", len(meta_block)))
-        handle.write(meta_block)
-        handle.write(struct.pack("<I", len(sections)))
-        for name, array in sections:
-            encoded = name.encode("utf-8")
-            data = np.ascontiguousarray(array, dtype="<f4")
-            handle.write(struct.pack("<H", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<B", data.ndim))
-            handle.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            handle.write(data.tobytes())
+    parts = [
+        CHECKPOINT_MAGIC,
+        struct.pack("<I", CHECKPOINT_VERSION),
+        struct.pack("<Q", len(meta_block)),
+        meta_block,
+        struct.pack("<I", len(sections)),
+    ]
+    for name, array in sections:
+        encoded = name.encode("utf-8")
+        data = np.ascontiguousarray(array, dtype="<f4")
+        parts.append(struct.pack("<H", len(encoded)))
+        parts.append(encoded)
+        parts.append(struct.pack("<B", data.ndim))
+        parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
+        parts.append(data.tobytes())
+    return b"".join(parts)
+
+
+def _write_atomic(path: Path, data: bytes):
+    """Write a temporary file beside `path`, then rename it over `path`."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_checkpoint(ckpt: Checkpoint, path: str | Path):
+    """Serialize to the documented container; a reader never sees a partly written file."""
+    _write_atomic(Path(path), _checkpoint_bytes(ckpt))
 
 
 # sections are vectors and matrices; the bound keeps a corrupt rank byte out of numpy
@@ -419,8 +591,11 @@ MAX_SECTION_RANK = 2
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint container back into live model parameters."""
-    path = Path(path)
-    data = path.read_bytes()
+    return _parse_checkpoint(Path(path).read_bytes(), path)
+
+
+def _parse_checkpoint(data: bytes, path: str | Path) -> Checkpoint:
+    """`load_checkpoint` on bytes in memory; `path` names them in errors."""
     offset = 0
 
     def take(count: int, what: str) -> bytes:

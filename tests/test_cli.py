@@ -10,7 +10,7 @@ import pytest
 
 from sennap.cli import Prepared, main
 from sennap.evaluation import accuracy
-from sennap.training import load_checkpoint, read_manifest, save_checkpoint
+from sennap.training import load_checkpoint, read_manifest, save_checkpoint, write_manifest
 
 from conftest import write_markov_csv
 
@@ -308,10 +308,62 @@ class TestCliErrors:
         self, workdir, tmp_path, capsys, flags
     ):
         out = _copy_runs(workdir, tmp_path)
+        before = _tree_bytes(out / "models")
         code = main(["gridsearch", "--out", str(out), "--grid", "small",
                      "--epochs", "1", *flags])
         assert code == 1
         assert "grid cell" not in _assert_one_error_line(capsys)
+        assert _tree_bytes(out / "models") == before
+
+    def test_prepare_negative_seed_rejected(self, workdir, tmp_path, capsys):
+        csv_path, _ = workdir
+        out = tmp_path / "o"
+        code = main(["prepare", "--data", str(csv_path), "--out", str(out), "--seed", "-1"])
+        assert code == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            ("manifest-key", "manifest.txt"),
+            ("encoding-file", "encoding.txt"),
+            ("encoding-number", "encoding.txt"),
+        ],
+    )
+    def test_damaged_prepare_directory(self, workdir, tmp_path, capsys, damage, named):
+        out = _copy_runs(workdir, tmp_path)
+        prep = out / "prepare"
+        if damage == "manifest-key":
+            manifest = read_manifest(prep / "manifest.txt")
+            del manifest["columns.case"]
+            write_manifest(prep / "manifest.txt", manifest)
+        elif damage == "encoding-file":
+            (prep / "encoding.txt").unlink()
+        else:
+            encoding = read_manifest(prep / "encoding.txt")
+            encoding["mean_since_prev"] = "abc"
+            write_manifest(prep / "encoding.txt", encoding)
+        for argv in (["train", "--mode", "baseline", "--epochs", "1"],
+                     ["explain", "--method", "selfexplain"]):
+            code = main([*argv, "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
+
+    def test_small_grid_again_loads_every_cell(self, workdir, tmp_path, capsys):
+        out = _copy_runs(workdir, tmp_path)
+        argv = ["gridsearch", "--out", str(out), "--seed", "5", "--grid", "small",
+                "--epochs", "1", "--eval-limit", "2", "--samples", "10"]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("grid cell")]
+            runs.append((lines, _tree_bytes(out / "models" / "grid_small")))
+        assert len(runs[0][0]) == 10 and not any(l.endswith("(stored)") for l in runs[0][0])
+        assert len(runs[1][0]) == 10 and all(l.endswith(" (stored)") for l in runs[1][0])
+        assert runs[0][1] == runs[1][1]
+        assert len(list((out / "models" / "cells").glob("*.ckpt"))) == 10
         assert not list((out / "models").rglob("cell_*.ckpt"))
 
     def test_unprepared_directory(self, tmp_path):

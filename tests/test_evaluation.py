@@ -19,7 +19,8 @@ from sennap.evaluation import (
     verify_explanations,
     verify_sufficiency,
 )
-from sennap.model import init_model, make_predictor
+from sennap.model import infer, init_model, make_predictor
+from sennap.neural import subset_mask
 from sennap.posthoc import AnchorConfig
 from sennap.selfexplain import SAMPLE_UNIFORM, FeatureSampler
 
@@ -133,6 +134,21 @@ class TestExplainSelfexplain:
             assert expl.size == len(expl.indices)
             assert len(expl.scores) == len(expl.indices)
             assert expl.wall_time_s >= 0.0
+
+    def test_scores_equal_a_fresh_batch_one_pass(self, toy_data, senn_ckpt):
+        # the kernel weights are built once per call; every instance must still
+        # score exactly as a lone `infer` call that builds its own
+        spec, _, _, test_eval = toy_data
+        explanations = explain_selfexplain(
+            senn_ckpt.params, test_eval, spec, tau=0.5, limit=12
+        )
+        for i, expl in enumerate(explanations):
+            scores = infer(senn_ckpt.params, test_eval.x[i : i + 1]).scores[0]
+            assert expl.indices == tuple(
+                int(j) for j in np.flatnonzero(subset_mask(scores, 0.5, spec.forced_flat_mask()))
+            )
+            assert np.array_equal(np.array(expl.scores, dtype=scores.dtype),
+                                  scores[list(expl.indices)])
 
     def test_baseline_checkpoint_rejected(self, toy_data, baseline_ckpt):
         spec, _, _, test_eval = toy_data

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+import pickle
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sennap.encoding import Dataset
+import sennap
+from sennap.encoding import Dataset, EncodingSpec
 from sennap.errors import CheckpointError, ConfigError, TrainingError
 from sennap.evaluation import accuracy
 from sennap.selfexplain import FeatureSampler
@@ -398,6 +406,123 @@ class TestGridSearch:
                 grid=((0.002,), (1e-6,)), selection_set=_subset(val, 0),
             )
 
+    def test_store_directory_created_and_selected_cell_stored(self, tiny_sets, tmp_path):
+        spec, train, val = tiny_sets
+        store = tmp_path / "not" / "there"
+        result, best = grid_search(
+            train, val, spec, TrainConfig(max_epochs=1, seed=21),
+            grid=((0.002, 0.01), (1e-6,)), selection_limit=4, n_samples=10,
+            checkpoint_dir=store,
+        )
+        files = sorted(store.iterdir())
+        assert [f.suffix for f in files] == [".ckpt", ".ckpt"]
+        save_checkpoint(best, tmp_path / "selected.ckpt")
+        assert (tmp_path / "selected.ckpt").read_bytes() in {f.read_bytes() for f in files}
+        assert result.selected.learning_rate == best.config.learning_rate
+
+    def test_no_child_process_or_environment_change_is_left(self, tiny_sets, tmp_path):
+        spec, train, val = tiny_sets
+        config = TrainConfig(max_epochs=1, batch_size=64, seed=21)
+        environ = dict(os.environ)
+        # one cell fails and the search returns, then every cell fails and it raises
+        result, _ = grid_search(
+            train, val, spec, config, grid=((0.002, 1e30), (1e-9,)),
+            selection_limit=4, n_samples=10, checkpoint_dir=tmp_path,
+        )
+        assert [c.status for c in result.cells] == ["ok", "failed"]
+        assert multiprocessing.active_children() == []
+        with pytest.raises(TrainingError, match="every grid cell failed"):
+            grid_search(
+                train, val, spec, config, grid=((1e30,), (1e-9,)),
+                selection_limit=4, n_samples=10, checkpoint_dir=tmp_path,
+            )
+        assert multiprocessing.active_children() == []
+        assert dict(os.environ) == environ
+        # failed cells are not stored
+        assert len(list(tmp_path.glob("*.ckpt"))) == 1
+
+    def test_small_grid_after_full_grid_trains_no_cell(self, toy_data, tmp_path):
+        spec, train, val, _ = toy_data
+        train, val = _subset(train, 10), _subset(val, 4)
+        config = TrainConfig(max_epochs=1, patience=1, seed=6)
+
+        def small(store):
+            lines = []
+            result, best = grid_search(
+                train, val, spec, config, grid="small", selection_limit=2, n_samples=4,
+                checkpoint_dir=store, log=lines.append,
+            )
+            return result, best, lines
+
+        store = tmp_path / "cells"
+        grid_search(train, val, spec, config, grid="full", selection_limit=2, n_samples=4,
+                    checkpoint_dir=store)
+        assert len(list(store.glob("*.ckpt"))) == 30
+        result, best, lines = small(store)
+        assert len(lines) == 10 and all(line.endswith(" (stored)") for line in lines)
+
+        fresh_result, fresh_best, fresh_lines = small(tmp_path / "fresh")
+        assert not any(line.endswith(" (stored)") for line in fresh_lines)
+        assert result.cells == fresh_result.cells
+        assert result.selected == fresh_result.selected
+        fresh = {f.name: f.read_bytes() for f in (tmp_path / "fresh").glob("*.ckpt")}
+        assert {name: (store / name).read_bytes() for name in fresh} == fresh
+
+        # a truncated cell is trained again and replaced by the same bytes
+        damaged = store / sorted(fresh)[3]
+        damaged.write_bytes(fresh[damaged.name][:1000])
+        again, _, lines = small(store)
+        assert sum(not line.endswith(" (stored)") for line in lines) == 1
+        assert again.cells == fresh_result.cells
+        assert damaged.read_bytes() == fresh[damaged.name]
+        assert not list(store.glob(".*.tmp"))
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs",
+    )
+    def test_records_and_cells_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # each run pins its own process before numpy loads, so its BLAS and its
+        # pool both see one or two CPUs.  The data has the Helpdesk log's shape
+        # (14 activities, k = 15): on it, fits that use the process's own BLAS
+        # threads give different checkpoint bytes under one and two CPUs
+        data = tmp_path / "data.pickle"
+        data.write_bytes(pickle.dumps(_helpdesk_shaped(120, 16)))
+        cpus = sorted(os.sched_getaffinity(0))[:2]
+        env = {**os.environ, "PYTHONPATH": str(Path(sennap.__file__).resolve().parents[1])}
+        runs = []
+        for pinned in (cpus[:1], cpus):
+            store = tmp_path / f"cells{len(pinned)}"
+            done = subprocess.run(
+                [sys.executable, "-c", _PINNED_GRID, repr(pinned), str(data), str(store)],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append((
+                done.stdout,
+                {f.name: f.read_bytes() for f in store.glob("*.ckpt")},
+            ))
+        assert json.loads(runs[0][0])["cpus"] == 1
+        assert json.loads(runs[1][0])["cpus"] == 2
+        assert json.loads(runs[0][0])["cells"] == json.loads(runs[1][0])["cells"]
+        assert len(runs[0][1]) == 2 and runs[0][1] == runs[1][1]
+
+    def test_worker_dying_at_start_ends_in_an_error(self, tmp_path):
+        # a main module without the __main__ guard runs again in each spawned
+        # worker, whose own grid search then stops it while it starts; the
+        # data is larger than a pipe's buffer
+        data = tmp_path / "data.pickle"
+        data.write_bytes(pickle.dumps(_helpdesk_shaped(120, 16)))
+        script = tmp_path / "unguarded.py"
+        script.write_text(_UNGUARDED_GRID.format(data=str(data)), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(sennap.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True,
+            timeout=300, cwd=tmp_path,
+        )
+        assert done.returncode != 0
+        assert "grid worker process ended unexpectedly" in done.stderr
+
     def test_selection_prefers_accuracy_then_faithfulness_then_size(self):
         from sennap.training import GridCell
 
@@ -416,6 +541,44 @@ class TestGridSearch:
             ),
         )
         assert ordered[0][0] == 3
+
+
+def _helpdesk_shaped(n_train: int, n_val: int):
+    """(spec, train, validation) of random rows with the Helpdesk log's shape."""
+    spec = EncodingSpec(tuple(f"a{i}" for i in range(14)), 15, 1.0, 1.0)
+    rng = np.random.default_rng(0)
+
+    def rows(n):
+        return Dataset(
+            rng.random((n, spec.k, spec.width), dtype=np.float32),
+            rng.integers(0, spec.vocab_size + 1, n), rng.random(n, dtype=np.float32),
+            [f"i{i}" for i in range(n)], [spec.k] * n,
+        )
+
+    return spec, rows(n_train), rows(n_val)
+
+
+_PINNED_GRID = """
+import json, os, pickle, sys
+os.sched_setaffinity(0, eval(sys.argv[1]))
+from sennap.training import TrainConfig, grid_search
+spec, train, val = pickle.loads(open(sys.argv[2], "rb").read())
+result, _ = grid_search(
+    train, val, spec, TrainConfig(max_epochs=1, seed=23),
+    grid=((0.002, 0.01), (1e-9,)), selection_limit=4, n_samples=10,
+    checkpoint_dir=sys.argv[3],
+)
+print(json.dumps({"cpus": len(os.sched_getaffinity(0)),
+                  "cells": [c.to_record() for c in result.cells]}))
+"""
+
+_UNGUARDED_GRID = """
+import pickle
+from sennap.training import TrainConfig, grid_search
+spec, train, val = pickle.loads(open({data!r}, "rb").read())
+grid_search(train, val, spec, TrainConfig(max_epochs=1, seed=23),
+            grid=((0.002,), (1e-9,)), selection_limit=4, n_samples=10)
+"""
 
 
 class TestManifest:
