@@ -277,16 +277,25 @@ def prefix_tree(x: np.ndarray) -> PrefixTree:
 class Inference:
     """Plain-numpy outputs of an inference pass."""
 
-    classes: np.ndarray              # (B,) argmax class, ties to the lowest index
+    logits: np.ndarray               # (B, |A|+1) activity logits
     scores: np.ndarray | None        # (B, k*width) in [0, 1]; None without explanation
+    time: np.ndarray | None          # (B,) time head output; None unless asked for
+
+    @property
+    def classes(self) -> np.ndarray:
+        """(B,) argmax class, ties to the lowest index."""
+        return np.argmax(self.logits, axis=1)
 
 
-def infer_weights(params: NapModelParams, dtype=np.float32) -> dict[str, tuple]:
-    """The half-scaled kernel weights of the LSTMs `infer` runs, for `dtype` input."""
-    return {
-        name: half_scaled(getattr(params, name), dtype)
-        for name in ("shared1", "shared2", "act_lstm")
-    }
+def infer_weights(
+    params: NapModelParams, dtype=np.float32, *, time: bool = False
+) -> dict[str, tuple]:
+    """The half-scaled kernel weights of the LSTMs `infer` runs, for `dtype` input.
+
+    `time` adds the time head's LSTM, for `infer(time=True)`.
+    """
+    names = ("shared1", "shared2", "act_lstm") + (("time_lstm",) if time else ())
+    return {name: half_scaled(getattr(params, name), dtype) for name in names}
 
 
 def infer(
@@ -294,28 +303,32 @@ def infer(
     x: np.ndarray,
     *,
     nap_only: bool = False,
+    time: bool = False,
     weights: dict[str, tuple] | None = None,
 ) -> Inference:
     """Tape-free inference pass over (B, k, width) grids in INFER_CHUNK-row chunks.
 
-    The activity and explanation heads of `forward_graph(train=False)`
-    without the tape, run once per distinct input prefix: the LSTMs are
-    causal and infer-mode batch norm is per feature, so rows that agree on
-    steps 0..t agree on every state up to step t.  Each chunk becomes a
-    `prefix_tree`; every LSTM layer steps its nodes, and the heads read each
-    row's last-step node.  The time head, a training target only, is not
-    run.  `nap_only` skips the explanation head too, for callers that need
-    only classes.  Batch-norm running statistics never move.  Callers that
-    make many calls pass `infer_weights(params, x.dtype)` as `weights`, built
-    once.
+    The heads of `forward_graph(train=False)` without the tape, run once per
+    distinct input prefix: the LSTMs are causal and infer-mode batch norm is
+    per feature, so rows that agree on steps 0..t agree on every state up to
+    step t.  Each chunk becomes a `prefix_tree`; every LSTM layer steps its
+    nodes, and the heads read each row's last-step node.  The time head, a
+    training target, runs only with `time` (the validation loss).
+    `nap_only` skips the explanation head, for callers that need only the
+    activity head.  Batch-norm running statistics never move.  Callers that
+    make many calls pass `infer_weights(params, x.dtype, time=time)` as
+    `weights`, built once.
     """
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[1:] != (params.k, params.width):
         raise ValueError(f"expected (B, {params.k}, {params.width}) input, got {x.shape}")
     if weights is None:
-        weights = infer_weights(params, x.dtype)
+        weights = infer_weights(params, x.dtype, time=time)
 
-    classes, scores = [], []
+    def head(h_last, bn, dense):
+        return batch_norm_infer(h_last, bn) @ dense.W.value + dense.b.value
+
+    logits, scores, times = [], [], []
     # an empty batch still makes one pass, so every output keeps its shape
     for start in range(0, max(x.shape[0], 1), INFER_CHUNK):
         tree = prefix_tree(x[start : start + INFER_CHUNK])
@@ -326,15 +339,17 @@ def infer(
 
         h2 = lstm(lstm(tree.inputs, "shared1"), "shared2")
         a_last = lstm(batch_norm_infer(h2, params.act_bn_in), "act_lstm")[last]
-        head = params.act_head
-        logits = batch_norm_infer(a_last, params.act_bn_out) @ head.W.value + head.b.value
-        classes.append(np.argmax(logits, axis=1)[tree.leaves])
+        logits.append(head(a_last, params.act_bn_out, params.act_head)[tree.leaves])
         if params.selfexplain and not nap_only:
             exp = params.exp_head
             scores.append(expit(h2[last] @ exp.W.value + exp.b.value)[tree.leaves])
+        if time:
+            t_last = lstm(batch_norm_infer(h2, params.time_bn_in), "time_lstm")[last]
+            times.append(head(t_last, params.time_bn_out, params.time_head)[tree.leaves, 0])
     return Inference(
-        classes=np.concatenate(classes),
+        logits=np.concatenate(logits),
         scores=np.concatenate(scores) if scores else None,
+        time=np.concatenate(times) if times else None,
     )
 
 

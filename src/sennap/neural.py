@@ -611,21 +611,28 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: Var, classes: np.ndarray) -> Var:
-    """Mean over the batch of -log softmax(logits)[class]."""
-    lv = logits.value
-    if lv.ndim != 2:
-        raise ValueError(f"expected (B, C) logits, got {lv.shape}")
-    B, C = lv.shape
+def softmax_cross_entropy_value(logits: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Mean over the batch of -log softmax(logits)[class], 0-d in the logits' dtype."""
+    if logits.ndim != 2:
+        raise ValueError(f"expected (B, C) logits, got {logits.shape}")
+    B, C = logits.shape
     classes = np.asarray(classes)
     if classes.shape != (B,):
         raise ValueError(f"expected {B} class labels, got shape {classes.shape}")
     if classes.min() < 0 or classes.max() >= C:
         raise ValueError(f"class index out of range [0, {C})")
-    shifted = lv - lv.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(B), classes]
-    loss = (log_z - picked).mean()
+    return np.asarray((log_z - picked).mean(), dtype=logits.dtype)
+
+
+def softmax_cross_entropy(logits: Var, classes: np.ndarray) -> Var:
+    """`softmax_cross_entropy_value` as a tape node."""
+    lv = logits.value
+    loss = softmax_cross_entropy_value(lv, classes)
+    classes = np.asarray(classes)
+    B = lv.shape[0]
     probs = softmax(lv)
 
     def back(g):
@@ -633,36 +640,47 @@ def softmax_cross_entropy(logits: Var, classes: np.ndarray) -> Var:
         d[np.arange(B), classes] -= 1.0
         logits.accumulate(g * d / B)
 
-    return Var(np.asarray(loss, dtype=lv.dtype), parents=(logits,), backward=back)
+    return Var(loss, parents=(logits,), backward=back)
+
+
+def mae_loss_value(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Mean absolute error, 0-d in the prediction's dtype."""
+    target = np.asarray(target, dtype=pred.dtype)
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
+    return np.asarray(np.abs(pred - target).mean(), dtype=pred.dtype)
 
 
 def mae_loss(pred: Var, target: np.ndarray) -> Var:
+    """`mae_loss_value` as a tape node."""
     pv = pred.value
+    loss = mae_loss_value(pv, target)
     target = np.asarray(target, dtype=pv.dtype)
-    if pv.shape != target.shape:
-        raise ValueError(f"shape mismatch {pv.shape} vs {target.shape}")
-    diff = pv - target
-    loss = np.abs(diff).mean()
 
     def back(g):
         # subgradient of |.| at 0 is taken as 0
-        pred.accumulate(g * np.sign(diff) / diff.size)
+        pred.accumulate(g * np.sign(pv - target) / pv.size)
 
-    return Var(np.asarray(loss, dtype=pv.dtype), parents=(pred,), backward=back)
+    return Var(loss, parents=(pred,), backward=back)
+
+
+def l1_batch_mean_value(values: np.ndarray) -> np.ndarray:
+    """Sum of absolute values, averaged over the leading (batch) axis; 0-d."""
+    if values.ndim != 2:
+        raise ValueError(f"expected (B, n) values, got {values.shape}")
+    return np.asarray(np.abs(values).sum() / values.shape[0], dtype=values.dtype)
 
 
 def l1_batch_mean(values: Var) -> Var:
-    """Sum of absolute values, averaged over the leading (batch) axis."""
+    """`l1_batch_mean_value` as a tape node."""
     vv = values.value
-    if vv.ndim != 2:
-        raise ValueError(f"expected (B, n) values, got {vv.shape}")
+    loss = l1_batch_mean_value(vv)
     B = vv.shape[0]
-    loss = np.abs(vv).sum() / B
 
     def back(g):
         values.accumulate(g * np.sign(vv) / B)
 
-    return Var(np.asarray(loss, dtype=vv.dtype), parents=(values,), backward=back)
+    return Var(loss, parents=(values,), backward=back)
 
 
 def subset_mask(scores: np.ndarray, tau: float, forced: np.ndarray) -> np.ndarray:
@@ -672,6 +690,18 @@ def subset_mask(scores: np.ndarray, tau: float, forced: np.ndarray) -> np.ndarra
     return (np.asarray(scores) >= tau) | np.asarray(forced, dtype=bool)
 
 
+def masked_blend_value(
+    scores: np.ndarray,
+    x_flat: np.ndarray,
+    noise: np.ndarray,
+    forced: np.ndarray,
+    tau: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """z = x on the `subset_mask` of the scores, sampled noise elsewhere: (z, hard mask)."""
+    hard = subset_mask(scores, tau, forced)
+    return np.where(hard, x_flat, noise).astype(scores.dtype), hard
+
+
 def masked_blend(
     scores: Var,
     x_flat: np.ndarray,
@@ -679,15 +709,14 @@ def masked_blend(
     forced: np.ndarray,
     tau: float,
 ) -> tuple[Var, np.ndarray]:
-    """z = x on the `subset_mask` of the scores, sampled noise elsewhere.
+    """`masked_blend_value` as a tape node.
 
     The hard mask is treated as identity for the gradient back to the scores
     (straight-through); positions the scores cannot control (forced columns)
     pass no gradient.  Returns (z node, hard mask).
     """
     sv = scores.value
-    hard = subset_mask(sv, tau, forced)
-    z = np.where(hard, x_flat, noise).astype(sv.dtype)
+    z, hard = masked_blend_value(sv, x_flat, noise, forced, tau)
     pass_through = (~forced).astype(sv.dtype)
 
     def back(g):

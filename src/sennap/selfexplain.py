@@ -15,16 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodingSpec, KIND_ACTIVITY, KIND_INDEX
-from .model import GraphOutputs, NapModelParams, forward_graph
+from .model import GraphOutputs, Inference, NapModelParams, forward_graph
 from .neural import (
     Var,
+    add,
     l1_batch_mean,
+    l1_batch_mean_value,
     mae_loss,
+    mae_loss_value,
     masked_blend,
     reshape,
     scale,
-    add,
     softmax_cross_entropy,
+    softmax_cross_entropy_value,
     subset_mask,
 )
 
@@ -141,6 +144,31 @@ def dual_propagate(
     )
 
 
+def _objective(ce, mae, faith, card, lam: float, xi: float, add, scale):
+    """ce + mae + lam * faith + xi * card, summed in this order.
+
+    A weighted term enters only when its weight is positive.  `senn_losses`
+    passes tape nodes with the tape's `add` and `scale`, `senn_loss_values`
+    0-d arrays with numpy's, so the training and validation totals are
+    summed one way.
+    """
+    total = add(ce, mae)
+    if lam > 0.0:
+        total = add(total, scale(faith, lam))
+    if xi > 0.0:
+        total = add(total, scale(card, xi))
+    return total
+
+
+def _check_terms(lam: float, xi: float, masked, predicted, scores):
+    if lam < 0 or xi < 0:
+        raise ValueError("loss coefficients must be nonnegative")
+    if lam > 0.0 and (masked is None or predicted is None):
+        raise ValueError("faithfulness term needs the masked propagation")
+    if xi > 0.0 and scores is None:
+        raise ValueError("cardinality term needs explanation scores")
+
+
 def senn_losses(
     first: GraphOutputs,
     nap_logits_masked: Var | None,
@@ -154,28 +182,42 @@ def senn_losses(
 
     With lam = xi = 0 this reduces exactly to the baseline dual-head loss.
     """
-    if lam < 0 or xi < 0:
-        raise ValueError("loss coefficients must be nonnegative")
+    _check_terms(lam, xi, nap_logits_masked, predicted, first.exp_scores)
     ce = softmax_cross_entropy(first.nap_logits, y_activity)
     mae = mae_loss(first.time_pred, y_time)
-    total = add(ce, mae)
+    faith = softmax_cross_entropy(nap_logits_masked, predicted) if lam > 0.0 else None
+    card = l1_batch_mean(first.exp_scores) if xi > 0.0 else None
+    total = _objective(ce, mae, faith, card, lam, xi, add, scale)
     components = {
         "ce": float(ce.value),
         "mae": float(mae.value),
-        "faith": 0.0,
-        "card": 0.0,
+        "faith": float(faith.value) if faith is not None else 0.0,
+        "card": float(card.value) if card is not None else 0.0,
+        "total": float(total.value),
     }
-    if lam > 0.0:
-        if nap_logits_masked is None or predicted is None:
-            raise ValueError("faithfulness term needs the masked propagation")
-        faith = softmax_cross_entropy(nap_logits_masked, predicted)
-        components["faith"] = float(faith.value)
-        total = add(total, scale(faith, lam))
-    if xi > 0.0:
-        if first.exp_scores is None:
-            raise ValueError("cardinality term needs explanation scores")
-        card = l1_batch_mean(first.exp_scores)
-        components["card"] = float(card.value)
-        total = add(total, scale(card, xi))
-    components["total"] = float(total.value)
     return total, components
+
+
+def senn_loss_values(
+    first: Inference,
+    logits_masked: np.ndarray | None,
+    predicted: np.ndarray | None,
+    y_activity: np.ndarray,
+    y_time: np.ndarray,
+    lam: float,
+    xi: float,
+) -> dict[str, float]:
+    """`senn_losses`'s components without a tape, from `infer(time=True)` outputs."""
+    _check_terms(lam, xi, logits_masked, predicted, first.scores)
+    ce = softmax_cross_entropy_value(first.logits, y_activity)
+    mae = mae_loss_value(first.time, y_time)
+    faith = softmax_cross_entropy_value(logits_masked, predicted) if lam > 0.0 else None
+    card = l1_batch_mean_value(first.scores) if xi > 0.0 else None
+    total = _objective(ce, mae, faith, card, lam, xi, np.add, np.multiply)
+    return {
+        "ce": float(ce),
+        "mae": float(mae),
+        "faith": float(faith) if faith is not None else 0.0,
+        "card": float(card) if card is not None else 0.0,
+        "total": float(total),
+    }

@@ -37,9 +37,9 @@ from . import __version__
 from .encoding import Dataset, EncodingSpec
 from .errors import CheckpointError, ConfigError, SennapError, TrainingError
 from .evaluation import Explanation, check_verification, summarize, verify_explanations
-from .model import NapModelParams, forward_graph, infer, init_model
-from .neural import AdamState, adam_step, backward, subset_mask
-from .selfexplain import FeatureSampler, dual_propagate, senn_losses
+from .model import NapModelParams, forward_graph, infer, infer_weights, init_model
+from .neural import AdamState, adam_step, backward, masked_blend_value, subset_mask
+from .selfexplain import FeatureSampler, dual_propagate, senn_loss_values, senn_losses
 
 LEARNING_RATE_GRID = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 XI_GRID_FULL = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
@@ -120,38 +120,49 @@ class Checkpoint:
     best_val_loss: float
 
 
-def _batch_losses(params, x, y_act, y_time, config, sampler, rng, *, train):
-    """Build the loss graph for one batch according to the configured mode."""
+def _batch_losses(params, x, y_act, y_time, config, sampler, rng):
+    """Build the training loss graph for one batch according to the configured mode."""
     if config.mode == "selfexplain" and config.lam > 0.0:
-        dual = dual_propagate(
-            params, x, config.tau, sampler, rng, train=train
-        )
+        dual = dual_propagate(params, x, config.tau, sampler, rng)
         return senn_losses(
             dual.first, dual.nap_logits_masked, dual.predicted,
             y_act, y_time, config.lam, config.xi,
         )
-    first = forward_graph(params, x, train=train, rng=rng)
+    first = forward_graph(params, x, train=True, rng=rng)
     return senn_losses(first, None, None, y_act, y_time, 0.0, config.xi)
 
 
 def _evaluate_loss(params, dataset, config, sampler, batch_size=1024):
     """Inference-mode loss over a dataset (weighted mean of batch components).
 
-    The complement noise comes from a stream re-seeded on every call, so the
-    loss depends only on the parameters and never moves the training stream.
+    Tape-free: `infer` gives each batch's logits, time output and scores,
+    and for the faithfulness term the logits of the masked input, which
+    takes each row's noise where the scores leave it out.  The complement
+    noise comes from a stream re-seeded on every call, one draw per batch,
+    so the loss depends only on the parameters and never moves the
+    training stream.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(3,))
     )
+    lam = config.lam if config.mode == "selfexplain" else 0.0
+    weights = infer_weights(params, dataset.x.dtype, time=True)
     totals: dict[str, float] = {}
     seen = 0
     for start in range(0, len(dataset), batch_size):
         x = dataset.x[start : start + batch_size]
         y_act = dataset.y_activity[start : start + x.shape[0]]
         y_time = dataset.y_time[start : start + x.shape[0]]
-        _, comps = _batch_losses(
-            params, x, y_act, y_time, config, sampler, rng, train=False
-        )
+        first = infer(params, x, time=True, weights=weights)
+        masked = predicted = None
+        if lam > 0.0:
+            noise = sampler.draw(rng, x.shape[0])
+            z, _ = masked_blend_value(
+                first.scores, x.reshape(x.shape[0], -1), noise, sampler.forced_mask, config.tau
+            )
+            masked = infer(params, z.reshape(x.shape), nap_only=True, weights=weights).logits
+            predicted = first.classes
+        comps = senn_loss_values(first, masked, predicted, y_act, y_time, lam, config.xi)
         weight = x.shape[0]
         for key, value in comps.items():
             totals[key] = totals.get(key, 0.0) + value * weight
@@ -194,9 +205,7 @@ def fit(
             x = train.x[idx]
             y_act = train.y_activity[idx]
             y_time = train.y_time[idx]
-            total, comps = _batch_losses(
-                params, x, y_act, y_time, config, sampler, rng, train=True
-            )
+            total, comps = _batch_losses(params, x, y_act, y_time, config, sampler, rng)
             if not np.isfinite(comps["total"]):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} batch {start // config.batch_size}: "

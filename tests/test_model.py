@@ -151,6 +151,16 @@ class TestTapeFreeInfer:
             assert fast.scores is None
         np.testing.assert_array_equal(infer(params, x, nap_only=True).classes, fast.classes)
 
+    @pytest.mark.parametrize("selfexplain", [False, True])
+    def test_time_output_matches_forward_graph(self, selfexplain):
+        params = _spread_model(selfexplain)
+        x = _input(batch=600, seed=14)
+        fast = infer(params, x, time=True)
+        graph = forward_graph(params, x, train=False)
+        np.testing.assert_allclose(fast.time, graph.time_pred.value, rtol=1e-5, atol=1e-5)
+        np.testing.assert_array_equal(fast.classes, infer(params, x).classes)
+        assert infer(params, x).time is None
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**31), n_rows=st.integers(1, 300), selfexplain=st.booleans())
     def test_shared_prefixes_match_forward_graph(self, seed, n_rows, selfexplain):

@@ -9,6 +9,7 @@ import pickle
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,13 +18,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sennap
+from sennap import model
 from sennap.encoding import Dataset, EncodingSpec
 from sennap.errors import CheckpointError, ConfigError, TrainingError
 from sennap.evaluation import accuracy
-from sennap.selfexplain import FeatureSampler
+from sennap.model import INFER_CHUNK, forward_graph
+from sennap.neural import backward, masked_blend, reshape
+from sennap.selfexplain import FeatureSampler, senn_losses
 from sennap.training import (
     CHECKPOINT_MAGIC,
     TrainConfig,
+    _batch_losses,
     _evaluate_loss,
     fit,
     grid_plan,
@@ -145,6 +150,102 @@ class TestFit:
         config = TrainConfig(mode="baseline", max_epochs=40, patience=2, seed=4)
         ckpt = fit(train, val, spec, config)
         assert len(ckpt.history) <= ckpt.best_epoch + 1 + config.patience + 1
+
+
+def _tape_validation_loss(params, dataset, config, sampler):
+    """`_evaluate_loss` through the tape, for a set of one batch: the oracle.
+
+    `forward_graph(train=False)`, then for the faithfulness term
+    `masked_blend` on the same re-seeded noise and a second `forward_graph`,
+    and `senn_losses` over both.
+    """
+    assert len(dataset) <= 1024  # `_evaluate_loss`'s batch
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(3,)))
+    x = dataset.x
+    B = x.shape[0]
+    lam = config.lam if config.mode == "selfexplain" else 0.0
+    first = forward_graph(params, x, train=False)
+    masked = predicted = None
+    if lam > 0.0:
+        noise = sampler.draw(rng, B)
+        forced = np.broadcast_to(sampler.forced_mask, (B, sampler.n_features))
+        z, _ = masked_blend(first.exp_scores, x.reshape(B, -1), noise, forced, config.tau)
+        masked = forward_graph(params, reshape(z, x.shape), train=False, nap_only=True).nap_logits
+        predicted = np.argmax(first.nap_logits.value, axis=1)
+    return senn_losses(first, masked, predicted, dataset.y_activity, dataset.y_time, lam, config.xi)[1]
+
+
+def _rows(data: Dataset, n: int) -> Dataset:
+    """The first `n` rows of `data` repeated end to end."""
+    idx = np.arange(n) % len(data)
+    return Dataset(
+        x=data.x[idx],
+        y_activity=data.y_activity[idx],
+        y_time=data.y_time[idx],
+        ids=tuple(data.ids[i] for i in idx),
+        prefix_lengths=tuple(data.prefix_lengths[i] for i in idx),
+    )
+
+
+class TestValidationLoss:
+    """`_evaluate_loss` runs on the tape-free `infer`; the tape is its oracle."""
+
+    @pytest.mark.parametrize("mode", ["baseline", "selfexplain"])
+    def test_matches_tape_oracle(self, toy_data, baseline_ckpt, senn_ckpt, mode):
+        spec, train, _, _ = toy_data
+        ckpt = baseline_ckpt if mode == "baseline" else senn_ckpt
+        rows = _rows(train, 600)
+        assert INFER_CHUNK < len(rows)
+        sampler = FeatureSampler.fit(spec, train.x)
+        got = _evaluate_loss(ckpt.params, rows, ckpt.config, sampler)
+        want = _tape_validation_loss(ckpt.params, rows, ckpt.config, sampler)
+        assert set(got) == set(want)
+        if mode == "selfexplain":
+            assert want["faith"] > 0.0 and want["card"] > 0.0
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-6), key
+
+    def test_takes_no_tape(self, tiny_sets, monkeypatch):
+        spec, train, val = tiny_sets
+        config = TrainConfig(mode="selfexplain", xi=1e-5, max_epochs=1, seed=3)
+        params = fit(train, val, spec, config).params
+        sampler = FeatureSampler.fit(spec, train.x)
+
+        def taped(*args):
+            raise AssertionError("the tape's LSTM ran")
+
+        monkeypatch.setattr(model, "lstm_layer", taped)
+        with pytest.raises(AssertionError, match="tape"):
+            forward_graph(params, val.x, train=False)
+        losses = _evaluate_loss(params, val, config, sampler)
+        assert np.isfinite(losses["total"])
+
+    def test_memory_below_a_training_step(self, toy_data, senn_ckpt):
+        spec, train, _, _ = toy_data
+        params = senn_ckpt.params.copy()
+        config = senn_ckpt.config
+        sampler = FeatureSampler.fit(spec, train.x)
+        rng = np.random.default_rng(0)
+
+        tracemalloc.start()
+        try:
+            total, _ = _batch_losses(
+                params, train.x[:64], train.y_activity[:64], train.y_time[:64],
+                config, sampler, rng,
+            )
+            backward(total)
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del total
+        rows = _subset(train, 256)
+        tracemalloc.start()
+        try:
+            _evaluate_loss(params, rows, config, sampler)
+            validation_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert validation_peak < step_peak
 
 
 class TestTrainConfig:
