@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoding import Dataset, EncodedInstance, EncodingSpec, encode_dataset, fit_normalizers
-from .errors import ConfigError, SennapError, SpecMismatchError
+from .errors import ConfigError, EncodingError, SennapError, SpecMismatchError
 from .eventlog import ColumnMap, SplitSpec, generate_prefixes, parse_csv, split_chronological
 from .evaluation import (
     Explanation,
@@ -149,7 +149,7 @@ class Prepared:
             self.spec = EncodingSpec.from_metadata(read_manifest(encoding_path))
         except KeyError as exc:
             raise ConfigError(f"{encoding_path}: missing key {exc}") from None
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, EncodingError) as exc:
             raise ConfigError(f"{encoding_path}: malformed value ({exc})") from None
 
     def dataset(self, part: str, purpose: str) -> Dataset:
@@ -203,14 +203,23 @@ def _write_jsonl(path: Path, records):
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path: Path):
+def _read_explanations(path: Path) -> list[Explanation]:
     if not path.exists():
         raise ConfigError(f"missing {path}")
-    return [
-        json.loads(line)
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line
-    ]
+    explanations = []
+    # json.loads decodes each line's bytes, so a line that is not UTF-8 is named like any other
+    for line_no, line in enumerate(path.read_bytes().splitlines(), 1):
+        if not line:
+            continue
+        try:
+            explanations.append(Explanation.from_record(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: line {line_no}: not JSON ({exc.msg})") from None
+        except KeyError as exc:
+            raise ConfigError(f"{path}: line {line_no}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: line {line_no}: malformed record ({exc})") from None
+    return explanations
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +450,7 @@ def cmd_verify(args) -> int:
     ckpt = load_checkpoint(ckpt_path)
     _check_spec(ckpt, prepared.spec)
 
-    records = _read_jsonl(out_dir / "explanations" / f"{method}.jsonl")
-    explanations = [Explanation.from_record(r) for r in records]
+    explanations = _read_explanations(out_dir / "explanations" / f"{method}.jsonl")
     test_set = prepared.dataset("test", "eval")
     verified = verify_explanations(
         ckpt.params, test_set, explanations, prepared.sampler(),
@@ -476,20 +484,21 @@ def cmd_report(args) -> int:
         path = out_dir / "verification" / f"{method}.jsonl"
         if not path.exists():
             continue
-        explanations = [Explanation.from_record(r) for r in _read_jsonl(path)]
-        summary_kv = read_manifest(out_dir / "verification" / f"{method}.summary.txt")
+        explanations = _read_explanations(path)
+        summary_path = out_dir / "verification" / f"{method}.summary.txt"
+        summary_kv = read_manifest(summary_path)
+        try:
+            delta = float(summary_kv.get("delta", 0.95))
+            n_samples = int(summary_kv.get("n_samples", 100))
+            seed = int(summary_kv.get("seed", 7))
+        except ValueError as exc:
+            raise ConfigError(f"{summary_path}: malformed value ({exc})") from None
         # the model `verify` used; summaries written before the path was recorded
         # fall back to the method's default checkpoint
         ckpt = load_checkpoint(_checkpoint_path(summary_kv.get("checkpoint"), out_dir, method))
         acc = accuracy(ckpt.params, test_set)
         reports.append(
-            summarize(
-                explanations,
-                accuracy=acc,
-                delta=float(summary_kv.get("delta", 0.95)),
-                n_samples=int(summary_kv.get("n_samples", 100)),
-                seed=int(summary_kv.get("seed", 7)),
-            )
+            summarize(explanations, accuracy=acc, delta=delta, n_samples=n_samples, seed=seed)
         )
         shown = next(
             (e for e in explanations if e.status == "found" and e.sufficient), None

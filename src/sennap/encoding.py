@@ -10,6 +10,7 @@ Day boundaries and weekdays use UTC so encodings are machine-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
@@ -48,10 +49,13 @@ class EncodingSpec:
     mean_since_prev: float
 
     def __post_init__(self):
-        if self.mean_since_first <= 0 or self.mean_since_prev <= 0:
-            raise EncodingError("normalizer means must be positive")
+        means = (self.mean_since_first, self.mean_since_prev)
+        if not all(math.isfinite(mean) and mean > 0 for mean in means):
+            raise EncodingError(f"normalizer means must be positive and finite, got {means}")
         if self.k < 1 or not self.vocab:
             raise EncodingError("need k >= 1 and a nonempty vocabulary")
+        if len(set(self.vocab)) != len(self.vocab):
+            raise EncodingError(f"vocabulary labels must be distinct, got {list(self.vocab)}")
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(self.vocab)}
         )
@@ -67,10 +71,6 @@ class EncodingSpec:
     @property
     def n_features(self) -> int:
         return self.k * self.width
-
-    @property
-    def n_classes(self) -> int:
-        return self.vocab_size + 1
 
     def activity_index(self, label: str) -> int:
         try:

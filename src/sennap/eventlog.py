@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConfigError, LogParseError
 
@@ -110,21 +110,6 @@ def _parse_timestamp(raw: str, line_no: int) -> int:
     if stamp < 0:
         raise LogParseError(f"line {line_no}: timestamp {raw!r} precedes the epoch")
     return stamp
-
-
-def build_log(cases: Sequence[Case]) -> EventLog:
-    """Assemble an EventLog from ready-made cases (vocabulary in first-appearance order)."""
-    if not cases:
-        raise LogParseError("event log contains no cases")
-    vocabulary: dict[str, int] = {}
-    event_count = 0
-    for case in cases:
-        for event in case.events:
-            if event.activity not in vocabulary:
-                vocabulary[event.activity] = len(vocabulary)
-            event_count += 1
-    k = max(len(case) for case in cases)
-    return EventLog(tuple(cases), vocabulary, k, len(cases), event_count)
 
 
 def parse_csv(path: str | Path, columns: ColumnMap | None = None) -> EventLog:

@@ -73,10 +73,6 @@ class NapModelParams:
     def n_features(self) -> int:
         return self.k * self.width
 
-    @property
-    def n_classes(self) -> int:
-        return self.vocab_size + 1
-
     def _groups(self) -> list[tuple[str, LSTMLayerParams | BatchNormParams | DenseParams]]:
         names = ["shared1", "shared2", "act_bn_in", "act_lstm", "act_bn_out", "act_head",
                  "time_bn_in", "time_lstm", "time_bn_out", "time_head"]
@@ -146,14 +142,14 @@ def init_model(
 
     trunk_rng, head_rng = stream(0), stream(1)
     width = vocab_size + EXTRA_FEATURES
-    n_classes = vocab_size + 1
     params = NapModelParams(
         shared1=init_lstm(trunk_rng, width, HIDDEN_SIZE, dtype),
         shared2=init_lstm(trunk_rng, HIDDEN_SIZE, HIDDEN_SIZE, dtype),
         act_bn_in=init_batchnorm(HIDDEN_SIZE, dtype),
         act_lstm=init_lstm(trunk_rng, HIDDEN_SIZE, HIDDEN_SIZE, dtype),
         act_bn_out=init_batchnorm(HIDDEN_SIZE, dtype),
-        act_head=init_dense(trunk_rng, HIDDEN_SIZE, n_classes, dtype),
+        # one class per activity plus end-of-sequence
+        act_head=init_dense(trunk_rng, HIDDEN_SIZE, vocab_size + 1, dtype),
         time_bn_in=init_batchnorm(HIDDEN_SIZE, dtype),
         time_lstm=init_lstm(trunk_rng, HIDDEN_SIZE, HIDDEN_SIZE, dtype),
         time_bn_out=init_batchnorm(HIDDEN_SIZE, dtype),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -262,42 +262,6 @@ def init_lstm(
     )
 
 
-def lstm_cell_step(
-    params: LSTMLayerParams,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    x_t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One plain-numpy cell update for a single instance (reference path)."""
-    h_prev = np.asarray(h_prev)
-    c_prev = np.asarray(c_prev)
-    x_t = np.asarray(x_t)
-    if h_prev.shape != (params.hidden_size,) or c_prev.shape != (params.hidden_size,):
-        raise ValueError(
-            f"state shapes {h_prev.shape}/{c_prev.shape} do not match H={params.hidden_size}"
-        )
-    if x_t.shape != (params.input_size,):
-        raise ValueError(f"input shape {x_t.shape} does not match D={params.input_size}")
-    H = params.hidden_size
-    z = np.concatenate([h_prev, x_t]) @ params.W.value + params.b.value
-    f = expit(z[:H])
-    i = expit(z[H : 2 * H])
-    c_bar = np.tanh(z[2 * H : 3 * H])
-    c = f * c_prev + i * c_bar
-    o = expit(z[3 * H :])
-    h = o * np.tanh(c)
-    return h, c
-
-
-@dataclass
-class LSTMCache:
-    """Per-step activations of one `lstm_forward` call, kept for BPTT."""
-
-    gates: np.ndarray   # (T, B, 4H) activated gates f, i, c_bar, o
-    c: np.ndarray       # (T+1, B, H) cell states, c[0] = 0
-    tanh_c: np.ndarray  # (T, B, H)
-
-
 def half_scaled(params: LSTMLayerParams, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The kernel's (H+D, 4H) weight and (4H,) bias with the f/i/o columns scaled by 1/2.
 
@@ -345,36 +309,6 @@ def lstm_cell_update(
     c += scratch
     np.tanh(c, out=tanh_c)
     np.multiply(o, tanh_c, out=h)
-
-
-def lstm_forward(xs: np.ndarray, params: LSTMLayerParams) -> tuple[np.ndarray, LSTMCache]:
-    """The training kernel over a time-major (T, B, D) sequence, h_0 = c_0 = 0.
-
-    Returns the hidden states as (T+1, B, H) with h[0] = 0, so h[1:] is the
-    output sequence and h[:-1] the previous states, and the BPTT cache.  The
-    input-side pre-activations of every step are one matmul; only the
-    recurrence runs per step.
-    """
-    T, B, D = xs.shape
-    H = params.hidden_size
-    dtype = xs.dtype
-    w_half, b_half = half_scaled(params, dtype)
-    w_h = w_half[:H]
-
-    # (T, B, 4H): half-scaled input-side pre-activations, activated in place
-    gates = (xs.reshape(T * B, D) @ w_half[H:] + b_half).reshape(T, B, 4 * H)
-    h = np.zeros((T + 1, B, H), dtype=dtype)
-    c = np.zeros((T + 1, B, H), dtype=dtype)
-    tanh_c = np.empty((T, B, H), dtype=dtype)
-    rec = np.empty((B, 4 * H), dtype=dtype)
-    ic = np.empty((B, H), dtype=dtype)
-    for t in range(T):
-        g = gates[t]
-        if t:
-            np.matmul(h[t], w_h, out=rec)
-            g += rec
-        lstm_cell_update(g, c[t], c[t + 1], tanh_c[t], h[t + 1], ic)
-    return h, LSTMCache(gates, c, tanh_c)
 
 
 # nodes per input-side projection in `lstm_prefix_forward`: one matmul covers
@@ -432,10 +366,12 @@ def lstm_prefix_forward(
 
 
 def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
-    """Full-sequence LSTM node: `lstm_forward` with its cache, then BPTT.
+    """Full-sequence LSTM node, the training kernel: input (B, T, D) -> output (B, T, H).
 
-    Input (B, T, D) -> output (B, T, H).  The weight gradients are single
-    whole-sequence matmuls; only the recurrence runs per step.  Backward
+    The forward runs time-major from h_0 = c_0 = 0.  The input-side
+    pre-activations of every step are one matmul; only the recurrence runs
+    per step, and the activated gates, cell states and their tanh stay for
+    BPTT.  The weight gradients are single whole-sequence matmuls.  Backward
     uses the unscaled weights.
     """
     xv = x.value
@@ -447,8 +383,23 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
     H = params.hidden_size
     dtype = xv.dtype
     xs = np.ascontiguousarray(xv.transpose(1, 0, 2))
-    h, cache = lstm_forward(xs, params)
-    gate_cache = cache.gates
+    w_half, b_half = half_scaled(params, dtype)
+    w_h = w_half[:H]
+
+    # (T, B, 4H): half-scaled input-side pre-activations, activated in place
+    gates = (xs.reshape(T * B, D) @ w_half[H:] + b_half).reshape(T, B, 4 * H)
+    # h[0] = c[0] = 0, so h[1:] is the output sequence and h[:-1] the previous states
+    h = np.zeros((T + 1, B, H), dtype=dtype)
+    c = np.zeros((T + 1, B, H), dtype=dtype)
+    tanh_c = np.empty((T, B, H), dtype=dtype)
+    rec = np.empty((B, 4 * H), dtype=dtype)
+    ic = np.empty((B, H), dtype=dtype)
+    for t in range(T):
+        step = gates[t]
+        if t:
+            np.matmul(h[t], w_h, out=rec)
+            step += rec
+        lstm_cell_update(step, c[t], c[t + 1], tanh_c[t], h[t + 1], ic)
     out = h[1:].transpose(1, 0, 2)
 
     def back(g):
@@ -458,20 +409,19 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
         dh_next = np.zeros((B, H), dtype=dtype)
         dc_next = np.zeros((B, H), dtype=dtype)
         for t in range(T - 1, -1, -1):
-            f = gate_cache[t, :, :H]
-            i = gate_cache[t, :, H : 2 * H]
-            c_bar = gate_cache[t, :, 2 * H : 3 * H]
-            o = gate_cache[t, :, 3 * H :]
-            tanh_c = cache.tanh_c[t]
-            c_prev = cache.c[t]
+            f = gates[t, :, :H]
+            i = gates[t, :, H : 2 * H]
+            c_bar = gates[t, :, 2 * H : 3 * H]
+            o = gates[t, :, 3 * H :]
+            tanh_ct = tanh_c[t]
 
             dh = g[:, t, :] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+            dc = dc_next + dh * o * (1.0 - tanh_ct * tanh_ct)
             d_raw = d_raw_all[t]
-            d_raw[:, :H] = (dc * c_prev) * (f * (1.0 - f))
+            d_raw[:, :H] = (dc * c[t]) * (f * (1.0 - f))
             d_raw[:, H : 2 * H] = (dc * c_bar) * (i * (1.0 - i))
             d_raw[:, 2 * H : 3 * H] = (dc * i) * (1.0 - c_bar * c_bar)
-            d_raw[:, 3 * H :] = (dh * tanh_c) * (o * (1.0 - o))
+            d_raw[:, 3 * H :] = (dh * tanh_ct) * (o * (1.0 - o))
             dc_next = dc * f
             dh_next = d_raw @ w_t[:, :H]
 
@@ -769,50 +719,3 @@ def adam_step(
             p.value.dtype, copy=False
         )
         p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def max_rel_error(
-    build_loss: Callable[[], Var],
-    wrt: Sequence[Var],
-    rng: np.random.Generator,
-    entries_per_var: int = 4,
-    eps: float = 1e-4,
-) -> float:
-    """Worst relative error of analytic grads vs central finite differences.
-
-    `build_loss` must rebuild the (deterministic) graph from the current
-    parameter values on every call.  Checks a random sample of entries per
-    parameter; parameters are restored afterwards.
-    """
-    loss = build_loss()
-    backward(loss)
-    analytic = []
-    for p in wrt:
-        if p.grad is None:
-            analytic.append(np.zeros_like(p.value))
-        else:
-            analytic.append(p.grad.copy())
-        p.grad = None
-
-    worst = 0.0
-    for p, grad in zip(wrt, analytic):
-        flat = p.value.reshape(-1)
-        count = min(entries_per_var, flat.size)
-        picks = rng.choice(flat.size, size=count, replace=False)
-        for idx in picks:
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            hi = float(build_loss().value)
-            flat[idx] = orig - eps
-            lo = float(build_loss().value)
-            flat[idx] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            a = float(grad.reshape(-1)[idx])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-            worst = max(worst, rel)
-    return worst

@@ -557,7 +557,7 @@ def _checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     meta["best_epoch"] = str(ckpt.best_epoch)
     meta["best_val_loss"] = repr(ckpt.best_val_loss)
     meta["history"] = _history_to_json(ckpt.history)
-    meta_block = "".join(f"{k}={v}\n" for k, v in meta.items()).encode("utf-8")
+    meta_block = _key_values(meta).encode("utf-8")
 
     sections = ckpt.params.sections()
     parts = [
@@ -630,11 +630,7 @@ def _parse_checkpoint(data: bytes, path: str | Path) -> Checkpoint:
             f"(expected {CHECKPOINT_VERSION})"
         )
     (meta_len,) = struct.unpack("<Q", take(8, "metadata length"))
-    meta: dict[str, str] = {}
-    for line in text(meta_len, "metadata").splitlines():
-        if line:
-            key, _, value = line.partition("=")
-            meta[key] = value
+    meta = _parse_key_values(text(meta_len, "metadata"))
     (n_sections,) = struct.unpack("<I", take(4, "section count"))
     sections: dict[str, np.ndarray] = {}
     for _ in range(n_sections):
@@ -679,21 +675,36 @@ def _parse_checkpoint(data: bytes, path: str | Path) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# manifests
+# key=value text: checkpoint metadata and manifests
 # ---------------------------------------------------------------------------
 
 
-def write_manifest(path: str | Path, entries: dict[str, object]):
-    """UTF-8 key=value audit file (one entry per line, insertion order)."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for key, value in entries.items():
-            handle.write(f"{key}={value}\n")
+def _key_values(entries: dict[str, object]) -> str:
+    """One `key=value` line per entry, in insertion order; values are kept verbatim."""
+    return "".join(f"{key}={value}\n" for key, value in entries.items())
 
 
-def read_manifest(path: str | Path) -> dict[str, str]:
+def _parse_key_values(text: str) -> dict[str, str]:
+    """Inverse of `_key_values`; blank lines and lines starting with '#' are skipped."""
     out: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         if line and not line.startswith("#"):
             key, _, value = line.partition("=")
             out[key] = value
     return out
+
+
+def write_manifest(path: str | Path, entries: dict[str, object]):
+    """UTF-8 key=value audit file (one entry per line, insertion order)."""
+    Path(path).write_text(_key_values(entries), encoding="utf-8")
+
+
+def read_manifest(path: str | Path) -> dict[str, str]:
+    """Read a `write_manifest` file; an unreadable file is a `ConfigError` naming it."""
+    path = Path(path)
+    try:
+        return _parse_key_values(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not valid UTF-8") from None

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from sennap.encoding import EncodingSpec, encode_dataset, fit_normalizers
-from sennap.eventlog import Case, Event, build_log, generate_prefixes, split_chronological
+from sennap.errors import LogParseError
+from sennap.eventlog import Case, Event, EventLog, generate_prefixes, split_chronological
 from sennap.training import TrainConfig, fit
 
 # transition table: activity -> ((successor, probability), ...); None = case end
@@ -53,6 +55,21 @@ def make_markov_cases(n_cases: int, seed: int = 11) -> list[Case]:
             current = nxt
         cases.append(Case(case_id, tuple(events)))
     return cases
+
+
+def build_log(cases: Sequence[Case]) -> EventLog:
+    """Assemble an EventLog from ready-made cases (vocabulary in first-appearance order)."""
+    if not cases:
+        raise LogParseError("event log contains no cases")
+    vocabulary: dict[str, int] = {}
+    event_count = 0
+    for case in cases:
+        for event in case.events:
+            if event.activity not in vocabulary:
+                vocabulary[event.activity] = len(vocabulary)
+            event_count += 1
+    k = max(len(case) for case in cases)
+    return EventLog(tuple(cases), vocabulary, k, len(cases), event_count)
 
 
 def write_markov_csv(path: Path, n_cases: int, seed: int = 11):

@@ -37,10 +37,8 @@ from sennap.neural import (
     init_lstm,
     batch_norm,
     l1_batch_mean,
-    lstm_cell_step,
     lstm_layer,
     mae_loss,
-    max_rel_error,
     mul,
     softmax_cross_entropy,
 )
@@ -54,6 +52,8 @@ from sennap.training import (
     load_checkpoint,
     save_checkpoint,
 )
+
+from oracles import lstm_cell_step, max_rel_error
 
 HELPDESK_ENV = "SENNAP_HELPDESK_CSV"
 CACHE_ENV = "SENNAP_ACCEPT_DIR"

@@ -329,6 +329,8 @@ class TestCliErrors:
             ("manifest-key", "manifest.txt"),
             ("encoding-file", "encoding.txt"),
             ("encoding-number", "encoding.txt"),
+            ("encoding-nan", "encoding.txt"),
+            ("encoding-labels", "encoding.txt"),
         ],
     )
     def test_damaged_prepare_directory(self, workdir, tmp_path, capsys, damage, named):
@@ -341,8 +343,13 @@ class TestCliErrors:
         elif damage == "encoding-file":
             (prep / "encoding.txt").unlink()
         else:
+            key, value = {
+                "encoding-number": ("mean_since_prev", "abc"),
+                "encoding-nan": ("mean_since_first", "nan"),
+                "encoding-labels": ("vocab", '["a", "a", "b", "c", "d"]'),
+            }[damage]
             encoding = read_manifest(prep / "encoding.txt")
-            encoding["mean_since_prev"] = "abc"
+            encoding[key] = value
             write_manifest(prep / "encoding.txt", encoding)
         for argv in (["train", "--mode", "baseline", "--epochs", "1"],
                      ["explain", "--method", "selfexplain"]):
@@ -350,6 +357,44 @@ class TestCliErrors:
             assert code == 1
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
+
+    @pytest.mark.parametrize(
+        "damage, argv, named",
+        [
+            ("summary-file", ["report"], "selfexplain.summary.txt"),
+            ("summary-number", ["report"], "selfexplain.summary.txt"),
+            ("explanation-json", ["verify", "--method", "selfexplain"], "jsonl: line 2"),
+            ("explanation-key", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("explanation-utf8", ["verify", "--method", "selfexplain"], "jsonl: line 3"),
+        ],
+        ids=["summary-file", "summary-number", "explanation-json", "explanation-key",
+             "explanation-utf8"],
+    )
+    def test_damaged_run_files(self, workdir, tmp_path, capsys, damage, argv, named):
+        out = _copy_runs(workdir, tmp_path)
+        summary = out / "verification" / "selfexplain.summary.txt"
+        records = out / "explanations" / "selfexplain.jsonl"
+        lines = records.read_text().splitlines()
+        if damage == "summary-file":
+            summary.unlink()
+        elif damage == "summary-number":
+            entries = read_manifest(summary)
+            entries["delta"] = "abc"
+            write_manifest(summary, entries)
+        elif damage == "explanation-json":
+            lines[1] = lines[1][:-1]
+            records.write_text("\n".join(lines) + "\n")
+        elif damage == "explanation-key":
+            first = json.loads(lines[0])
+            del first["method"]
+            lines[0] = json.dumps(first)
+            records.write_text("\n".join(lines) + "\n")
+        else:
+            records.write_bytes("\n".join(lines[:2]).encode() + b"\n\xff\n")
+        code = main([*argv, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
 
     def test_small_grid_again_loads_every_cell(self, workdir, tmp_path, capsys):
         out = _copy_runs(workdir, tmp_path)

@@ -12,9 +12,9 @@ from sennap.encoding import (
     fit_normalizers,
 )
 from sennap.errors import EncodingError
-from sennap.eventlog import Case, Event, build_log, generate_prefixes
+from sennap.eventlog import Case, Event, generate_prefixes
 
-from conftest import make_markov_cases
+from conftest import build_log, make_markov_cases
 
 MONDAY_MIDNIGHT = 345600  # 1970-01-05T00:00:00Z
 
@@ -150,3 +150,14 @@ class TestFlatIndexing:
     def test_metadata_round_trip(self):
         spec = _spec(vocab=("x", "y"), k=7, mean_first=123.456, mean_prev=0.789)
         assert EncodingSpec.from_metadata(spec.to_metadata()) == spec
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mean_since_first", "nan"), ("mean_since_prev", "inf"), ("vocab", '["a", "a"]')],
+        ids=["nan-mean", "inf-mean", "duplicate-label"],
+    )
+    def test_metadata_with_invalid_values_rejected(self, key, value):
+        meta = _spec().to_metadata()
+        meta[key] = value
+        with pytest.raises(EncodingError):
+            EncodingSpec.from_metadata(meta)

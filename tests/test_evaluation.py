@@ -51,7 +51,7 @@ class TestAccuracy:
         spec, _, _, test_eval = toy_data
         majority = max(
             float(np.mean(test_eval.y_activity == c))
-            for c in range(spec.n_classes)
+            for c in range(spec.vocab_size + 1)
         )
         assert accuracy(baseline_ckpt.params, test_eval) > majority
 

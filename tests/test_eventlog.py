@@ -10,13 +10,12 @@ from sennap.eventlog import (
     Case,
     ColumnMap,
     Event,
-    build_log,
     generate_prefixes,
     parse_csv,
     split_chronological,
 )
 
-from conftest import make_markov_cases
+from conftest import build_log, make_markov_cases, write_markov_csv
 
 
 def _write(tmp_path, text, name="log.csv"):
@@ -64,8 +63,23 @@ class TestParseCsv:
         log = parse_csv(path)
         assert log.vocabulary == {"z": 0, "a": 1, "m": 2}
 
-    def test_vocabulary_is_bijection_onto_range(self):
-        log = build_log(make_markov_cases(40, seed=5))
+    def test_vocabulary_follows_file_order_on_interleaved_rows(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "case,activity,timestamp\n"
+            "c1,b,200\n"
+            "c2,c,50\n"
+            "c1,a,100\n",
+        )
+        log = parse_csv(path)
+        assert [e.activity for e in log.cases[0].events] == ["a", "b"]
+        assert log.vocabulary == {"b": 0, "c": 1, "a": 2}
+        # case-then-time order would give another vocabulary
+        assert build_log(log.cases).vocabulary == {"a": 0, "b": 1, "c": 2}
+
+    def test_vocabulary_is_bijection_onto_range(self, tmp_path):
+        write_markov_csv(tmp_path / "log.csv", 40, seed=5)
+        log = parse_csv(tmp_path / "log.csv")
         indices = sorted(log.vocabulary.values())
         assert indices == list(range(len(log.vocabulary)))
 

@@ -20,8 +20,8 @@ from sennap.selfexplain import (
     subset_mask,
 )
 
-from conftest import make_markov_cases
-from sennap.eventlog import build_log, generate_prefixes
+from conftest import build_log, make_markov_cases
+from sennap.eventlog import generate_prefixes
 from sennap.encoding import encode_dataset
 
 

@@ -330,6 +330,22 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    def test_non_finite_normalizer_in_metadata_rejected(self, senn_blob, tmp_path):
+        _, blob = senn_blob
+        start = len(CHECKPOINT_MAGIC) + 12
+        (meta_len,) = struct.unpack_from("<Q", blob, start - 8)
+        lines = blob[start : start + meta_len].decode("utf-8").splitlines()
+        meta = "".join(
+            ("mean_since_first=nan" if line.startswith("mean_since_first=") else line) + "\n"
+            for line in lines
+        ).encode("utf-8")
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            blob[: start - 8] + struct.pack("<Q", len(meta)) + meta + blob[start + meta_len :]
+        )
+        with pytest.raises(CheckpointError, match="normalizer means"):
+            load_checkpoint(path)
+
 
     @staticmethod
     def _sections(blob: bytes) -> dict[str, tuple[tuple[int, ...], int, int]]:
