@@ -1,9 +1,11 @@
 """Command-line pipeline: prepare, train, gridsearch, explain, verify, report.
 
-Configuration comes from UTF-8 key=value files plus flags (flags win); every
-command echoes its effective values into a manifest so runs can be audited
-and reproduced.  Commands are idempotent for a fixed config and seed, modulo
-recorded wall times in explanation files.
+Configuration comes from UTF-8 key=value files plus flags (flags win);
+`OPTIONS` declares every option once, with its type, default and help.
+`prepare`, `train` and `gridsearch` write a manifest next to their outputs and
+`verify` a summary; `explain` and `report` write only their records.  Commands
+are idempotent for a fixed config and seed, modulo recorded wall times in
+explanation files.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,56 +40,91 @@ from .training import (
     grid_search,
     load_checkpoint,
     read_manifest,
+    read_text,
     save_checkpoint,
     write_manifest,
 )
 
 
+class Option(NamedTuple):
+    kind: type | tuple[str, ...]  # the cast for a value, or its allowed values
+    default: object               # None: the command says what happens without it
+    help: str
+
+
+_TRAIN, _ANCHOR, _COLUMNS = TrainConfig(), AnchorConfig(), ColumnMap()
+
+# every option except --config; the flag is --name with '-' for '_', the file key is name
+OPTIONS = {
+    "out": Option(str, "runs", "output directory"),
+    "seed": Option(int, _TRAIN.seed, "global seed"),
+    "data": Option(str, None, "event-log CSV path (required)"),
+    "case_col": Option(str, _COLUMNS.case, "case id column name"),
+    "activity_col": Option(str, _COLUMNS.activity, "activity column name"),
+    "timestamp_col": Option(str, _COLUMNS.timestamp, "timestamp column name"),
+    "mode": Option(("baseline", "selfexplain"), _TRAIN.mode, "model to train"),
+    "lr": Option(float, _TRAIN.learning_rate, "learning rate"),
+    "xi": Option(float, _TRAIN.xi, "cardinality coefficient"),
+    "lam": Option(float, _TRAIN.lam, "faithfulness coefficient"),
+    "tau": Option(float, _TRAIN.tau, "selection threshold"),
+    "epochs": Option(int, _TRAIN.max_epochs, "max epochs"),
+    "batch_size": Option(int, _TRAIN.batch_size, "minibatch size"),
+    "patience": Option(int, _TRAIN.patience, "early-stopping patience"),
+    "grid": Option(("full", "small"), "full", "hyperparameter grid over lr and xi"),
+    "delta": Option(float, _ANCHOR.precision_threshold, "sufficiency (precision) threshold"),
+    "samples": Option(int, _ANCHOR.n_samples, "Monte-Carlo samples per estimate"),
+    "eval_limit": Option(int, 200, "instances per grid cell for faithfulness"),
+    "method": Option(("selfexplain", "posthoc"), "selfexplain", "explanation method"),
+    "checkpoint": Option(str, None, "checkpoint path; without it, the method's model under --out"),
+    "limit": Option(int, 200, "instance budget"),
+    "timeout": Option(float, _ANCHOR.timeout_s, "post-hoc seconds per instance"),
+    "threads": Option(int, 1, "instance-level parallelism"),
+}
+
+
 def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    file = Path(path)
-    if not file.exists():
-        raise ConfigError(f"config file {path!r} does not exist")
     out: dict[str, str] = {}
-    for line in file.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"config line without '=': {line!r}")
-        out[key.strip()] = value.strip()
+            raise ConfigError(f"{path}: config line without '=': {line!r}")
+        key = key.strip()
+        # checked against every option, so one file can serve every command
+        if key not in OPTIONS:
+            raise ConfigError(f"{path}: unknown config key {key!r}")
+        out[key] = value.strip()
     return out
 
 
 class Settings:
-    """Effective option values: CLI flag > config file > default."""
+    """Effective option values: CLI flag > config file > `OPTIONS` default."""
 
     def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
+        self.args = vars(args)  # holds a key for each option of the running command
         self.file = _load_config_file(self.args.get("config"))
 
-    def get(self, key: str, default, cast=str):
-        flag = self.args.get(key)
+    def get(self, name: str):
+        flag = self.args.get(name)
         if flag is not None:
             return flag
-        if key in self.file:
+        kind, default, _ = OPTIONS[name]
+        if name not in self.file:
+            return default
+        value = self.file[name]
+        if isinstance(kind, tuple):
+            if value in kind:
+                return value
+        else:
             try:
-                return cast(self.file[key])
+                return kind(value)
             except ValueError:
-                raise ConfigError(
-                    f"config key {key!r} has invalid value {self.file[key]!r}"
-                ) from None
-        return default
-
-
-def _columns(settings: Settings) -> ColumnMap:
-    return ColumnMap(
-        case=settings.get("case_col", "case"),
-        activity=settings.get("activity_col", "activity"),
-        timestamp=settings.get("timestamp_col", "timestamp"),
-    )
+                pass
+        raise ConfigError(f"config key {name!r} has invalid value {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +144,7 @@ def _read_split(path: Path, log) -> SplitSpec:
         raise ConfigError(f"missing split file {path}; run `prepare` first")
     by_id = {case.case_id: case for case in log.cases}
     parts: dict[str, list] = {"train": [], "validation": [], "test": []}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         part, _, case_id = line.partition("\t")
         if part not in parts:
             raise ConfigError(f"{path}: line {line_no}: unknown split part {part!r}")
@@ -191,7 +229,7 @@ def _checkpoint_path(path: str | None, out_dir: Path, method: str) -> Path:
 
 
 def _threads(settings: Settings) -> int:
-    threads = settings.get("threads", 1, int)
+    threads = settings.get("threads")
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     return threads
@@ -203,22 +241,32 @@ def _write_jsonl(path: Path, records):
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _read_explanations(path: Path) -> list[Explanation]:
-    if not path.exists():
-        raise ConfigError(f"missing {path}")
+def _read_explanations(path: Path, n_features: int) -> list[Explanation]:
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
     explanations = []
     # json.loads decodes each line's bytes, so a line that is not UTF-8 is named like any other
-    for line_no, line in enumerate(path.read_bytes().splitlines(), 1):
+    for line_no, line in enumerate(data.splitlines(), 1):
         if not line:
             continue
         try:
-            explanations.append(Explanation.from_record(json.loads(line)))
+            explanation = Explanation.from_record(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {line_no}: not JSON ({exc.msg})") from None
         except KeyError as exc:
             raise ConfigError(f"{path}: line {line_no}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, AttributeError) as exc:  # AttributeError: not an object
             raise ConfigError(f"{path}: line {line_no}: malformed record ({exc})") from None
+        # bool is a subclass of int, so the exact type test also rejects true and false
+        for index in explanation.indices + (explanation.best_indices or ()):
+            if type(index) is not int or not 0 <= index < n_features:
+                raise ConfigError(
+                    f"{path}: line {line_no}: feature index {index!r} is not an integer "
+                    f"in 0..{n_features - 1}"
+                )
+        explanations.append(explanation)
     return explanations
 
 
@@ -229,14 +277,18 @@ def _read_explanations(path: Path) -> list[Explanation]:
 
 def cmd_prepare(args) -> int:
     settings = Settings(args)
-    data = settings.get("data", None)
+    data = settings.get("data")
     if not data:
         raise ConfigError("prepare needs --data (or data= in the config file)")
-    out_dir = Path(settings.get("out", "runs"))
-    seed = settings.get("seed", 7, int)
+    out_dir = Path(settings.get("out"))
+    seed = settings.get("seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    columns = _columns(settings)
+    columns = ColumnMap(
+        case=settings.get("case_col"),
+        activity=settings.get("activity_col"),
+        timestamp=settings.get("timestamp_col"),
+    )
 
     log = parse_csv(data, columns)
     split = split_chronological(log)
@@ -279,25 +331,25 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _train_config(settings: Settings, mode: str) -> TrainConfig:
-    return TrainConfig(
-        mode=mode,
-        learning_rate=settings.get("lr", 0.002, float),
-        xi=settings.get("xi", 0.0, float),
-        lam=settings.get("lam", 1.0, float),
-        tau=settings.get("tau", 0.5, float),
-        batch_size=settings.get("batch_size", 64, int),
-        max_epochs=settings.get("epochs", 150, int),
-        patience=settings.get("patience", 20, int),
-        seed=settings.get("seed", 7, int),
-    )
+# the TrainConfig field each training option fills
+_TRAIN_FIELDS = {
+    "mode": "mode", "lr": "learning_rate", "xi": "xi", "lam": "lam", "tau": "tau",
+    "epochs": "max_epochs", "batch_size": "batch_size", "patience": "patience", "seed": "seed",
+}
+
+
+def _train_config(settings: Settings, **fixed) -> TrainConfig:
+    """Fields the running command has no option for keep `TrainConfig`'s defaults."""
+    fields = {
+        field: settings.get(name) for name, field in _TRAIN_FIELDS.items() if name in settings.args
+    }
+    return TrainConfig(**fields, **fixed)
 
 
 def cmd_train(args) -> int:
     settings = Settings(args)
-    out_dir = Path(settings.get("out", "runs"))
-    mode = settings.get("mode", "baseline")
-    config = _train_config(settings, mode)
+    out_dir = Path(settings.get("out"))
+    config = _train_config(settings)
     prepared = Prepared(out_dir)
 
     train_set = prepared.dataset("train", "train")
@@ -306,7 +358,7 @@ def cmd_train(args) -> int:
 
     models = out_dir / "models"
     models.mkdir(parents=True, exist_ok=True)
-    path = models / f"{mode}.ckpt"
+    path = models / f"{config.mode}.ckpt"
     save_checkpoint(ckpt, path)
     history = json.dumps(
         [
@@ -315,7 +367,7 @@ def cmd_train(args) -> int:
         ]
     )
     write_manifest(
-        models / f"{mode}.manifest.txt",
+        models / f"{config.mode}.manifest.txt",
         {
             **{f"config.{k}": v for k, v in vars(config).items()},
             "best_epoch": ckpt.best_epoch,
@@ -336,14 +388,12 @@ def cmd_train(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     settings = Settings(args)
-    out_dir = Path(settings.get("out", "runs"))
-    grid = settings.get("grid", "full")
-    if grid not in ("full", "small"):
-        raise ConfigError(f"--grid must be full or small, got {grid!r}")
-    config = _train_config(settings, "selfexplain")
-    delta = settings.get("delta", 0.95, float)
-    samples = settings.get("samples", 100, int)
-    limit = settings.get("eval_limit", 200, int)
+    out_dir = Path(settings.get("out"))
+    grid = settings.get("grid")
+    config = _train_config(settings, mode="selfexplain")
+    delta = settings.get("delta")
+    samples = settings.get("samples")
+    limit = settings.get("eval_limit")
     prepared = Prepared(out_dir)
 
     train_set = prepared.dataset("train", "train")
@@ -393,17 +443,15 @@ def cmd_gridsearch(args) -> int:
 
 def cmd_explain(args) -> int:
     settings = Settings(args)
-    out_dir = Path(settings.get("out", "runs"))
-    method = settings.get("method", "selfexplain")
-    if method not in ("selfexplain", "posthoc"):
-        raise ConfigError(f"--method must be selfexplain or posthoc, got {method!r}")
-    limit = settings.get("limit", 200, int)
+    out_dir = Path(settings.get("out"))
+    method = settings.get("method")
+    limit = settings.get("limit")
     if limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {limit}")
-    seed = settings.get("seed", 7, int)
+    seed = settings.get("seed")
     threads = _threads(settings)
     prepared = Prepared(out_dir)
-    ckpt = load_checkpoint(_checkpoint_path(settings.get("checkpoint", None), out_dir, method))
+    ckpt = load_checkpoint(_checkpoint_path(settings.get("checkpoint"), out_dir, method))
     _check_spec(ckpt, prepared.spec)
 
     test_set = prepared.dataset("test", "eval")
@@ -415,9 +463,9 @@ def cmd_explain(args) -> int:
         )
     else:
         anchor = AnchorConfig(
-            precision_threshold=settings.get("delta", 0.95, float),
-            n_samples=settings.get("samples", 100, int),
-            timeout_s=settings.get("timeout", 600.0, float),
+            precision_threshold=settings.get("delta"),
+            n_samples=settings.get("samples"),
+            timeout_s=settings.get("timeout"),
             seed=seed,
         )
         explanations = explain_posthoc(
@@ -439,18 +487,20 @@ def cmd_explain(args) -> int:
 
 def cmd_verify(args) -> int:
     settings = Settings(args)
-    out_dir = Path(settings.get("out", "runs"))
-    method = settings.get("method", "selfexplain")
-    delta = settings.get("delta", 0.95, float)
-    samples = settings.get("samples", 100, int)
-    seed = settings.get("seed", 7, int)
+    out_dir = Path(settings.get("out"))
+    method = settings.get("method")
+    delta = settings.get("delta")
+    samples = settings.get("samples")
+    seed = settings.get("seed")
     threads = _threads(settings)
     prepared = Prepared(out_dir)
-    ckpt_path = _checkpoint_path(settings.get("checkpoint", None), out_dir, method)
+    ckpt_path = _checkpoint_path(settings.get("checkpoint"), out_dir, method)
     ckpt = load_checkpoint(ckpt_path)
     _check_spec(ckpt, prepared.spec)
 
-    explanations = _read_explanations(out_dir / "explanations" / f"{method}.jsonl")
+    explanations = _read_explanations(
+        out_dir / "explanations" / f"{method}.jsonl", prepared.spec.n_features
+    )
     test_set = prepared.dataset("test", "eval")
     verified = verify_explanations(
         ckpt.params, test_set, explanations, prepared.sampler(),
@@ -473,7 +523,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     settings = Settings(args)
-    out_dir = Path(settings.get("out", "runs"))
+    out_dir = Path(settings.get("out"))
     prepared = Prepared(out_dir)
     test_set = prepared.dataset("test", "eval")
     row_of = {iid: i for i, iid in enumerate(test_set.ids)}
@@ -484,13 +534,13 @@ def cmd_report(args) -> int:
         path = out_dir / "verification" / f"{method}.jsonl"
         if not path.exists():
             continue
-        explanations = _read_explanations(path)
+        explanations = _read_explanations(path, prepared.spec.n_features)
         summary_path = out_dir / "verification" / f"{method}.summary.txt"
         summary_kv = read_manifest(summary_path)
         try:
-            delta = float(summary_kv.get("delta", 0.95))
-            n_samples = int(summary_kv.get("n_samples", 100))
-            seed = int(summary_kv.get("seed", 7))
+            delta = float(summary_kv.get("delta", OPTIONS["delta"].default))
+            n_samples = int(summary_kv.get("n_samples", OPTIONS["samples"].default))
+            seed = int(summary_kv.get("seed", OPTIONS["seed"].default))
         except ValueError as exc:
             raise ConfigError(f"{summary_path}: malformed value ({exc})") from None
         # the model `verify` used; summaries written before the path was recorded
@@ -531,10 +581,23 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--out", help="output directory (default: runs)")
-    sub.add_argument("--seed", type=int, help="global seed (default: 7)")
+# option groups: every command's, the two training commands', the two explanation commands'
+_COMMON = ("out", "seed")
+_FIT = ("lam", "tau", "epochs", "batch_size", "patience")
+_MODEL = ("method", "checkpoint", "delta", "samples", "threads")
+
+# command: (handler, help, option names)
+COMMANDS = {
+    "prepare": (cmd_prepare, "parse, split, and fit the encoding",
+                (*_COMMON, "data", "case_col", "activity_col", "timestamp_col")),
+    "train": (cmd_train, "train one model", (*_COMMON, "mode", "lr", "xi", *_FIT)),
+    "gridsearch": (cmd_gridsearch, "hyperparameter grid over lr and xi",
+                   (*_COMMON, "grid", *_FIT, "delta", "samples", "eval_limit")),
+    "explain": (cmd_explain, "generate explanations on the test split",
+                (*_COMMON, *_MODEL, "limit", "timeout")),
+    "verify": (cmd_verify, "verify explanation sufficiency", (*_COMMON, *_MODEL)),
+    "report": (cmd_report, "aggregate tables and example renderings", _COMMON),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,65 +606,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate self-explaining next-activity predictors.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("prepare", help="parse, split, and fit the encoding")
-    _add_common(p)
-    p.add_argument("--data", help="event-log CSV path")
-    p.add_argument("--case-col", dest="case_col", help="case id column name")
-    p.add_argument("--activity-col", dest="activity_col", help="activity column name")
-    p.add_argument("--timestamp-col", dest="timestamp_col", help="timestamp column name")
-    p.set_defaults(func=cmd_prepare)
-
-    p = commands.add_parser("train", help="train one model")
-    _add_common(p)
-    p.add_argument("--mode", choices=("baseline", "selfexplain"))
-    p.add_argument("--lr", type=float, help="learning rate (default: 0.002)")
-    p.add_argument("--xi", type=float, help="cardinality coefficient (default: 0)")
-    p.add_argument("--lam", type=float, help="faithfulness coefficient (default: 1)")
-    p.add_argument("--tau", type=float, help="selection threshold (default: 0.5)")
-    p.add_argument("--epochs", type=int, help="max epochs (default: 150)")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--patience", type=int, help="early-stopping patience (default: 20)")
-    p.set_defaults(func=cmd_train)
-
-    p = commands.add_parser("gridsearch", help="hyperparameter grid over lr and xi")
-    _add_common(p)
-    p.add_argument("--grid", choices=("full", "small"))
-    p.add_argument("--lam", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--delta", type=float, help="sufficiency threshold (default: 0.95)")
-    p.add_argument("--samples", type=int, help="verification samples (default: 100)")
-    p.add_argument("--eval-limit", dest="eval_limit", type=int,
-                   help="instances per cell for faithfulness (default: 200)")
-    p.set_defaults(func=cmd_gridsearch)
-
-    p = commands.add_parser("explain", help="generate explanations on the test split")
-    _add_common(p)
-    p.add_argument("--method", choices=("selfexplain", "posthoc"))
-    p.add_argument("--checkpoint", help="checkpoint path (default per method)")
-    p.add_argument("--limit", type=int, help="instance budget (default: 200)")
-    p.add_argument("--timeout", type=float, help="post-hoc seconds per instance (default: 600)")
-    p.add_argument("--delta", type=float, help="post-hoc precision threshold (default: 0.95)")
-    p.add_argument("--samples", type=int, help="post-hoc samples per estimate (default: 100)")
-    p.add_argument("--threads", type=int, help="instance-level parallelism (default: 1)")
-    p.set_defaults(func=cmd_explain)
-
-    p = commands.add_parser("verify", help="verify explanation sufficiency")
-    _add_common(p)
-    p.add_argument("--method", choices=("selfexplain", "posthoc"))
-    p.add_argument("--checkpoint", help="checkpoint path (default per method)")
-    p.add_argument("--delta", type=float, help="sufficiency threshold (default: 0.95)")
-    p.add_argument("--samples", type=int, help="samples per instance (default: 100)")
-    p.add_argument("--threads", type=int)
-    p.set_defaults(func=cmd_verify)
-
-    p = commands.add_parser("report", help="aggregate tables and example renderings")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
-
+    for name, (handler, summary, options) in COMMANDS.items():
+        sub = commands.add_parser(name, help=summary)
+        sub.add_argument("--config", help="key=value config file; flags override it")
+        for option in options:
+            kind, default, text = OPTIONS[option]
+            if default is not None:
+                text += f" (default: {default})"
+            parse_as = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sub.add_argument("--" + option.replace("_", "-"), help=text, **parse_as)
+        sub.set_defaults(func=handler)
     return parser
 
 

@@ -600,7 +600,11 @@ MAX_SECTION_RANK = 2
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint container back into live model parameters."""
-    return _parse_checkpoint(Path(path).read_bytes(), path)
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read ({exc.strerror})") from None
+    return _parse_checkpoint(data, path)
 
 
 def _parse_checkpoint(data: bytes, path: str | Path) -> Checkpoint:
@@ -699,12 +703,16 @@ def write_manifest(path: str | Path, entries: dict[str, object]):
     Path(path).write_text(_key_values(entries), encoding="utf-8")
 
 
-def read_manifest(path: str | Path) -> dict[str, str]:
-    """Read a `write_manifest` file; an unreadable file is a `ConfigError` naming it."""
-    path = Path(path)
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file; an unreadable or undecodable file is a `ConfigError` naming it."""
     try:
-        return _parse_key_values(path.read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not valid UTF-8") from None
+
+
+def read_manifest(path: str | Path) -> dict[str, str]:
+    """Read a `write_manifest` file; an unreadable file is a `ConfigError` naming it."""
+    return _parse_key_values(read_text(path))

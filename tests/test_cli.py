@@ -3,14 +3,27 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sennap.cli import Prepared, main
+import sennap
+from sennap.cli import COMMANDS, OPTIONS, Prepared, Settings, build_parser, main
 from sennap.evaluation import accuracy
-from sennap.training import load_checkpoint, read_manifest, save_checkpoint, write_manifest
+from sennap.eventlog import ColumnMap
+from sennap.posthoc import AnchorConfig
+from sennap.training import (
+    TrainConfig,
+    load_checkpoint,
+    read_manifest,
+    save_checkpoint,
+    write_manifest,
+)
 
 from conftest import write_markov_csv
 
@@ -366,9 +379,21 @@ class TestCliErrors:
             ("explanation-json", ["verify", "--method", "selfexplain"], "jsonl: line 2"),
             ("explanation-key", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
             ("explanation-utf8", ["verify", "--method", "selfexplain"], "jsonl: line 3"),
+            ("explanation-list", ["verify", "--method", "selfexplain"], "jsonl: line 2"),
+            ("index-large", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("index-negative", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("index-float", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("index-bool", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("best-index-large", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("verified-index-large", ["report"], "jsonl: line 1"),
+            ("explanation-missing", ["verify", "--method", "selfexplain"], "selfexplain.jsonl"),
+            ("explanation-directory", ["verify", "--method", "selfexplain"], "selfexplain.jsonl"),
+            ("split-utf8", ["verify", "--method", "selfexplain"], "split.txt"),
         ],
         ids=["summary-file", "summary-number", "explanation-json", "explanation-key",
-             "explanation-utf8"],
+             "explanation-utf8", "explanation-list", "index-large", "index-negative", "index-float",
+             "index-bool", "best-index-large", "verified-index-large",
+             "explanation-missing", "explanation-directory", "split-utf8"],
     )
     def test_damaged_run_files(self, workdir, tmp_path, capsys, damage, argv, named):
         out = _copy_runs(workdir, tmp_path)
@@ -389,8 +414,34 @@ class TestCliErrors:
             del first["method"]
             lines[0] = json.dumps(first)
             records.write_text("\n".join(lines) + "\n")
-        else:
+        elif damage == "explanation-utf8":
             records.write_bytes("\n".join(lines[:2]).encode() + b"\n\xff\n")
+        elif damage == "explanation-list":
+            lines[1] = "[1, 2]"
+            records.write_text("\n".join(lines) + "\n")
+        elif damage.startswith("explanation-"):  # missing or directory
+            records.unlink()
+            if damage == "explanation-directory":
+                records.mkdir()
+        elif damage == "split-utf8":
+            with (out / "prepare" / "split.txt").open("ab") as handle:
+                handle.write(b"\xff\n")
+        else:
+            key, value = {
+                "index-large": ("indices", [1000000]),
+                "index-negative": ("indices", [-1]),
+                "index-float": ("indices", [1.5]),
+                "index-bool": ("indices", [True]),
+                "best-index-large": ("best_indices", [1000000]),
+                "verified-index-large": ("indices", [1000000]),
+            }[damage]
+            if damage.startswith("verified"):
+                records = out / "verification" / "selfexplain.jsonl"
+                lines = records.read_text().splitlines()
+            first = json.loads(lines[0])
+            first[key] = value
+            lines[0] = json.dumps(first)
+            records.write_text("\n".join(lines) + "\n")
         code = main([*argv, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
@@ -410,6 +461,14 @@ class TestCliErrors:
         assert runs[0][1] == runs[1][1]
         assert len(list((out / "models" / "cells").glob("*.ckpt"))) == 10
         assert not list((out / "models").rglob("cell_*.ckpt"))
+
+    def test_checkpoint_directory(self, workdir, tmp_path, capsys):
+        out = _copy_runs(workdir, tmp_path)
+        code = main(["explain", "--out", str(out), "--method", "selfexplain",
+                     "--checkpoint", str(out / "models")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(out / "models") in err[0], err
 
     def test_unprepared_directory(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "none"), "--mode", "baseline"]) == 1
@@ -491,3 +550,138 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("data no equals sign\n", encoding="utf-8")
         assert main(["prepare", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_file(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "not-utf8":
+            cfg.write_bytes(b"seed=3\n\xff\n")
+        assert main(["prepare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(cfg) in err[0], err
+
+    def test_unknown_key_rejected_before_training(self, workdir, tmp_path, capsys):
+        out = _copy_runs(workdir, tmp_path)
+        before = _tree_bytes(out)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("learning_rate=0.5\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(out), "--mode", "baseline",
+                     "--epochs", "1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "'learning_rate'" in err[0] and str(cfg) in err[0]
+        assert _tree_bytes(out) == before
+
+    def test_one_file_serves_prepare_and_train(self, tmp_path):
+        csv_path = tmp_path / "log.csv"
+        write_markov_csv(csv_path, n_cases=12, seed=3)
+        out = tmp_path / "runs"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"data={csv_path}\nout={out}\nseed=4\nmode=baseline\nepochs=1\nlr=0.01\n",
+            encoding="utf-8",
+        )
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        manifest = read_manifest(out / "models" / "baseline.manifest.txt")
+        assert manifest["config.learning_rate"] == "0.01"
+        assert manifest["config.max_epochs"] == "1"
+        assert manifest["config.seed"] == "4"
+
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [
+            (["train"], "lr=abc"),
+            (["train"], "mode=both"),
+            (["gridsearch"], "grid=medium"),
+            (["explain"], "method=lime"),
+            (["verify"], "method=lime"),
+        ],
+        ids=["train-lr", "train-mode", "gridsearch-grid", "explain-method", "verify-method"],
+    )
+    def test_invalid_file_values(self, workdir, tmp_path, capsys, argv, entry):
+        out = _copy_runs(workdir, tmp_path)
+        before = _tree_bytes(out)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n", encoding="utf-8")
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        key, value = entry.split("=")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"config key {key!r} has invalid value {value!r}" in err[0], err
+        assert _tree_bytes(out) == before
+
+    def test_gridsearch_reads_no_lr_or_xi(self, workdir, tmp_path, capsys):
+        # the grid sets both per cell, so file values for them are not read
+        out = _copy_runs(workdir, tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr=abc\nxi=abc\n", encoding="utf-8")
+        assert main(["gridsearch", "--config", str(cfg), "--out", str(out), "--seed", "5",
+                     "--grid", "small", "--epochs", "1", "--eval-limit", "1",
+                     "--samples", "5"]) == 0
+
+
+# the config field each option fills; options missing here exist only in the CLI
+_FIELDS = {
+    "seed": [(TrainConfig, "seed"), (AnchorConfig, "seed")],
+    "case_col": [(ColumnMap, "case")],
+    "activity_col": [(ColumnMap, "activity")],
+    "timestamp_col": [(ColumnMap, "timestamp")],
+    "mode": [(TrainConfig, "mode")],
+    "lr": [(TrainConfig, "learning_rate")],
+    "xi": [(TrainConfig, "xi")],
+    "lam": [(TrainConfig, "lam")],
+    "tau": [(TrainConfig, "tau")],
+    "epochs": [(TrainConfig, "max_epochs")],
+    "batch_size": [(TrainConfig, "batch_size")],
+    "patience": [(TrainConfig, "patience")],
+    "delta": [(AnchorConfig, "precision_threshold")],
+    "samples": [(AnchorConfig, "n_samples")],
+    "timeout": [(AnchorConfig, "timeout_s")],
+}
+_CLI_DEFAULTS = {
+    "out": "runs", "data": None, "grid": "full", "method": "selfexplain", "checkpoint": None,
+    "limit": 200, "eval_limit": 200, "threads": 1,
+}
+_PAIRS = [(command, name) for command, (_, _, names) in COMMANDS.items() for name in names]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command, name", _PAIRS, ids=[f"{c}-{n}" for c, n in _PAIRS])
+    def test_flag_file_and_default_resolve_alike(self, tmp_path, command, name):
+        kind, default, _ = OPTIONS[name]
+        if isinstance(kind, tuple):
+            text = next(value for value in kind if value != default)
+        else:
+            text = {int: "3", float: "0.25", str: "other"}[kind]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name}={text}\n", encoding="utf-8")
+        parser = build_parser()
+        flag = Settings(parser.parse_args([command, "--" + name.replace("_", "-"), text]))
+        file = Settings(parser.parse_args([command, "--config", str(cfg)]))
+        neither = Settings(parser.parse_args([command]))
+        assert flag.get(name) == file.get(name) != default
+        assert type(flag.get(name)) is type(file.get(name))
+        assert neither.get(name) == default
+        if name in _FIELDS:
+            assert all(default == getattr(cls(), field) for cls, field in _FIELDS[name])
+        else:
+            assert default == _CLI_DEFAULTS[name]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_lists_every_default(self, command):
+        env = {**os.environ, "PYTHONPATH": str(Path(sennap.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "sennap.cli", command, "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        text = " ".join(done.stdout.split())
+        for name in COMMANDS[command][2]:
+            flag = "--" + name.replace("_", "-")
+            assert flag in text
+            default = OPTIONS[name].default
+            if default is not None:
+                assert f"(default: {default})" in text, name
