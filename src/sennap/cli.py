@@ -3,9 +3,11 @@
 Configuration comes from UTF-8 key=value files plus flags (flags win);
 `OPTIONS` declares every option once, with its type, default and help.
 `prepare`, `train` and `gridsearch` write a manifest next to their outputs and
-`verify` a summary; `explain` and `report` write only their records.  Commands
-are idempotent for a fixed config and seed, modulo recorded wall times in
-explanation files.
+`verify` a summary; `explain` and `report` write only their records.  `train`
+and `gridsearch` fit in one-BLAS-thread worker processes and keep each fit in
+the cell store `models/cells/`, so a rerun loads what it fitted before.
+Commands are idempotent for a fixed config and seed, modulo recorded wall
+times in explanation files.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .selfexplain import FeatureSampler
 from .training import (
     Checkpoint,
     TrainConfig,
-    fit,
+    fit_cell,
     grid_search,
     load_checkpoint,
     read_manifest,
@@ -247,6 +249,7 @@ def _read_explanations(path: Path, n_features: int) -> list[Explanation]:
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
     explanations = []
+    ids = set()
     # json.loads decodes each line's bytes, so a line that is not UTF-8 is named like any other
     for line_no, line in enumerate(data.splitlines(), 1):
         if not line:
@@ -259,13 +262,23 @@ def _read_explanations(path: Path, n_features: int) -> list[Explanation]:
             raise ConfigError(f"{path}: line {line_no}: missing key {exc}") from None
         except (TypeError, ValueError, AttributeError) as exc:  # AttributeError: not an object
             raise ConfigError(f"{path}: line {line_no}: malformed record ({exc})") from None
+        where = f"{path}: line {line_no}:"
         # bool is a subclass of int, so the exact type test also rejects true and false
         for index in explanation.indices + (explanation.best_indices or ()):
             if type(index) is not int or not 0 <= index < n_features:
                 raise ConfigError(
-                    f"{path}: line {line_no}: feature index {index!r} is not an integer "
-                    f"in 0..{n_features - 1}"
+                    f"{where} feature index {index!r} is not an integer in 0..{n_features - 1}"
                 )
+        instance, scores = explanation.instance_id, explanation.scores
+        if type(instance) is not str:
+            raise ConfigError(f"{where} instance id {instance!r} is not a string")
+        if instance in ids:
+            raise ConfigError(f"{where} instance {instance!r} is repeated")
+        if explanation.status not in ("found", "timeout"):
+            raise ConfigError(f"{where} unknown status {explanation.status!r}")
+        if scores is not None and len(scores) != len(explanation.indices):
+            raise ConfigError(f"{where} {len(scores)} scores for {explanation.size} indices")
+        ids.add(instance)
         explanations.append(explanation)
     return explanations
 
@@ -354,10 +367,11 @@ def cmd_train(args) -> int:
 
     train_set = prepared.dataset("train", "train")
     val_set = prepared.dataset("validation", "train")
-    ckpt = fit(train_set, val_set, prepared.spec, config, log=print)
-
     models = out_dir / "models"
-    models.mkdir(parents=True, exist_ok=True)
+    ckpt, stored = fit_cell(train_set, val_set, prepared.spec, config, models / "cells")
+    for h in ckpt.history:
+        print(f"epoch {h.epoch:3d}  train {h.train['total']:.4f}  val {h.val['total']:.4f}")
+
     path = models / f"{config.mode}.ckpt"
     save_checkpoint(ckpt, path)
     history = json.dumps(
@@ -381,7 +395,7 @@ def cmd_train(args) -> int:
     )
     print(
         f"saved {path} (best epoch {ckpt.best_epoch}, "
-        f"val loss {ckpt.best_val_loss:.4f})"
+        f"val loss {ckpt.best_val_loss:.4f})" + (" (stored)" if stored else "")
     )
     return 0
 

@@ -3,7 +3,13 @@
 Mini-batch Adam with epoch shuffling, early stopping on validation loss, and
 best-epoch parameter selection.  All randomness (init, shuffling, dropout,
 complement sampling) derives from one seed, so identical configurations yield
-byte-identical checkpoints.
+byte-identical checkpoints under the same BLAS thread count.
+
+`fit` trains in the calling process.  `fit_cell` (one model) and
+`grid_search` (one per cell) run it as cells of one job in spawned worker
+processes with one BLAS thread each, so their bytes do not depend on the
+caller's thread settings, and keep every fitted cell in a store keyed by
+everything the fit reads.
 
 Checkpoint container layout (little-endian):
     magic "SENNAPCK" | u32 version | u64 metadata length | metadata UTF-8
@@ -175,7 +181,6 @@ def fit(
     validation: Dataset,
     spec: EncodingSpec,
     config: TrainConfig,
-    log: Callable[[str], None] | None = None,
 ) -> Checkpoint:
     """Train one model; returns the parameters of the best validation epoch."""
     if len(train) == 0 or len(validation) == 0:
@@ -225,11 +230,6 @@ def fit(
         train_stats = {key: value / n for key, value in totals.items()}
         val_stats = _evaluate_loss(params, validation, config, sampler)
         history.append(EpochStats(epoch, train_stats, val_stats))
-        if log:
-            log(
-                f"epoch {epoch:3d}  train {train_stats['total']:.4f}  "
-                f"val {val_stats['total']:.4f}"
-            )
         if val_stats["total"] < best_loss:
             best_loss = val_stats["total"]
             best_params = params.copy()
@@ -348,21 +348,27 @@ def _cell_keys(
 
 
 @dataclass
-class _CellJob:
-    """What every cell of one search reads; each worker receives it once."""
+class _FitJob:
+    """What every cell of one job reads; each worker receives it once."""
 
     train: Dataset
     validation: Dataset
-    selection: Dataset
-    sampler: FeatureSampler
     spec: EncodingSpec
     store: Path | None
+
+
+@dataclass
+class _GridJob(_FitJob):
+    """A grid's job: the cells' fit inputs plus what scoring a cell reads."""
+
+    selection: Dataset
+    sampler: FeatureSampler
     limit: int
     delta: float
     n_samples: int
 
 
-_job: _CellJob | None = None  # set in each worker process by its initializer
+_job: _FitJob | None = None  # set in each worker process by its initializer
 
 
 def _start_worker(path: Path):
@@ -370,31 +376,35 @@ def _start_worker(path: Path):
     _job = pickle.loads(path.read_bytes())
 
 
-def _run_cell(config: TrainConfig, key: str) -> tuple[GridCell, bytes | None, bool]:
-    """A worker's whole job for one cell: load it from the store or fit it, then score it.
+def _load_or_fit(config: TrainConfig, key: str) -> tuple[bytes, bool, Checkpoint]:
+    """A worker's task for one cell: load it from the store, or fit it.
 
-    Returns the cell's record, its checkpoint bytes (None if it failed) and
-    whether it came from the store.  An unreadable stored file is trained
-    again.
+    Returns the checkpoint's bytes, whether they came from the store, and the
+    checkpoint.  An unreadable stored file is fitted again; a failed fit
+    raises `TrainingError`.
     """
-    job = _job
-    ckpt = None
-    if job.store is not None:
-        path = job.store / f"{key}.ckpt"
+    if _job.store is not None:
+        path = _job.store / f"{key}.ckpt"
         try:
             blob = path.read_bytes()
-            ckpt = _parse_checkpoint(blob, path)
+            return blob, True, _parse_checkpoint(blob, path)
         except (FileNotFoundError, CheckpointError):
             pass
-    stored = ckpt is not None
-    if not stored:
-        try:
-            ckpt = fit(job.train, job.validation, job.spec, config)
-        except TrainingError as exc:
-            return GridCell(config.learning_rate, config.xi, "failed", error=str(exc)), None, False
-        blob = _checkpoint_bytes(ckpt)
+    ckpt = fit(_job.train, _job.validation, _job.spec, config)
+    return _checkpoint_bytes(ckpt), False, ckpt
+
+
+def _score_cell(config: TrainConfig, key: str) -> tuple[bytes | None, bool, GridCell]:
+    """A grid worker's task for one cell: `_load_or_fit`, then the cell's record.
+
+    A cell whose fit fails is recorded as failed, with no bytes.
+    """
+    try:
+        blob, stored, ckpt = _load_or_fit(config, key)
+    except TrainingError as exc:
+        return None, False, GridCell(config.learning_rate, config.xi, "failed", error=str(exc))
     acc, faith, size = _cell_metrics(
-        ckpt, job.selection, job.sampler, job.limit, job.delta, job.n_samples
+        ckpt, _job.selection, _job.sampler, _job.limit, _job.delta, _job.n_samples
     )
     cell = GridCell(
         config.learning_rate, config.xi, "ok",
@@ -404,7 +414,7 @@ def _run_cell(config: TrainConfig, key: str) -> tuple[GridCell, bytes | None, bo
         best_val_loss=ckpt.best_val_loss,
         epochs_run=len(ckpt.history),
     )
-    return cell, blob, stored
+    return blob, stored, cell
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -429,20 +439,25 @@ def _one_blas_thread():
                 os.environ[var] = value
 
 
-@contextlib.contextmanager
-def _cell_pool(job: _CellJob, configs: Sequence[TrainConfig], keys: Sequence[str]):
-    """Submit every cell to a spawned pool; yields the futures in plan order.
+def _worker_pool(job: _FitJob, task: Callable, cells: Sequence[tuple[TrainConfig, str]]):
+    """Run `task(config, key)` per cell in spawned workers; yields the results in order.
 
-    The pool has one worker per available CPU, at most one per cell, each
-    with one BLAS thread, and is shut down on exit.  The workers read `job`
-    from a file: a worker that dies before it reads a large start-up
-    argument would leave the parent blocked writing it.
+    Every task returns (checkpoint bytes or None, whether they came from the
+    store, its outcome).  Bytes that did not come from the store are written
+    there as their result is read.  The pool has one worker per available
+    CPU, at most one per cell, each with one BLAS thread.  It is shut down
+    when the generator ends, raises or is closed, so a caller that may stop
+    early reads it inside `contextlib.closing`.  The workers read `job` from
+    a file: a worker that dies before it reads a large start-up argument
+    would leave the parent blocked writing it.
     """
-    with tempfile.TemporaryDirectory(prefix="sennap-grid-") as scratch:
+    if job.store is not None:
+        job.store.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix="sennap-pool-") as scratch:
         path = Path(scratch) / "job.pickle"
         path.write_bytes(pickle.dumps(job))
         pool = ProcessPoolExecutor(
-            min(_cpu_count(), len(configs)),
+            min(_cpu_count(), len(cells)),
             mp_context=multiprocessing.get_context("spawn"),
             initializer=_start_worker,
             initargs=(path,),
@@ -450,10 +465,42 @@ def _cell_pool(job: _CellJob, configs: Sequence[TrainConfig], keys: Sequence[str
         try:
             # the pool starts its workers as tasks arrive
             with _one_blas_thread():
-                futures = [pool.submit(_run_cell, cfg, key) for cfg, key in zip(configs, keys)]
-            yield futures
+                futures = [pool.submit(task, config, key) for config, key in cells]
+            for future, (_, key) in zip(futures, cells):
+                try:
+                    result = future.result()
+                except BrokenProcessPool as exc:
+                    message = f"a grid worker process ended unexpectedly: {exc}"
+                    raise TrainingError(message) from exc
+                blob, stored, _ = result
+                if blob is not None and job.store is not None and not stored:
+                    _write_atomic(job.store / f"{key}.ckpt", blob)
+                yield result
         finally:
             pool.shutdown(cancel_futures=True)
+
+
+def fit_cell(
+    train: Dataset,
+    validation: Dataset,
+    spec: EncodingSpec,
+    config: TrainConfig,
+    checkpoint_dir: str | Path,
+) -> tuple[Checkpoint, bool]:
+    """`fit` as a one-cell job on the grid's worker pool and cell store.
+
+    The fit runs in one spawned worker with one BLAS thread, so its bytes do
+    not depend on the caller's thread settings.  A checkpoint stored under
+    `checkpoint_dir` with the same key (`_cell_keys`) is loaded instead, and a
+    new fit is stored there.  Returns the checkpoint and whether it came from
+    the store.  A calling script needs the `if __name__ == "__main__":`
+    guard, as for `grid_search`.
+    """
+    (key,) = _cell_keys(train, validation, spec, [config])
+    job = _FitJob(train, validation, spec, Path(checkpoint_dir))
+    # unpacking reads the generator to its end, which shuts the pool down
+    [(_, stored, ckpt)] = _worker_pool(job, _load_or_fit, [(config, key)])
+    return ckpt, stored
 
 
 def _cpu_count() -> int:
@@ -502,30 +549,21 @@ def grid_search(
     check_verification(delta, n_samples)
     configs = [replace(config, mode="selfexplain", learning_rate=lr, xi=xi) for lr, xi in plan]
     keys = _cell_keys(train, validation, spec, configs)
-    store = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if store is not None:
-        store.mkdir(parents=True, exist_ok=True)
-    job = _CellJob(
-        train, validation, selection, FeatureSampler.fit(spec, train.x), spec, store,
-        selection_limit, delta, n_samples,
+    job = _GridJob(
+        train, validation, spec, Path(checkpoint_dir) if checkpoint_dir is not None else None,
+        selection, FeatureSampler.fit(spec, train.x), selection_limit, delta, n_samples,
     )
 
     cells: list[GridCell] = []
     best, best_blob = None, None
-    with _cell_pool(job, configs, keys) as futures:
-        for cell_no, (future, key) in enumerate(zip(futures, keys), 1):
-            try:
-                cell, blob, stored = future.result()
-            except BrokenProcessPool as exc:
-                raise TrainingError(f"a grid worker process ended unexpectedly: {exc}") from exc
+    with contextlib.closing(_worker_pool(job, _score_cell, list(zip(configs, keys)))) as results:
+        for cell_no, (blob, stored, cell) in enumerate(results, 1):
             if log:
                 log(
                     f"grid cell {cell_no}/{len(plan)}: lr={cell.learning_rate:g} "
                     f"xi={cell.xi:g}" + (" (stored)" if stored else "")
                 )
             cells.append(cell)
-            if blob is not None and store is not None and not stored:
-                _write_atomic(store / f"{key}.ckpt", blob)
             if cell.status == "ok" and (best is None or _rank(cell) < _rank(best)):
                 best, best_blob = cell, blob
 

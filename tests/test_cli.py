@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import sennap
+from sennap import training
 from sennap.cli import COMMANDS, OPTIONS, Prepared, Settings, build_parser, main
 from sennap.evaluation import accuracy
 from sennap.eventlog import ColumnMap
@@ -107,6 +109,21 @@ def _assert_one_error_line(capsys):
     return captured.out
 
 
+def _write_helpdesk_shaped_csv(path, n_cases):
+    """A random log with the Helpdesk log's shape: 14 activities, cases of 3 to 15 events."""
+    rng = np.random.default_rng(0)
+    rows = ["case,activity,timestamp"]
+    for case in range(n_cases):
+        ts = 1_600_000_000 + case * 7200
+        # the first case has the longest length and every activity
+        length = 15 if case == 0 else int(rng.integers(3, 16))
+        for event in range(length):
+            ts += int(rng.integers(300, 3600))
+            activity = event % 14 if case == 0 else rng.integers(14)
+            rows.append(f"c{case},a{activity},{ts}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 class TestPipelineArtifacts:
     def test_prepare_manifest_records_log_shape(self, workdir):
         _, out = workdir
@@ -136,17 +153,66 @@ class TestPipelineArtifacts:
             ckpt = load_checkpoint(out / "models" / f"{mode}.ckpt")
             assert ckpt.config.mode == mode
 
-    def test_train_same_seed_is_idempotent(self, workdir, tmp_path):
+    def test_train_same_seed_is_idempotent(self, workdir, tmp_path, capsys):
         csv_path, _ = workdir
-        out = tmp_path / "runs"
-        prep = ["prepare", "--data", str(csv_path), "--out", str(out), "--seed", "5"]
-        train = ["train", "--out", str(out), "--seed", "5", "--mode", "baseline",
-                 "--epochs", "2", "--patience", "5"]
-        assert main(prep) == 0
-        assert main(train) == 0
-        first = (out / "models" / "baseline.ckpt").read_bytes()
-        assert main(train) == 0
-        assert (out / "models" / "baseline.ckpt").read_bytes() == first
+
+        def train(out):
+            assert main(["train", "--out", str(out), "--seed", "5", "--mode", "baseline",
+                         "--epochs", "2", "--patience", "5"]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            return printed, (out / "models" / "baseline.ckpt").read_bytes()
+
+        out, fresh = tmp_path / "runs", tmp_path / "fresh"
+        for directory in (out, fresh):
+            assert main(["prepare", "--data", str(csv_path), "--out", str(directory),
+                         "--seed", "5"]) == 0
+        capsys.readouterr()
+        lines, first = train(out)
+        assert len(lines) == 3 and not any("(stored)" in line for line in lines)
+        (cell,) = (out / "models" / "cells").glob("*.ckpt")
+        assert cell.read_bytes() == first
+        manifest = (out / "models" / "baseline.manifest.txt").read_bytes()
+
+        # a rerun loads the fit from the cell store and prints the same history
+        again, second = train(out)
+        assert second == first
+        assert again == [*lines[:-1], lines[-1] + " (stored)"]
+        assert (out / "models" / "baseline.manifest.txt").read_bytes() == manifest
+
+        # a fresh output directory is a store miss: the fit runs again, to the same bytes
+        fresh_lines, third = train(fresh)
+        assert third == first and fresh_lines[:-1] == lines[:-1]
+        assert "(stored)" not in fresh_lines[-1]
+
+        # a truncated stored fit is fitted again and replaced by the same bytes
+        cell.write_bytes(first[:1000])
+        damaged_lines, fourth = train(out)
+        assert fourth == first and damaged_lines == lines
+        assert cell.read_bytes() == first
+        assert not list(cell.parent.glob(".*.tmp"))
+
+    def test_train_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # on this log, fits that use the calling process's BLAS threads give
+        # different bytes under one and two threads, in both modes
+        csv_path = tmp_path / "log.csv"
+        _write_helpdesk_shaped_csv(csv_path, 40)
+        env = {**os.environ, "PYTHONPATH": str(Path(sennap.__file__).resolve().parents[1])}
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"runs{threads}"
+            assert main(["prepare", "--data", str(csv_path), "--out", str(out),
+                         "--seed", "1"]) == 0
+            for mode in ("baseline", "selfexplain"):
+                done = subprocess.run(
+                    [sys.executable, "-m", "sennap.cli", "train", "--out", str(out), "--seed", "1",
+                     "--mode", mode, "--epochs", "3"],
+                    env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+                    timeout=300,
+                )
+                assert done.returncode == 0, done.stderr
+            runs.append(_tree_bytes(out / "models"))
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 6  # two checkpoints, two manifests, two stored cells
 
     def test_explanation_records_shape(self, workdir):
         _, out = workdir
@@ -389,11 +455,18 @@ class TestCliErrors:
             ("explanation-missing", ["verify", "--method", "selfexplain"], "selfexplain.jsonl"),
             ("explanation-directory", ["verify", "--method", "selfexplain"], "selfexplain.jsonl"),
             ("split-utf8", ["verify", "--method", "selfexplain"], "split.txt"),
+            ("repeated-instance", ["verify", "--method", "selfexplain"], "jsonl: line 7"),
+            ("instance-list", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("status-unknown", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("scores-short", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("verified-repeated-instance", ["report"], "jsonl: line 7"),
         ],
         ids=["summary-file", "summary-number", "explanation-json", "explanation-key",
              "explanation-utf8", "explanation-list", "index-large", "index-negative", "index-float",
              "index-bool", "best-index-large", "verified-index-large",
-             "explanation-missing", "explanation-directory", "split-utf8"],
+             "explanation-missing", "explanation-directory", "split-utf8",
+             "repeated-instance", "instance-list", "status-unknown", "scores-short",
+             "verified-repeated-instance"],
     )
     def test_damaged_run_files(self, workdir, tmp_path, capsys, damage, argv, named):
         out = _copy_runs(workdir, tmp_path)
@@ -426,6 +499,17 @@ class TestCliErrors:
         elif damage == "split-utf8":
             with (out / "prepare" / "split.txt").open("ab") as handle:
                 handle.write(b"\xff\n")
+        elif damage.endswith("repeated-instance"):
+            if damage.startswith("verified"):
+                records = out / "verification" / "selfexplain.jsonl"
+                lines = records.read_text().splitlines()
+            assert len(lines) == 6
+            records.write_text("\n".join([*lines, lines[0]]) + "\n")
+        elif damage == "scores-short":
+            first = json.loads(lines[0])
+            first["scores"] = first["scores"][:-1]
+            lines[0] = json.dumps(first)
+            records.write_text("\n".join(lines) + "\n")
         else:
             key, value = {
                 "index-large": ("indices", [1000000]),
@@ -434,6 +518,8 @@ class TestCliErrors:
                 "index-bool": ("indices", [True]),
                 "best-index-large": ("best_indices", [1000000]),
                 "verified-index-large": ("indices", [1000000]),
+                "instance-list": ("instance", ["case0001#2"]),
+                "status-unknown": ("status", "weird"),
             }[damage]
             if damage.startswith("verified"):
                 records = out / "verification" / "selfexplain.jsonl"
@@ -451,6 +537,9 @@ class TestCliErrors:
         out = _copy_runs(workdir, tmp_path)
         argv = ["gridsearch", "--out", str(out), "--seed", "5", "--grid", "small",
                 "--epochs", "1", "--eval-limit", "2", "--samples", "10"]
+        # the store already holds the shared run's two `train` fits
+        trained = set((out / "models" / "cells").glob("*.ckpt"))
+        assert len(trained) == 2
         runs = []
         for _ in range(2):
             assert main(argv) == 0
@@ -459,7 +548,7 @@ class TestCliErrors:
         assert len(runs[0][0]) == 10 and not any(l.endswith("(stored)") for l in runs[0][0])
         assert len(runs[1][0]) == 10 and all(l.endswith(" (stored)") for l in runs[1][0])
         assert runs[0][1] == runs[1][1]
-        assert len(list((out / "models" / "cells").glob("*.ckpt"))) == 10
+        assert len(set((out / "models" / "cells").glob("*.ckpt")) - trained) == 10
         assert not list((out / "models").rglob("cell_*.ckpt"))
 
     def test_checkpoint_directory(self, workdir, tmp_path, capsys):
@@ -469,6 +558,41 @@ class TestCliErrors:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(out / "models") in err[0], err
+
+    def test_failed_fit_leaves_no_worker_cell_or_environment_change(
+        self, workdir, tmp_path, capsys
+    ):
+        # one Adam step at lr 1e30 overflows the weights; with one epoch of one
+        # batch only the validation loss is non-finite
+        out = _copy_runs(workdir, tmp_path)
+        before = _tree_bytes(out / "models")
+        environ = dict(os.environ)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--out", str(out), "--mode", "baseline", "--lr", "1e30",
+                         "--epochs", "1", "--batch-size", "1000"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "gave a finite validation loss" in err[0]
+        assert multiprocessing.active_children() == []
+        assert dict(os.environ) == environ
+        # no cell stored, no checkpoint or manifest written
+        assert _tree_bytes(out / "models") == before
+
+    def test_config_errors_start_no_worker(self, workdir, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", no_pool)
+        out = _copy_runs(workdir, tmp_path)
+        for argv in (["--out", str(out), "--mode", "selfexplain", "--xi", "nan"],
+                     ["--out", str(out), "--mode", "baseline", "--seed", "-1"],
+                     ["--out", str(tmp_path / "none"), "--mode", "baseline"]):
+            assert main(["train", *argv]) == 1
+            _assert_one_error_line(capsys)
+        # the same command with valid settings reaches the pool
+        with pytest.raises(AssertionError, match="worker pool"):
+            main(["train", "--out", str(out), "--mode", "baseline", "--epochs", "1"])
 
     def test_unprepared_directory(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "none"), "--mode", "baseline"]) == 1

@@ -641,7 +641,7 @@ class TestGridSearch:
         assert "grid worker process ended unexpectedly" in done.stderr
 
     def test_selection_prefers_accuracy_then_faithfulness_then_size(self):
-        from sennap.training import GridCell
+        from sennap.training import GridCell, _rank
 
         cells = [
             GridCell(1e-2, 1e-5, "ok", val_accuracy=0.7, val_faithfulness=0.5, mean_size=9),
@@ -649,15 +649,9 @@ class TestGridSearch:
             GridCell(1e-4, 1e-7, "ok", val_accuracy=0.8, val_faithfulness=0.4, mean_size=9),
             GridCell(1e-5, 1e-8, "ok", val_accuracy=0.8, val_faithfulness=0.4, mean_size=5),
         ]
-        ordered = sorted(
-            enumerate(cells),
-            key=lambda item: (
-                -item[1].val_accuracy,
-                -item[1].val_faithfulness,
-                item[1].mean_size,
-            ),
-        )
+        ordered = sorted(enumerate(cells), key=lambda item: _rank(item[1]))
         assert ordered[0][0] == 3
+        assert [i for i, _ in ordered] == [3, 2, 1, 0]
 
 
 def _helpdesk_shaped(n_train: int, n_val: int):
