@@ -13,6 +13,7 @@ times in explanation files.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -160,6 +161,13 @@ def _read_split(path: Path, log) -> SplitSpec:
     )
 
 
+def _sha256(path: str) -> str:
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the event log ({exc.strerror})") from None
+
+
 class Prepared:
     """Prepared artifacts reloaded for downstream commands."""
 
@@ -180,7 +188,10 @@ class Prepared:
             activity=entry("columns.activity"),
             timestamp=entry("columns.timestamp"),
         )
-        self.log = parse_csv(entry("data"), columns)
+        data = entry("data")
+        if _sha256(data) != entry("data.sha256"):
+            raise ConfigError(f"{data}: the event log changed after `prepare`; run `prepare` again")
+        self.log = parse_csv(data, columns)
         self.split = _read_split(prep / "split.txt", self.log)
         encoding_path = prep / "encoding.txt"
         if not encoding_path.exists():
@@ -322,6 +333,7 @@ def cmd_prepare(args) -> int:
         prep / "manifest.txt",
         {
             "data": data,
+            "data.sha256": _sha256(data),
             "columns.case": columns.case,
             "columns.activity": columns.activity,
             "columns.timestamp": columns.timestamp,

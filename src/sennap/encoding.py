@@ -6,19 +6,27 @@ index (raw, at |A|), time since the first event divided by its training mean
 (|A|+1), time since the previous event divided by its training mean (|A|+2),
 time since midnight / 86400 (|A|+3), and weekday / 6 with Monday = 0 (|A|+4).
 Day boundaries and weekdays use UTC so encodings are machine-independent.
+
+`encode_dataset` does not walk the prefixes.  It lays out every event that
+some prefix covers once, case after case, and computes each event's row in
+float64 numpy arithmetic: the weekday from the epoch seconds as
+`(stamp // 86400 + 3) % 7`, since 1970-01-01 was a Thursday.  The rows are
+cast to float32 once, into a table whose last row is the all-zero padding,
+and every left-padded grid is one gather from that table.  `encode_prefix`
+is the same code on one record.  `fit_normalizers` reads the same per-event
+values and adds them in prefix order, left to right.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EncodingError
-from .eventlog import PrefixRecord
+from .eventlog import Case, Event, PrefixRecord
 
 EXTRA_FEATURES = 5
 
@@ -147,13 +155,57 @@ class Dataset:
         return self.x.shape[0]
 
 
-def _event_features(record: PrefixRecord):
-    """Yield (since_first_s, since_prev_s, timestamp) for each prefix event."""
-    first = record.events[0].timestamp
-    prev = first
-    for event in record.events:
-        yield float(event.timestamp - first), float(event.timestamp - prev), event.timestamp
-        prev = event.timestamp
+class _PrefixEvents(NamedTuple):
+    """The events a set of prefix records covers, laid out case after case."""
+
+    events: list[Event]      # (E,) each case's events up to its longest prefix
+    position: np.ndarray     # (E,) int64, 0-based index of the event in its case
+    stamps: np.ndarray       # (E,) int64 epoch seconds
+    since_first: np.ndarray  # (E,) float64 seconds since the case's first event
+    since_prev: np.ndarray   # (E,) float64 seconds since the case's previous event
+    rows: np.ndarray         # (N, k) event of each left-padded prefix step; E pads
+
+
+def _prefix_events(records: Sequence[PrefixRecord], k: int) -> _PrefixEvents:
+    """Each event that some record's prefix covers, once, and where each prefix reads it.
+
+    Events after the longest prefix of their case are not read.
+    """
+    slot_of: dict[int, int] = {}  # id(case) -> its index in `cases`
+    cases: list[Case] = []
+    covered: list[int] = []
+    slots = []
+    for record in records:
+        if record.length > k:
+            raise EncodingError(
+                f"prefix length {record.length} exceeds k={k} for {record.instance_id}"
+            )
+        slot = slot_of.setdefault(id(record.case), len(cases))
+        if slot == len(cases):
+            cases.append(record.case)
+            covered.append(record.length)
+        elif record.length > covered[slot]:
+            covered[slot] = record.length
+        slots.append(slot)
+    events = [event for case, n in zip(cases, covered) for event in case.events[:n]]
+    n_events = len(events)
+    counts = np.array(covered, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    case_start = np.repeat(starts, counts)
+    position = np.arange(n_events) - case_start
+    previous = np.arange(n_events) - (position > 0)  # a case's first event is its own previous
+    stamps = np.fromiter((event.timestamp for event in events), np.int64, n_events)
+    lengths = np.array([record.length for record in records], dtype=np.int64)
+    step = np.arange(k) - (k - lengths)[:, None]  # negative on the padding
+    first_row = starts[np.array(slots, dtype=np.intp)]
+    return _PrefixEvents(
+        events=events,
+        position=position,
+        stamps=stamps,
+        since_first=(stamps - stamps[case_start]).astype(np.float64),
+        since_prev=(stamps - stamps[previous]).astype(np.float64),
+        rows=np.where(step >= 0, first_row[:, None] + step, n_events),
+    )
 
 
 def fit_normalizers(train_prefixes: Sequence[PrefixRecord]) -> tuple[float, float]:
@@ -164,61 +216,46 @@ def fit_normalizers(train_prefixes: Sequence[PrefixRecord]) -> tuple[float, floa
     """
     if not train_prefixes:
         raise EncodingError("cannot fit normalizers on an empty prefix set")
-    total_first = 0.0
-    total_prev = 0.0
-    count = 0
-    for record in train_prefixes:
-        for since_first, since_prev, _ in _event_features(record):
-            total_first += since_first
-            total_prev += since_prev
-            count += 1
-    mean_first = total_first / count
-    mean_prev = total_prev / count
+    events = _prefix_events(train_prefixes, max(record.length for record in train_prefixes))
+    rows = events.rows[events.rows < len(events.events)]  # prefix after prefix, event after event
+    # cumsum adds left to right, so the means keep their bits; np.sum adds pairwise
+    mean_first = float(np.cumsum(events.since_first[rows])[-1] / rows.size)
+    mean_prev = float(np.cumsum(events.since_prev[rows])[-1] / rows.size)
     return (mean_first if mean_first > 0 else 1.0, mean_prev if mean_prev > 0 else 1.0)
 
 
 def encode_prefix(record: PrefixRecord, spec: EncodingSpec) -> EncodedInstance:
     """Encode one prefix into the fixed k x width grid (left-padded)."""
-    ell = record.length
-    if ell > spec.k:
-        raise EncodingError(
-            f"prefix length {ell} exceeds k={spec.k} for {record.instance_id}"
-        )
-    grid = np.zeros((spec.k, spec.width), dtype=np.float32)
-    base = spec.k - ell
-    va = spec.vocab_size
-    for j, (since_first, since_prev, stamp) in enumerate(_event_features(record)):
-        row = grid[base + j]
-        row[spec.activity_index(record.events[j].activity)] = 1.0
-        row[va] = j + 1  # raw 1-based event index, deliberately not normalized
-        row[va + 1] = since_first / spec.mean_since_first
-        row[va + 2] = since_prev / spec.mean_since_prev
-        row[va + 3] = (stamp % 86400) / 86400.0
-        row[va + 4] = datetime.fromtimestamp(stamp, timezone.utc).weekday() / 6.0
     return EncodedInstance(
-        x=grid,
+        x=encode_dataset([record], spec).x[0],
         target_activity=record.target_activity,
         target_time_delta=record.target_delta / spec.mean_since_prev,
-        prefix_length=ell,
+        prefix_length=record.length,
         instance_id=record.instance_id,
     )
 
 
 def encode_dataset(records: Iterable[PrefixRecord], spec: EncodingSpec) -> Dataset:
     """Encode and stack prefix records in their given order."""
-    instances = [encode_prefix(record, spec) for record in records]
-    if not instances:
-        return Dataset(
-            x=np.zeros((0, spec.k, spec.width), dtype=np.float32),
-            y_activity=np.zeros(0, dtype=np.int64),
-            y_time=np.zeros(0, dtype=np.float32),
-            ids=(),
-            prefix_lengths=(),
-        )
+    records = list(records)
+    events = _prefix_events(records, spec.k)
+    n_events = len(events.events)
+    activity = np.fromiter(
+        (spec.activity_index(event.activity) for event in events.events), np.intp, n_events
+    )
+    va = spec.vocab_size
+    table = np.zeros((n_events + 1, spec.width))  # the last row is the padding
+    table[np.arange(n_events), activity] = 1.0
+    table[:n_events, va] = events.position + 1  # raw 1-based index, deliberately not normalized
+    table[:n_events, va + 1] = events.since_first / spec.mean_since_first
+    table[:n_events, va + 2] = events.since_prev / spec.mean_since_prev
+    table[:n_events, va + 3] = events.stamps % 86400 / 86400.0
+    table[:n_events, va + 4] = (events.stamps // 86400 + 3) % 7 / 6.0
+    delta = np.array([record.target_delta for record in records], dtype=np.float64)
     return Dataset(
-        x=np.stack([inst.x for inst in instances]),
-        y_activity=np.array([inst.target_activity for inst in instances], dtype=np.int64),
-        y_time=np.array([inst.target_time_delta for inst in instances], dtype=np.float32),
-        ids=tuple(inst.instance_id for inst in instances),
-        prefix_lengths=tuple(inst.prefix_length for inst in instances),
+        x=table.astype(np.float32)[events.rows],
+        y_activity=np.array([record.target_activity for record in records], dtype=np.int64),
+        y_time=(delta / spec.mean_since_prev).astype(np.float32),
+        ids=tuple(record.instance_id for record in records),
+        prefix_lengths=tuple(record.length for record in records),
     )

@@ -85,30 +85,35 @@ class PrefixRecord:
         return self.case.events[: self.length]
 
 
+# 9999-12-31T23:59:59Z, the last second `datetime` can hold
+MAX_TIMESTAMP = 253_402_300_799
+
+
 def _parse_timestamp(raw: str, line_no: int) -> int:
-    """Accept integer epoch seconds or ISO-8601 (optional zone, naive = UTC)."""
+    """Accept integer epoch seconds or ISO-8601 (optional zone, naive = UTC).
+
+    The moment must lie in 1970-01-01T00:00:00Z..9999-12-31T23:59:59Z.
+    """
     text = raw.strip()
     if not text:
         raise LogParseError(f"line {line_no}: empty timestamp")
     try:
-        value = int(text)
+        stamp = int(text)
     except ValueError:
-        pass
-    else:
-        if value < 0:
-            raise LogParseError(f"line {line_no}: negative epoch timestamp {text!r}")
-        return value
-    try:
-        moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
+        try:
+            moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError:
+            raise LogParseError(
+                f"line {line_no}: timestamp {raw!r} is neither epoch seconds nor ISO-8601"
+            ) from None
+        if moment.tzinfo is None:
+            moment = moment.replace(tzinfo=timezone.utc)
+        stamp = int(moment.timestamp())
+    if not 0 <= stamp <= MAX_TIMESTAMP:
         raise LogParseError(
-            f"line {line_no}: timestamp {raw!r} is neither epoch seconds nor ISO-8601"
-        ) from None
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    stamp = int(moment.timestamp())
-    if stamp < 0:
-        raise LogParseError(f"line {line_no}: timestamp {raw!r} precedes the epoch")
+            f"line {line_no}: timestamp {raw!r} is not in "
+            "1970-01-01T00:00:00Z..9999-12-31T23:59:59Z"
+        )
     return stamp
 
 

@@ -390,7 +390,10 @@ def _load_or_fit(config: TrainConfig, key: str) -> tuple[bytes, bool, Checkpoint
             return blob, True, _parse_checkpoint(blob, path)
         except (FileNotFoundError, CheckpointError):
             pass
-    ckpt = fit(_job.train, _job.validation, _job.spec, config)
+    # `fit` raises on every non-finite loss and gradient; numpy's warnings on
+    # the way there would only print ahead of that error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ckpt = fit(_job.train, _job.validation, _job.spec, config)
     return _checkpoint_bytes(ckpt), False, ckpt
 
 

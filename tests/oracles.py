@@ -2,15 +2,21 @@
 
 `lstm_cell_step` is the exp-based single-instance LSTM cell that the fused
 tanh kernels must match; `max_rel_error` checks analytic gradients against
-central finite differences.
+central finite differences; `fit_normalizers_loop` and `encode_dataset_loop`
+encode one prefix at a time, event by event, which the gathers in
+`sennap.encoding` must match bit for bit.
 """
 
 from __future__ import annotations
 
+from datetime import datetime, timezone
 from typing import Callable, Sequence
 
 import numpy as np
 
+from sennap.encoding import Dataset, EncodingSpec
+from sennap.errors import EncodingError
+from sennap.eventlog import PrefixRecord
 from sennap.neural import LSTMLayerParams, Var, backward, expit
 
 
@@ -81,3 +87,64 @@ def max_rel_error(
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             worst = max(worst, rel)
     return worst
+
+
+def _event_features(record: PrefixRecord):
+    """Yield (since_first_s, since_prev_s, timestamp) for each prefix event."""
+    first = record.events[0].timestamp
+    prev = first
+    for event in record.events:
+        yield float(event.timestamp - first), float(event.timestamp - prev), event.timestamp
+        prev = event.timestamp
+
+
+def fit_normalizers_loop(train_prefixes: Sequence[PrefixRecord]) -> tuple[float, float]:
+    """`encoding.fit_normalizers`, summing event by event in Python."""
+    if not train_prefixes:
+        raise EncodingError("cannot fit normalizers on an empty prefix set")
+    total_first = 0.0
+    total_prev = 0.0
+    count = 0
+    for record in train_prefixes:
+        for since_first, since_prev, _ in _event_features(record):
+            total_first += since_first
+            total_prev += since_prev
+            count += 1
+    mean_first = total_first / count
+    mean_prev = total_prev / count
+    return (mean_first if mean_first > 0 else 1.0, mean_prev if mean_prev > 0 else 1.0)
+
+
+def _encode_grid(record: PrefixRecord, spec: EncodingSpec) -> np.ndarray:
+    """One prefix's left-padded k x width grid, filled row by row."""
+    ell = record.length
+    if ell > spec.k:
+        raise EncodingError(
+            f"prefix length {ell} exceeds k={spec.k} for {record.instance_id}"
+        )
+    grid = np.zeros((spec.k, spec.width), dtype=np.float32)
+    base = spec.k - ell
+    va = spec.vocab_size
+    for j, (since_first, since_prev, stamp) in enumerate(_event_features(record)):
+        row = grid[base + j]
+        row[spec.activity_index(record.events[j].activity)] = 1.0
+        row[va] = j + 1
+        row[va + 1] = since_first / spec.mean_since_first
+        row[va + 2] = since_prev / spec.mean_since_prev
+        row[va + 3] = (stamp % 86400) / 86400.0
+        row[va + 4] = datetime.fromtimestamp(stamp, timezone.utc).weekday() / 6.0
+    return grid
+
+
+def encode_dataset_loop(records: Sequence[PrefixRecord], spec: EncodingSpec) -> Dataset:
+    """`encoding.encode_dataset`, one prefix and one event at a time."""
+    return Dataset(
+        x=np.stack([_encode_grid(record, spec) for record in records])
+        if records else np.zeros((0, spec.k, spec.width), dtype=np.float32),
+        y_activity=np.array([r.target_activity for r in records], dtype=np.int64),
+        y_time=np.array(
+            [r.target_delta / spec.mean_since_prev for r in records], dtype=np.float32
+        ),
+        ids=tuple(r.instance_id for r in records),
+        prefix_lengths=tuple(r.length for r in records),
+    )

@@ -410,6 +410,8 @@ class TestCliErrors:
             ("encoding-number", "encoding.txt"),
             ("encoding-nan", "encoding.txt"),
             ("encoding-labels", "encoding.txt"),
+            ("data-digest", "data.sha256"),
+            ("data-shifted", "changed after `prepare`"),
         ],
     )
     def test_damaged_prepare_directory(self, workdir, tmp_path, capsys, damage, named):
@@ -418,6 +420,20 @@ class TestCliErrors:
         if damage == "manifest-key":
             manifest = read_manifest(prep / "manifest.txt")
             del manifest["columns.case"]
+            write_manifest(prep / "manifest.txt", manifest)
+        elif damage == "data-digest":
+            manifest = read_manifest(prep / "manifest.txt")
+            del manifest["data.sha256"]
+            write_manifest(prep / "manifest.txt", manifest)
+        elif damage == "data-shifted":
+            # the same cases and split, every event 7 h later
+            header, *rows = Path(read_manifest(prep / "manifest.txt")["data"]).read_text().splitlines()
+            shifted = [f"{case},{activity},{int(stamp) + 7 * 3600}"
+                       for case, activity, stamp in (row.split(",") for row in rows)]
+            csv_path = tmp_path / "shifted.csv"
+            csv_path.write_text("\n".join([header, *shifted]) + "\n", encoding="utf-8")
+            manifest = read_manifest(prep / "manifest.txt")
+            manifest["data"] = str(csv_path)
             write_manifest(prep / "manifest.txt", manifest)
         elif damage == "encoding-file":
             (prep / "encoding.txt").unlink()
@@ -578,6 +594,19 @@ class TestCliErrors:
         assert dict(os.environ) == environ
         # no cell stored, no checkpoint or manifest written
         assert _tree_bytes(out / "models") == before
+
+    def test_diverging_fit_prints_only_its_error_line(self, workdir, tmp_path):
+        # the worker's stderr is the command's, so its numpy warnings would show
+        out = _copy_runs(workdir, tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(sennap.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "sennap.cli", "train", "--out", str(out), "--mode", "baseline",
+             "--lr", "1e30", "--epochs", "1", "--batch-size", "1000"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
 
     def test_config_errors_start_no_worker(self, workdir, tmp_path, capsys, monkeypatch):
         def no_pool(*args, **kwargs):

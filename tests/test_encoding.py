@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sennap.encoding import (
     EncodingSpec,
@@ -12,11 +13,43 @@ from sennap.encoding import (
     fit_normalizers,
 )
 from sennap.errors import EncodingError
-from sennap.eventlog import Case, Event, generate_prefixes
+from sennap.eventlog import MAX_TIMESTAMP, Case, Event, PrefixRecord, generate_prefixes
 
 from conftest import build_log, make_markov_cases
+from oracles import encode_dataset_loop, fit_normalizers_loop
 
 MONDAY_MIDNIGHT = 345600  # 1970-01-05T00:00:00Z
+DAY = 86400
+
+# midnights and the seconds either side, the first and last seconds a log may hold, and any other
+_STAMPS = st.one_of(
+    st.integers(1, MAX_TIMESTAMP // DAY).flatmap(
+        lambda day: st.sampled_from([day * DAY - 1, day * DAY, day * DAY + 1])
+    ),
+    st.sampled_from([0, 1, MAX_TIMESTAMP - 1, MAX_TIMESTAMP]),
+    st.integers(0, MAX_TIMESTAMP),
+)
+
+
+@st.composite
+def _prefix_records(draw):
+    """(vocab, k, records): prefixes of random cases, in any order, repeats allowed."""
+    vocab = ("a", "b", "c")
+    k = draw(st.integers(1, 6))
+    cases = []
+    for i in range(draw(st.integers(1, 5))):
+        stamps = sorted(draw(st.lists(_STAMPS, min_size=1, max_size=k)))
+        labels = draw(st.lists(st.sampled_from(vocab), min_size=len(stamps), max_size=len(stamps)))
+        cases.append(Case(f"c{i}", tuple(Event(f"c{i}", a, t) for a, t in zip(labels, stamps))))
+    picks = draw(st.lists(st.tuples(
+        st.integers(0, len(cases) - 1), st.integers(1, k), st.integers(0, len(vocab)),
+        st.integers(0, 10**7),
+    ), max_size=12))
+    records = [
+        PrefixRecord(cases[c], min(length, len(cases[c])), target, float(delta))
+        for c, length, target, delta in picks
+    ]
+    return vocab, k, records
 
 
 def _record(activities_with_stamps, case_id="c0", length=None, target=0, delta=0.0):
@@ -57,6 +90,17 @@ class TestFitNormalizers:
         with pytest.raises(EncodingError):
             fit_normalizers([])
 
+    def test_sums_add_left_to_right(self):
+        # whole seconds add exactly below 2**53, so only totals beyond it show the order
+        rng = np.random.default_rng(0)
+        cases = [
+            Case(f"c{i}", tuple(Event(f"c{i}", "a", int(t))
+                                for t in (0, rng.integers(0, MAX_TIMESTAMP), MAX_TIMESTAMP)))
+            for i in range(30000)
+        ]
+        records = generate_prefixes(cases, {"a": 0}, 3)
+        assert repr(fit_normalizers(records)) == repr(fit_normalizers_loop(records))
+
 
 class TestEncodePrefix:
     def test_single_event_monday_midnight(self):
@@ -95,6 +139,11 @@ class TestEncodePrefix:
         with pytest.raises(EncodingError, match="exceeds"):
             encode_prefix(_record([("a", 0), ("b", 1), ("c", 2)]), spec)
 
+    def test_unknown_activity_after_the_prefix_is_not_read(self):
+        record = _record([("a", 0), ("mystery", 10)], length=1)
+        inst = encode_prefix(record, _spec())
+        np.testing.assert_array_equal(inst.x[3, :3], [1, 0, 0])
+
     def test_target_delta_normalized_by_since_prev_mean(self):
         spec = _spec(mean_prev=50.0)
         inst = encode_prefix(_record([("a", 0)], target=1, delta=100.0), spec)
@@ -131,6 +180,23 @@ class TestEncodePrefix:
         spec = EncodingSpec(tuple(log.vocabulary), log.k, 100.0, 100.0)
         grids = {encode_prefix(r, spec).x.tobytes() for r in records}
         assert len(grids) == len(records)
+
+
+class TestMatchesTheLoop:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(drawn=_prefix_records())
+    def test_same_bytes_as_the_per_prefix_loop(self, drawn):
+        vocab, k, records = drawn
+        means = (1.0, 1.0)
+        if records:
+            means = fit_normalizers(records)
+            assert repr(means) == repr(fit_normalizers_loop(records))
+        spec = EncodingSpec(vocab, k, *means)
+        got, want = encode_dataset(records, spec), encode_dataset_loop(records, spec)
+        for name in ("x", "y_activity", "y_time"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert (got.ids, got.prefix_lengths) == (want.ids, want.prefix_lengths)
 
 
 class TestFlatIndexing:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sennap.errors import ConfigError, LogParseError
 from sennap.eventlog import (
+    MAX_TIMESTAMP,
     Case,
     ColumnMap,
     Event,
@@ -122,6 +127,18 @@ class TestParseCsv:
         with pytest.raises(LogParseError, match="line 3"):
             parse_csv(path)
 
+    @pytest.mark.parametrize(
+        "stamp",
+        ["-1", "1969-12-31T23:59:59Z", "253402300800", "10000000000000",
+         "9999-12-31T23:59:59-00:01"],
+        ids=["negative-epoch", "iso-before-epoch", "epoch-after-9999", "epoch-year-318857",
+             "iso-after-9999"],
+    )
+    def test_timestamp_out_of_range_reports_line(self, tmp_path, stamp):
+        path = _write(tmp_path, f"case,activity,timestamp\nc1,a,1\nc1,b,{stamp}\n")
+        with pytest.raises(LogParseError, match="line 3"):
+            parse_csv(path)
+
     def test_empty_activity_rejected(self, tmp_path):
         path = _write(tmp_path, "case,activity,timestamp\nc1,,1\n")
         with pytest.raises(LogParseError, match="line 2"):
@@ -138,6 +155,68 @@ class TestParseCsv:
             "case,activity,timestamp\nc1,a,3\nc2,b,1\nc1,c,2\nc3,a,9\n",
         )
         assert parse_csv(path) == parse_csv(path)
+
+
+# labels the CSV module must quote; none starts or ends with a space, which parsing strips
+_LABELS = st.text(alphabet='ab,"é ', min_size=1, max_size=4).filter(lambda s: s == s.strip())
+_STAMPS = st.one_of(st.sampled_from([0, MAX_TIMESTAMP]), st.integers(0, MAX_TIMESTAMP))
+
+
+def _written_stamp(stamp, form, offset_minutes):
+    """`stamp` as epoch seconds or as one of the ISO-8601 forms parsing accepts."""
+    if form == "epoch":
+        return str(stamp)
+    if form == "offset" and 0 <= stamp + 60 * offset_minutes <= MAX_TIMESTAMP:
+        zone = timezone(timedelta(minutes=offset_minutes))
+        return datetime.fromtimestamp(stamp, zone).isoformat()
+    text = datetime.fromtimestamp(stamp, timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    return {"naive": text, "space": text.replace("T", " ")}.get(form, text + "Z")
+
+
+@st.composite
+def _csv_logs(draw):
+    """(header, rows, column map, cases): a log's rows, shuffled, under random columns."""
+    names = draw(st.lists(st.text(alphabet="abcXYZ _-", min_size=1, max_size=6),
+                          min_size=3, max_size=6, unique=True))
+    names = draw(st.permutations(names))
+    columns = ColumnMap(*names[:3])
+    header = draw(st.permutations(names))
+    ids = draw(st.lists(_LABELS, min_size=1, max_size=5, unique=True))
+    cases, rows = [], []
+    for case_id in ids:
+        stamps = sorted(draw(st.lists(_STAMPS, min_size=1, max_size=5, unique=True)))
+        events = tuple(Event(case_id, draw(_LABELS), stamp) for stamp in stamps)
+        cases.append(Case(case_id, events))
+        for event in events:
+            written = _written_stamp(
+                event.timestamp,
+                draw(st.sampled_from(["epoch", "naive", "space", "z", "offset"])),
+                draw(st.integers(-12 * 4, 14 * 4)) * 15,
+            )
+            cells = {columns.case: case_id, columns.activity: event.activity,
+                     columns.timestamp: written}
+            rows.append([cells[name] if name in cells else draw(_LABELS) for name in header])
+    return header, draw(st.permutations(rows)), columns, cases
+
+
+class TestParseCsvProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(drawn=_csv_logs())
+    def test_parse_gives_back_the_written_cases(self, tmp_path_factory, drawn):
+        header, rows, columns, cases = drawn
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows([header, *rows])
+        log = parse_csv(path, columns)
+        # cases and activities in order of first appearance in the file
+        at = {name: i for i, name in enumerate(header)}
+        case_order = list(dict.fromkeys(row[at[columns.case]] for row in rows))
+        labels = list(dict.fromkeys(row[at[columns.activity]] for row in rows))
+        by_id = {case.case_id: case for case in cases}
+        assert log.cases == tuple(by_id[case_id] for case_id in case_order)
+        assert log.vocabulary == {label: i for i, label in enumerate(labels)}
+        assert (log.case_count, log.event_count) == (len(cases), len(rows))
+        assert log.k == max(len(case) for case in cases)
 
 
 def _case(case_id, n_events, start):
