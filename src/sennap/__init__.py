@@ -3,7 +3,7 @@
 # set before the submodules load: the grid's cell store keys on it
 __version__ = "0.1.0"
 
-from .encoding import Dataset, EncodedInstance, EncodingSpec, encode_dataset, encode_prefix, fit_normalizers
+from .encoding import Dataset, EncodingSpec, encode_dataset, fit_normalizers
 from .eventlog import (
     Case,
     ColumnMap,

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import Dataset, EncodedInstance, EncodingSpec, encode_dataset, fit_normalizers
+from .encoding import Dataset, EncodingSpec, encode_dataset, fit_normalizers
 from .errors import ConfigError, EncodingError, SennapError, SpecMismatchError
 from .eventlog import ColumnMap, SplitSpec, generate_prefixes, parse_csv, split_chronological
 from .evaluation import (
@@ -35,17 +35,10 @@ from .evaluation import (
     verify_explanations,
 )
 from .posthoc import AnchorConfig
+from .runfiles import read_bytes, read_manifest, read_text, write_atomic, write_manifest
 from .selfexplain import FeatureSampler
 from .training import (
-    Checkpoint,
-    TrainConfig,
-    fit_cell,
-    grid_search,
-    load_checkpoint,
-    read_manifest,
-    read_text,
-    save_checkpoint,
-    write_manifest,
+    Checkpoint, TrainConfig, fit_cell, grid_search, load_checkpoint, save_checkpoint,
 )
 
 
@@ -136,10 +129,8 @@ class Settings:
 
 
 def _write_split(path: Path, split: SplitSpec):
-    with path.open("w", encoding="utf-8") as handle:
-        for part in ("train", "validation", "test"):
-            for case in getattr(split, part):
-                handle.write(f"{part}\t{case.case_id}\n")
+    parts = ("train", "validation", "test")
+    write_atomic(path, "".join(f"{p}\t{c.case_id}\n" for p in parts for c in getattr(split, p)))
 
 
 def _read_split(path: Path, log) -> SplitSpec:
@@ -162,10 +153,7 @@ def _read_split(path: Path, log) -> SplitSpec:
 
 
 def _sha256(path: str) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read the event log ({exc.strerror})") from None
+    return hashlib.sha256(read_bytes(path)).hexdigest()
 
 
 class Prepared:
@@ -249,20 +237,14 @@ def _threads(settings: Settings) -> int:
 
 
 def _write_jsonl(path: Path, records):
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    write_atomic(path, "".join(json.dumps(record, sort_keys=True) + "\n" for record in records))
 
 
 def _read_explanations(path: Path, n_features: int) -> list[Explanation]:
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
     explanations = []
     ids = set()
     # json.loads decodes each line's bytes, so a line that is not UTF-8 is named like any other
-    for line_no, line in enumerate(data.splitlines(), 1):
+    for line_no, line in enumerate(read_bytes(path).splitlines(), 1):
         if not line:
             continue
         try:
@@ -582,12 +564,9 @@ def cmd_report(args) -> int:
         if shown is not None:
             if shown.instance_id not in row_of:
                 raise ConfigError(f"instance {shown.instance_id!r} not in the test split")
-            i = row_of[shown.instance_id]
-            instance = EncodedInstance(
-                test_set.x[i], int(test_set.y_activity[i]), float(test_set.y_time[i]),
-                test_set.prefix_lengths[i], shown.instance_id,
+            rendered.append(
+                render_explanation(shown, test_set, row_of[shown.instance_id], prepared.spec)
             )
-            rendered.append(render_explanation(shown, instance, prepared.spec))
     if not reports:
         raise ConfigError(f"no verification results under {out_dir}; run `verify` first")
 
@@ -596,7 +575,7 @@ def cmd_report(args) -> int:
         text += "\n\n== example explanations ==\n\n" + "\n\n".join(rendered)
     report_dir = out_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-    (report_dir / "report.txt").write_text(text + "\n", encoding="utf-8")
+    write_atomic(report_dir / "report.txt", text + "\n")
     _write_jsonl(report_dir / "report.jsonl", [r.as_rows() for r in reports])
     print(text)
     return 0

@@ -12,9 +12,8 @@ some prefix covers once, case after case, and computes each event's row in
 float64 numpy arithmetic: the weekday from the epoch seconds as
 `(stamp // 86400 + 3) % 7`, since 1970-01-01 was a Thursday.  The rows are
 cast to float32 once, into a table whose last row is the all-zero padding,
-and every left-padded grid is one gather from that table.  `encode_prefix`
-is the same code on one record.  `fit_normalizers` reads the same per-event
-values and adds them in prefix order, left to right.
+and every left-padded grid is one gather from that table.  `fit_normalizers`
+reads the same per-event values and adds them in prefix order, left to right.
 """
 
 from __future__ import annotations
@@ -131,19 +130,8 @@ class EncodingSpec:
 
 
 @dataclass
-class EncodedInstance:
-    """One encoded prefix with its targets and padding bookkeeping."""
-
-    x: np.ndarray  # (k, width) float32
-    target_activity: int          # 0..|A|, |A| = end-of-sequence
-    target_time_delta: float      # seconds / mean_since_prev
-    prefix_length: int
-    instance_id: str
-
-
-@dataclass
 class Dataset:
-    """Stacked encoded instances ready for batched passes."""
+    """Stacked encoded prefixes ready for batched passes."""
 
     x: np.ndarray          # (N, k, width) float32
     y_activity: np.ndarray  # (N,) int64
@@ -222,17 +210,6 @@ def fit_normalizers(train_prefixes: Sequence[PrefixRecord]) -> tuple[float, floa
     mean_first = float(np.cumsum(events.since_first[rows])[-1] / rows.size)
     mean_prev = float(np.cumsum(events.since_prev[rows])[-1] / rows.size)
     return (mean_first if mean_first > 0 else 1.0, mean_prev if mean_prev > 0 else 1.0)
-
-
-def encode_prefix(record: PrefixRecord, spec: EncodingSpec) -> EncodedInstance:
-    """Encode one prefix into the fixed k x width grid (left-padded)."""
-    return EncodedInstance(
-        x=encode_dataset([record], spec).x[0],
-        target_activity=record.target_activity,
-        target_time_delta=record.target_delta / spec.mean_since_prev,
-        prefix_length=record.length,
-        instance_id=record.instance_id,
-    )
 
 
 def encode_dataset(records: Iterable[PrefixRecord], spec: EncodingSpec) -> Dataset:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .encoding import (
     Dataset,
-    EncodedInstance,
     EncodingSpec,
     KIND_ACTIVITY,
     KIND_INDEX,
@@ -351,29 +350,31 @@ def _format_value(spec: EncodingSpec, col: int, value: float) -> str:
 
 def render_explanation(
     explanation: Explanation,
-    instance: EncodedInstance,
+    dataset: Dataset,
+    row: int,
     spec: EncodingSpec,
 ) -> str:
-    """Human-readable view grouped by event; dummy-row features are omitted.
+    """Human-readable view of one dataset row, grouped by event; dummy-row features are omitted.
 
     Selected features carry a '+', excluded ones a '-'.  Omission changes the
     rendering only: the recorded explanation size still counts every index.
     """
     selected = set(explanation.indices)
-    first_real = spec.k - instance.prefix_length
+    x = dataset.x[row]
+    first_real = spec.k - dataset.prefix_lengths[row]
     lines = [
         f"instance {explanation.instance_id}  method={explanation.method}  "
         f"size={explanation.size}"
     ]
     hidden = sum(1 for flat in explanation.indices if flat // spec.width < first_real)
-    for row in range(first_real, spec.k):
-        event_no = row - first_real + 1
-        hot = int(np.argmax(instance.x[row, : spec.vocab_size]))
+    for step in range(first_real, spec.k):
+        event_no = step - first_real + 1
+        hot = int(np.argmax(x[step, : spec.vocab_size]))
         lines.append(f"event {event_no} ({spec.vocab[hot]}):")
         for col in range(spec.width):
-            flat = spec.flatten(row, col)
+            flat = spec.flatten(step, col)
             mark = "+" if flat in selected else "-"
-            value = _format_value(spec, col, float(instance.x[row, col]))
+            value = _format_value(spec, col, float(x[step, col]))
             lines.append(f"  {mark} {spec.feature_name(col)} = {value}")
     if hidden:
         lines.append(f"({hidden} selected dummy-event features not shown)")

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError, LogParseError
+from .runfiles import read_bytes
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def _parse_timestamp(raw: str, line_no: int) -> int:
             ) from None
         if moment.tzinfo is None:
             moment = moment.replace(tzinfo=timezone.utc)
-        stamp = int(moment.timestamp())
+        stamp = math.floor(moment.timestamp())
     if not 0 <= stamp <= MAX_TIMESTAMP:
         raise LogParseError(
             f"line {line_no}: timestamp {raw!r} is not in "
@@ -125,10 +127,7 @@ def parse_csv(path: str | Path, columns: ColumnMap | None = None) -> EventLog:
     """
     columns = columns or ColumnMap()
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read the event log ({exc.strerror})") from None
+    raw = read_bytes(path)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -6,10 +6,12 @@ complement sampling) derives from one seed, so identical configurations yield
 byte-identical checkpoints under the same BLAS thread count.
 
 `fit` trains in the calling process.  `fit_cell` (one model) and
-`grid_search` (one per cell) run it as cells of one job in spawned worker
-processes with one BLAS thread each, so their bytes do not depend on the
-caller's thread settings, and keep every fitted cell in a store keyed by
-everything the fit reads.
+`grid_search` (one per cell) run it as cells of one job on
+`runfiles.map_in_workers`, in spawned worker processes with one BLAS thread
+each, so their bytes do not depend on the caller's thread settings.  A
+worker loads its cell from the store or fits it, and returns the checkpoint;
+the caller writes each new fit to the store, keyed by everything the fit
+reads.  Checkpoints and cells are written with `runfiles.write_atomic`.
 
 Checkpoint container layout (little-endian):
     magic "SENNAPCK" | u32 version | u64 metadata length | metadata UTF-8
@@ -22,17 +24,10 @@ are stored per gate: W_f, W_i, W_c, W_o as (H, H+D), then b_f, b_i, b_c, b_o.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
-import multiprocessing
-import os
-import pickle
 import struct
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -45,6 +40,7 @@ from .errors import CheckpointError, ConfigError, SennapError, TrainingError
 from .evaluation import Explanation, check_verification, summarize, verify_explanations
 from .model import NapModelParams, forward_graph, infer, infer_weights, init_model
 from .neural import AdamState, adam_step, backward, masked_blend_value, subset_mask
+from .runfiles import key_values, map_in_workers, parse_key_values, read_bytes, write_atomic
 from .selfexplain import FeatureSampler, dual_propagate, senn_loss_values, senn_losses
 
 LEARNING_RATE_GRID = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -368,48 +364,48 @@ class _GridJob(_FitJob):
     n_samples: int
 
 
-_job: _FitJob | None = None  # set in each worker process by its initializer
-
-
-def _start_worker(path: Path):
-    global _job
-    _job = pickle.loads(path.read_bytes())
-
-
-def _load_or_fit(config: TrainConfig, key: str) -> tuple[bytes, bool, Checkpoint]:
+def _load_or_fit(
+    job: _FitJob, cell: tuple[TrainConfig, str]
+) -> tuple[Checkpoint, bytes, bool]:
     """A worker's task for one cell: load it from the store, or fit it.
 
-    Returns the checkpoint's bytes, whether they came from the store, and the
-    checkpoint.  An unreadable stored file is fitted again; a failed fit
-    raises `TrainingError`.
+    Returns the checkpoint, its bytes, and whether they came from the store;
+    the caller stores a new fit (`_keep`).  An unreadable stored file is
+    fitted again; a failed fit raises `TrainingError`.
     """
-    if _job.store is not None:
-        path = _job.store / f"{key}.ckpt"
+    config, key = cell
+    if job.store is not None:
+        path = job.store / f"{key}.ckpt"
         try:
-            blob = path.read_bytes()
-            return blob, True, _parse_checkpoint(blob, path)
-        except (FileNotFoundError, CheckpointError):
+            blob = read_bytes(path, CheckpointError)
+            return _parse_checkpoint(blob, path), blob, True
+        except CheckpointError:
             pass
     # `fit` raises on every non-finite loss and gradient; numpy's warnings on
     # the way there would only print ahead of that error
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ckpt = fit(_job.train, _job.validation, _job.spec, config)
-    return _checkpoint_bytes(ckpt), False, ckpt
+        ckpt = fit(job.train, job.validation, job.spec, config)
+    return ckpt, _checkpoint_bytes(ckpt), False
 
 
-def _score_cell(config: TrainConfig, key: str) -> tuple[bytes | None, bool, GridCell]:
-    """A grid worker's task for one cell: `_load_or_fit`, then the cell's record.
+def _score_cell(
+    job: _GridJob, cell: tuple[TrainConfig, str]
+) -> tuple[GridCell, bytes | None, bool]:
+    """A grid worker's task for one cell: its record, then `_load_or_fit`'s bytes and flag.
 
-    A cell whose fit fails is recorded as failed, with no bytes.
+    The checkpoint goes back as bytes, not as an object: unpickling every
+    cell's checkpoint raised the calling process's peak memory.  A cell whose
+    fit fails is recorded as failed, with no bytes.
     """
+    config, _ = cell
     try:
-        blob, stored, ckpt = _load_or_fit(config, key)
+        ckpt, blob, stored = _load_or_fit(job, cell)
     except TrainingError as exc:
-        return None, False, GridCell(config.learning_rate, config.xi, "failed", error=str(exc))
+        return GridCell(config.learning_rate, config.xi, "failed", error=str(exc)), None, False
     acc, faith, size = _cell_metrics(
-        ckpt, _job.selection, _job.sampler, _job.limit, _job.delta, _job.n_samples
+        ckpt, job.selection, job.sampler, job.limit, job.delta, job.n_samples
     )
-    cell = GridCell(
+    record = GridCell(
         config.learning_rate, config.xi, "ok",
         val_accuracy=acc,
         val_faithfulness=faith,
@@ -417,70 +413,14 @@ def _score_cell(config: TrainConfig, key: str) -> tuple[bytes | None, bool, Grid
         best_val_loss=ckpt.best_val_loss,
         epochs_run=len(ckpt.history),
     )
-    return blob, stored, cell
+    return record, blob, stored
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Processes started inside see one BLAS thread; the environment is restored after.
-
-    A spawned child imports numpy before any pool initializer runs, so the
-    setting has to be in the environment it starts with.
-    """
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
-def _worker_pool(job: _FitJob, task: Callable, cells: Sequence[tuple[TrainConfig, str]]):
-    """Run `task(config, key)` per cell in spawned workers; yields the results in order.
-
-    Every task returns (checkpoint bytes or None, whether they came from the
-    store, its outcome).  Bytes that did not come from the store are written
-    there as their result is read.  The pool has one worker per available
-    CPU, at most one per cell, each with one BLAS thread.  It is shut down
-    when the generator ends, raises or is closed, so a caller that may stop
-    early reads it inside `contextlib.closing`.  The workers read `job` from
-    a file: a worker that dies before it reads a large start-up argument
-    would leave the parent blocked writing it.
-    """
-    if job.store is not None:
-        job.store.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix="sennap-pool-") as scratch:
-        path = Path(scratch) / "job.pickle"
-        path.write_bytes(pickle.dumps(job))
-        pool = ProcessPoolExecutor(
-            min(_cpu_count(), len(cells)),
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_start_worker,
-            initargs=(path,),
-        )
-        try:
-            # the pool starts its workers as tasks arrive
-            with _one_blas_thread():
-                futures = [pool.submit(task, config, key) for config, key in cells]
-            for future, (_, key) in zip(futures, cells):
-                try:
-                    result = future.result()
-                except BrokenProcessPool as exc:
-                    message = f"a grid worker process ended unexpectedly: {exc}"
-                    raise TrainingError(message) from exc
-                blob, stored, _ = result
-                if blob is not None and job.store is not None and not stored:
-                    _write_atomic(job.store / f"{key}.ckpt", blob)
-                yield result
-        finally:
-            pool.shutdown(cancel_futures=True)
+def _keep(store: Path | None, key: str, blob: bytes, stored: bool):
+    """Write a cell that was fitted, not loaded from the store, to the store."""
+    if store is not None and not stored:
+        store.mkdir(parents=True, exist_ok=True)
+        write_atomic(store / f"{key}.ckpt", blob)
 
 
 def fit_cell(
@@ -500,16 +440,13 @@ def fit_cell(
     guard, as for `grid_search`.
     """
     (key,) = _cell_keys(train, validation, spec, [config])
-    job = _FitJob(train, validation, spec, Path(checkpoint_dir))
+    store = Path(checkpoint_dir)
     # unpacking reads the generator to its end, which shuts the pool down
-    [(_, stored, ckpt)] = _worker_pool(job, _load_or_fit, [(config, key)])
+    [(ckpt, blob, stored)] = map_in_workers(
+        _FitJob(train, validation, spec, store), _load_or_fit, [(config, key)]
+    )
+    _keep(store, key, blob, stored)
     return ckpt, stored
-
-
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _rank(cell: GridCell):
@@ -531,13 +468,14 @@ def grid_search(
 ) -> tuple[GridResult, Checkpoint]:
     """Train one self-explaining model per (learning rate, xi) combination.
 
-    Cells run in a pool of spawned worker processes, one per available CPU
-    and at most one per cell, each with one BLAS thread, so records and
-    checkpoints do not depend on the pool size.  `checkpoint_dir` is the cell
-    store: a cell whose key (`_cell_keys`) has a readable checkpoint there is
-    loaded instead of trained, and every newly trained cell is written there.
-    Each worker imports the caller's main module, so a calling script needs
-    the `if __name__ == "__main__":` guard.
+    Cells run on `runfiles.map_in_workers`: spawned worker processes, one per
+    available CPU and at most one per cell, each with one BLAS thread, so
+    records and checkpoints do not depend on the pool size.  `checkpoint_dir`
+    is the cell store: a cell whose key (`_cell_keys`) has a readable
+    checkpoint there is loaded instead of trained, and every newly trained
+    cell is written there as its result arrives.  Each worker imports the
+    caller's main module, so a calling script needs the
+    `if __name__ == "__main__":` guard.
 
     Selection: highest validation accuracy, ties broken by higher
     faithfulness rate, then smaller mean explanation size.  Failed cells are
@@ -559,16 +497,21 @@ def grid_search(
 
     cells: list[GridCell] = []
     best, best_blob = None, None
-    with contextlib.closing(_worker_pool(job, _score_cell, list(zip(configs, keys)))) as results:
-        for cell_no, (blob, stored, cell) in enumerate(results, 1):
+    results = map_in_workers(job, _score_cell, list(zip(configs, keys)))
+    try:
+        for cell_no, (key, (cell, blob, stored)) in enumerate(zip(keys, results), 1):
             if log:
                 log(
                     f"grid cell {cell_no}/{len(plan)}: lr={cell.learning_rate:g} "
                     f"xi={cell.xi:g}" + (" (stored)" if stored else "")
                 )
+            if blob is not None:
+                _keep(job.store, key, blob, stored)
             cells.append(cell)
             if cell.status == "ok" and (best is None or _rank(cell) < _rank(best)):
                 best, best_blob = cell, blob
+    finally:
+        results.close()  # stops the workers if the loop ends early
 
     if best is None:
         raise TrainingError("every grid cell failed to train")
@@ -598,7 +541,7 @@ def _checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     meta["best_epoch"] = str(ckpt.best_epoch)
     meta["best_val_loss"] = repr(ckpt.best_val_loss)
     meta["history"] = _history_to_json(ckpt.history)
-    meta_block = _key_values(meta).encode("utf-8")
+    meta_block = key_values(meta).encode("utf-8")
 
     sections = ckpt.params.sections()
     parts = [
@@ -619,20 +562,9 @@ def _checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     return b"".join(parts)
 
 
-def _write_atomic(path: Path, data: bytes):
-    """Write a temporary file beside `path`, then rename it over `path`."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str | Path):
     """Serialize to the documented container; a reader never sees a partly written file."""
-    _write_atomic(Path(path), _checkpoint_bytes(ckpt))
+    write_atomic(path, _checkpoint_bytes(ckpt))
 
 
 # sections are vectors and matrices; the bound keeps a corrupt rank byte out of numpy
@@ -641,11 +573,7 @@ MAX_SECTION_RANK = 2
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint container back into live model parameters."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read ({exc.strerror})") from None
-    return _parse_checkpoint(data, path)
+    return _parse_checkpoint(read_bytes(path, CheckpointError), path)
 
 
 def _parse_checkpoint(data: bytes, path: str | Path) -> Checkpoint:
@@ -675,7 +603,7 @@ def _parse_checkpoint(data: bytes, path: str | Path) -> Checkpoint:
             f"(expected {CHECKPOINT_VERSION})"
         )
     (meta_len,) = struct.unpack("<Q", take(8, "metadata length"))
-    meta = _parse_key_values(text(meta_len, "metadata"))
+    meta = parse_key_values(text(meta_len, "metadata"))
     (n_sections,) = struct.unpack("<I", take(4, "section count"))
     sections: dict[str, np.ndarray] = {}
     for _ in range(n_sections):
@@ -717,43 +645,3 @@ def _parse_checkpoint(data: bytes, path: str | Path) -> Checkpoint:
         best_epoch=best_epoch,
         best_val_loss=best_val_loss,
     )
-
-
-# ---------------------------------------------------------------------------
-# key=value text: checkpoint metadata and manifests
-# ---------------------------------------------------------------------------
-
-
-def _key_values(entries: dict[str, object]) -> str:
-    """One `key=value` line per entry, in insertion order; values are kept verbatim."""
-    return "".join(f"{key}={value}\n" for key, value in entries.items())
-
-
-def _parse_key_values(text: str) -> dict[str, str]:
-    """Inverse of `_key_values`; blank lines and lines starting with '#' are skipped."""
-    out: dict[str, str] = {}
-    for line in text.splitlines():
-        if line and not line.startswith("#"):
-            key, _, value = line.partition("=")
-            out[key] = value
-    return out
-
-
-def write_manifest(path: str | Path, entries: dict[str, object]):
-    """UTF-8 key=value audit file (one entry per line, insertion order)."""
-    Path(path).write_text(_key_values(entries), encoding="utf-8")
-
-
-def read_text(path: str | Path) -> str:
-    """A UTF-8 text file; an unreadable or undecodable file is a `ConfigError` naming it."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not valid UTF-8") from None
-
-
-def read_manifest(path: str | Path) -> dict[str, str]:
-    """Read a `write_manifest` file; an unreadable file is a `ConfigError` naming it."""
-    return _parse_key_values(read_text(path))

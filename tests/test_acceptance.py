@@ -193,7 +193,7 @@ def helpdesk_metrics(helpdesk):
 class TestHelpdeskCriteria:
     def test_c0_log_shape_and_normalizers(self, helpdesk):
         """Parsed Helpdesk shape: 4580 cases, 21348 events, 14 activities, k=15."""
-        from sennap.training import read_manifest
+        from sennap.runfiles import read_manifest
 
         manifest = read_manifest(helpdesk / "prepare" / "manifest.txt")
         shape = (

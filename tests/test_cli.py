@@ -14,18 +14,13 @@ import numpy as np
 import pytest
 
 import sennap
-from sennap import training
+from sennap import runfiles
 from sennap.cli import COMMANDS, OPTIONS, Prepared, Settings, build_parser, main
 from sennap.evaluation import accuracy
 from sennap.eventlog import ColumnMap
 from sennap.posthoc import AnchorConfig
-from sennap.training import (
-    TrainConfig,
-    load_checkpoint,
-    read_manifest,
-    save_checkpoint,
-    write_manifest,
-)
+from sennap.runfiles import read_manifest, write_manifest
+from sennap.training import TrainConfig, load_checkpoint, save_checkpoint
 
 from conftest import write_markov_csv
 
@@ -274,6 +269,58 @@ class TestPipelineArtifacts:
         assert rows["selfexplain"]["accuracy"] != default_acc
         baseline = load_checkpoint(out / "models" / "baseline.ckpt")
         assert rows["posthoc"]["accuracy"] == accuracy(baseline.params, test_set)
+
+    def test_failed_write_leaves_the_previous_file(self, workdir, tmp_path, monkeypatch):
+        out = _copy_runs(workdir, tmp_path)
+        records = out / "explanations" / "selfexplain.jsonl"
+        before = records.read_bytes()
+        dumps, dumped = json.dumps, []
+
+        def fail_on_third_record(obj, **kwargs):
+            if isinstance(obj, dict) and "instance" in obj:
+                dumped.append(obj)
+                if len(dumped) == 3:
+                    raise RuntimeError("the third record")
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", fail_on_third_record)
+        with pytest.raises(RuntimeError, match="the third record"):
+            main(["explain", "--out", str(out), "--seed", "5", "--method", "selfexplain",
+                  "--limit", "6"])
+        monkeypatch.undo()
+        assert records.read_bytes() == before
+        assert not list(records.parent.glob(".*.tmp"))
+
+        # the disk fills halfway through a manifest's write
+        manifest = out / "prepare" / "manifest.txt"
+        before = manifest.read_bytes()
+        csv_path, _ = workdir
+        path_open = Path.open
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        def open_on_full_disk(path, mode="r", *args, **kwargs):
+            handle = path_open(path, mode, *args, **kwargs)
+            return FullDisk(handle) if "w" in mode and "manifest" in path.name else handle
+
+        monkeypatch.setattr(Path, "open", open_on_full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            main(["prepare", "--data", str(csv_path), "--out", str(out), "--seed", "6"])
+        monkeypatch.undo()
+        assert manifest.read_bytes() == before
+        assert not list(manifest.parent.glob(".*.tmp"))
 
 
 class TestCliErrors:
@@ -612,7 +659,7 @@ class TestCliErrors:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(training, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(runfiles, "ProcessPoolExecutor", no_pool)
         out = _copy_runs(workdir, tmp_path)
         for argv in (["--out", str(out), "--mode", "selfexplain", "--xi", "nan"],
                      ["--out", str(out), "--mode", "baseline", "--seed", "-1"],

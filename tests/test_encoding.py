@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sennap.encoding import (
-    EncodingSpec,
-    encode_dataset,
-    encode_prefix,
-    fit_normalizers,
-)
+from sennap.encoding import EncodingSpec, encode_dataset, fit_normalizers
 from sennap.errors import EncodingError
 from sennap.eventlog import MAX_TIMESTAMP, Case, Event, PrefixRecord, generate_prefixes
 
@@ -105,20 +100,20 @@ class TestFitNormalizers:
 class TestEncodePrefix:
     def test_single_event_monday_midnight(self):
         spec = _spec()
-        inst = encode_prefix(_record([("a", MONDAY_MIDNIGHT)]), spec)
-        assert inst.x.shape == (4, 8)
-        np.testing.assert_array_equal(inst.x[:3], 0.0)
-        np.testing.assert_allclose(inst.x[3], [1, 0, 0, 1, 0, 0, 0, 0])
-        assert inst.prefix_length == 1
+        data = encode_dataset([_record([("a", MONDAY_MIDNIGHT)])], spec)
+        assert data.x.shape == (1, 4, 8)
+        np.testing.assert_array_equal(data.x[0, :3], 0.0)
+        np.testing.assert_allclose(data.x[0, 3], [1, 0, 0, 1, 0, 0, 0, 0])
+        assert data.prefix_lengths == (1,)
 
     def test_second_event_hand_computed(self):
         spec = _spec(mean_first=3600.0, mean_prev=3600.0)
-        inst = encode_prefix(
-            _record([("a", MONDAY_MIDNIGHT), ("b", MONDAY_MIDNIGHT + 3600)]), spec
-        )
-        np.testing.assert_allclose(inst.x[2], [1, 0, 0, 1, 0, 0, 0, 0])
+        (x,) = encode_dataset(
+            [_record([("a", MONDAY_MIDNIGHT), ("b", MONDAY_MIDNIGHT + 3600)])], spec
+        ).x
+        np.testing.assert_allclose(x[2], [1, 0, 0, 1, 0, 0, 0, 0])
         np.testing.assert_allclose(
-            inst.x[3],
+            x[3],
             [0, 1, 0, 2, 1.0, 1.0, 3600 / 86400, 0.0],
             rtol=1e-6,
         )
@@ -126,28 +121,29 @@ class TestEncodePrefix:
     def test_full_length_prefix_has_no_dummy_rows(self):
         spec = _spec(k=3)
         stamps = [("a", 0), ("b", 10), ("c", 30)]
-        inst = encode_prefix(_record(stamps), spec)
-        assert inst.prefix_length == spec.k
+        data = encode_dataset([_record(stamps)], spec)
+        assert data.prefix_lengths == (spec.k,)
+        assert np.all(data.x[0, :, : spec.vocab_size].sum(axis=1) == 1.0)
 
     def test_unknown_activity_named_in_error(self):
         spec = _spec()
         with pytest.raises(EncodingError, match="mystery"):
-            encode_prefix(_record([("mystery", 0)]), spec)
+            encode_dataset([_record([("mystery", 0)])], spec)
 
     def test_prefix_longer_than_k_rejected(self):
         spec = _spec(k=2)
         with pytest.raises(EncodingError, match="exceeds"):
-            encode_prefix(_record([("a", 0), ("b", 1), ("c", 2)]), spec)
+            encode_dataset([_record([("a", 0), ("b", 1), ("c", 2)])], spec)
 
     def test_unknown_activity_after_the_prefix_is_not_read(self):
         record = _record([("a", 0), ("mystery", 10)], length=1)
-        inst = encode_prefix(record, _spec())
-        np.testing.assert_array_equal(inst.x[3, :3], [1, 0, 0])
+        data = encode_dataset([record], _spec())
+        np.testing.assert_array_equal(data.x[0, 3, :3], [1, 0, 0])
 
     def test_target_delta_normalized_by_since_prev_mean(self):
         spec = _spec(mean_prev=50.0)
-        inst = encode_prefix(_record([("a", 0)], target=1, delta=100.0), spec)
-        assert inst.target_time_delta == pytest.approx(2.0)
+        data = encode_dataset([_record([("a", 0)], target=1, delta=100.0)], spec)
+        assert data.y_time[0] == pytest.approx(2.0)
 
     def test_weekday_and_midnight_in_unit_interval(self):
         log = build_log(make_markov_cases(25, seed=2))
@@ -165,20 +161,20 @@ class TestEncodePrefix:
         spec = EncodingSpec(tuple(log.vocabulary), log.k, 1.0, 1.0)
         va = spec.vocab_size
         for record in records[:50]:
-            inst = encode_prefix(record, spec)
+            (x,) = encode_dataset([record], spec).x
             pad = spec.k - record.length
-            hot = inst.x[:, :va].sum(axis=1)
+            hot = x[:, :va].sum(axis=1)
             np.testing.assert_array_equal(hot[:pad], 0.0)
             np.testing.assert_array_equal(hot[pad:], 1.0)
             np.testing.assert_array_equal(
-                inst.x[pad:, va], np.arange(1, record.length + 1)
+                x[pad:, va], np.arange(1, record.length + 1)
             )
 
     def test_encoding_injective_on_distinct_prefixes(self):
         log = build_log(make_markov_cases(20, seed=8))
         records = generate_prefixes(log.cases, log.vocabulary, log.k, "train")
         spec = EncodingSpec(tuple(log.vocabulary), log.k, 100.0, 100.0)
-        grids = {encode_prefix(r, spec).x.tobytes() for r in records}
+        grids = {encode_dataset([r], spec).x.tobytes() for r in records}
         assert len(grids) == len(records)
 
 

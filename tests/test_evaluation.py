@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sennap.encoding import Dataset, EncodedInstance, EncodingSpec
+from sennap.encoding import Dataset, EncodingSpec
 from sennap.errors import ConfigError
 from sennap.evaluation import (
     Explanation,
@@ -336,25 +336,26 @@ class TestRendering:
     def _spec(self):
         return EncodingSpec(("a", "b"), 3, 10.0, 20.0)
 
-    def _instance(self, spec):
-        x = np.zeros((3, 7), dtype=np.float32)
+    def _dataset(self, spec):
+        """One row: a prefix of two events after one padding row."""
+        x = np.zeros((1, 3, 7), dtype=np.float32)
         # rows 1-2 real: activities a then b
-        x[1, 0] = 1.0
-        x[1, 2] = 1.0  # event index 1
-        x[2, 1] = 1.0
-        x[2, 2] = 2.0  # event index 2
-        x[2, 3] = 1.5  # since-first (normalized)
-        x[2, 4] = 0.25
-        x[2, 5] = 0.5  # since midnight fraction
-        x[2, 6] = 1.0 / 6.0  # Tuesday
-        return EncodedInstance(x, 1, 0.0, 2, "c0#2")
+        x[0, 1, 0] = 1.0
+        x[0, 1, 2] = 1.0  # event index 1
+        x[0, 2, 1] = 1.0
+        x[0, 2, 2] = 2.0  # event index 2
+        x[0, 2, 3] = 1.5  # since-first (normalized)
+        x[0, 2, 4] = 0.25
+        x[0, 2, 5] = 0.5  # since midnight fraction
+        x[0, 2, 6] = 1.0 / 6.0  # Tuesday
+        return Dataset(x, np.array([1]), np.zeros(1, np.float32), ("c0#2",), (2,))
 
     def test_forced_only_explanation_lists_event_indices(self):
         spec = self._spec()
-        inst = self._instance(spec)
+        data = self._dataset(spec)
         forced = tuple(int(i) for i in np.flatnonzero(spec.forced_flat_mask()))
         expl = Explanation("c0#2", "selfexplain", forced, None, 0.001)
-        text = render_explanation(expl, inst, spec)
+        text = render_explanation(expl, data, 0, spec)
         assert "event 1 (a)" in text
         assert "event 2 (b)" in text
         assert "+ event_index = 1" in text
@@ -363,10 +364,10 @@ class TestRendering:
 
     def test_dummy_row_feature_hidden_but_counted(self):
         spec = self._spec()
-        inst = self._instance(spec)
+        data = self._dataset(spec)
         dummy_flat = spec.flatten(0, 3)  # row 0 is padding for this instance
         expl = Explanation("c0#2", "selfexplain", (dummy_flat,), None, 0.001)
-        text = render_explanation(expl, inst, spec)
+        text = render_explanation(expl, data, 0, spec)
         assert expl.size == 1
         assert "size=1" in text
         assert "event 0" not in text
@@ -374,10 +375,10 @@ class TestRendering:
 
     def test_full_subset_marks_every_real_feature(self):
         spec = self._spec()
-        inst = self._instance(spec)
+        data = self._dataset(spec)
         every = tuple(range(spec.n_features))
         text = render_explanation(
-            Explanation("c0#2", "selfexplain", every, None, 0.001), inst, spec
+            Explanation("c0#2", "selfexplain", every, None, 0.001), data, 0, spec
         )
         for line in text.splitlines():
             if line.startswith("  "):
@@ -385,10 +386,10 @@ class TestRendering:
 
     def test_values_denormalized(self):
         spec = self._spec()
-        inst = self._instance(spec)
+        data = self._dataset(spec)
         every = tuple(range(spec.n_features))
         text = render_explanation(
-            Explanation("c0#2", "selfexplain", every, None, 0.001), inst, spec
+            Explanation("c0#2", "selfexplain", every, None, 0.001), data, 0, spec
         )
         assert "+ since_first = 15.0 s" in text      # 1.5 * mean 10
         assert "+ since_prev = 5.0 s" in text        # 0.25 * mean 20

@@ -130,14 +130,25 @@ class TestParseCsv:
     @pytest.mark.parametrize(
         "stamp",
         ["-1", "1969-12-31T23:59:59Z", "253402300800", "10000000000000",
-         "9999-12-31T23:59:59-00:01"],
+         "9999-12-31T23:59:59-00:01", "1969-12-31T23:59:59.5Z"],
         ids=["negative-epoch", "iso-before-epoch", "epoch-after-9999", "epoch-year-318857",
-             "iso-after-9999"],
+             "iso-after-9999", "iso-half-second-before-epoch"],
     )
     def test_timestamp_out_of_range_reports_line(self, tmp_path, stamp):
         path = _write(tmp_path, f"case,activity,timestamp\nc1,a,1\nc1,b,{stamp}\n")
         with pytest.raises(LogParseError, match="line 3"):
             parse_csv(path)
+
+    def test_fractional_seconds_round_down(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "case,activity,timestamp\n"
+            "c1,a,1970-01-01T00:00:00.9Z\n"
+            "c1,b,2020-01-06T00:00:00.999999\n"
+            "c1,c,2020-01-06T01:00:00.5+01:00\n",
+        )
+        stamps = [e.timestamp for e in parse_csv(path).cases[0].events]
+        assert stamps == [0, 1578268800, 1578268800]
 
     def test_empty_activity_rejected(self, tmp_path):
         path = _write(tmp_path, "case,activity,timestamp\nc1,,1\n")

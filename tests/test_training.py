@@ -24,6 +24,7 @@ from sennap.errors import CheckpointError, ConfigError, TrainingError
 from sennap.evaluation import accuracy
 from sennap.model import INFER_CHUNK, forward_graph
 from sennap.neural import backward, masked_blend, reshape
+from sennap.runfiles import read_manifest, write_manifest
 from sennap.selfexplain import FeatureSampler, senn_losses
 from sennap.training import (
     CHECKPOINT_MAGIC,
@@ -34,9 +35,7 @@ from sennap.training import (
     grid_plan,
     grid_search,
     load_checkpoint,
-    read_manifest,
     save_checkpoint,
-    write_manifest,
 )
 
 
@@ -638,7 +637,7 @@ class TestGridSearch:
             timeout=300, cwd=tmp_path,
         )
         assert done.returncode != 0
-        assert "grid worker process ended unexpectedly" in done.stderr
+        assert "a worker process ended unexpectedly" in done.stderr
 
     def test_selection_prefers_accuracy_then_faithfulness_then_size(self):
         from sennap.training import GridCell, _rank
