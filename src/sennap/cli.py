@@ -152,10 +152,6 @@ def _read_split(path: Path, log) -> SplitSpec:
     )
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(read_bytes(path)).hexdigest()
-
-
 class Prepared:
     """Prepared artifacts reloaded for downstream commands."""
 
@@ -177,9 +173,11 @@ class Prepared:
             timestamp=entry("columns.timestamp"),
         )
         data = entry("data")
-        if _sha256(data) != entry("data.sha256"):
+        # one read: the bytes checked are the bytes parsed
+        raw = read_bytes(data)
+        if hashlib.sha256(raw).hexdigest() != entry("data.sha256"):
             raise ConfigError(f"{data}: the event log changed after `prepare`; run `prepare` again")
-        self.log = parse_csv(data, columns)
+        self.log = parse_csv(data, columns, data=raw)
         self.split = _read_split(prep / "split.txt", self.log)
         encoding_path = prep / "encoding.txt"
         if not encoding_path.exists():
@@ -296,7 +294,8 @@ def cmd_prepare(args) -> int:
         timestamp=settings.get("timestamp_col"),
     )
 
-    log = parse_csv(data, columns)
+    raw = read_bytes(data)
+    log = parse_csv(data, columns, data=raw)
     split = split_chronological(log)
     train_prefixes = generate_prefixes(split.train, log.vocabulary, log.k, "train")
     mean_first, mean_prev = fit_normalizers(train_prefixes)
@@ -308,14 +307,13 @@ def cmd_prepare(args) -> int:
     )
 
     prep = out_dir / "prepare"
-    prep.mkdir(parents=True, exist_ok=True)
     write_manifest(prep / "encoding.txt", spec.to_metadata())
     _write_split(prep / "split.txt", split)
     write_manifest(
         prep / "manifest.txt",
         {
             "data": data,
-            "data.sha256": _sha256(data),
+            "data.sha256": hashlib.sha256(raw).hexdigest(),
             "columns.case": columns.case,
             "columns.activity": columns.activity,
             "columns.timestamp": columns.timestamp,
@@ -409,7 +407,6 @@ def cmd_gridsearch(args) -> int:
     selection = prepared.dataset("validation", "eval")
 
     grid_dir = out_dir / "models" / f"grid_{grid}"
-    grid_dir.mkdir(parents=True, exist_ok=True)
     result, best = grid_search(
         train_set,
         val_set,
@@ -482,7 +479,6 @@ def cmd_explain(args) -> int:
         )
 
     exp_dir = out_dir / "explanations"
-    exp_dir.mkdir(parents=True, exist_ok=True)
     _write_jsonl(exp_dir / f"{method}.jsonl", [e.to_record() for e in explanations])
     found = sum(1 for e in explanations if e.status == "found")
     print(
@@ -515,7 +511,6 @@ def cmd_verify(args) -> int:
         delta=delta, n_samples=samples, seed=seed, threads=threads,
     )
     ver_dir = out_dir / "verification"
-    ver_dir.mkdir(parents=True, exist_ok=True)
     _write_jsonl(ver_dir / f"{method}.jsonl", [e.to_record() for e in verified])
     report = summarize(verified, delta=delta, n_samples=samples, seed=seed)
     write_manifest(
@@ -574,7 +569,6 @@ def cmd_report(args) -> int:
     if rendered:
         text += "\n\n== example explanations ==\n\n" + "\n\n".join(rendered)
     report_dir = out_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(report_dir / "report.txt", text + "\n")
     _write_jsonl(report_dir / "report.jsonl", [r.as_rows() for r in reports])
     print(text)

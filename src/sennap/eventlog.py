@@ -119,15 +119,19 @@ def _parse_timestamp(raw: str, line_no: int) -> int:
     return stamp
 
 
-def parse_csv(path: str | Path, columns: ColumnMap | None = None) -> EventLog:
+def parse_csv(
+    path: str | Path, columns: ColumnMap | None = None, *, data: bytes | None = None
+) -> EventLog:
     """Parse a UTF-8 CSV event log with a header row.
 
     Events are grouped by case id (cases kept in first-appearance order) and
     sorted by timestamp within each case, stable on ties so file order wins.
+    A caller that has read the file already passes its bytes as `data`;
+    `path` then only names the log in errors.
     """
     columns = columns or ColumnMap()
     path = Path(path)
-    raw = read_bytes(path)
+    raw = read_bytes(path) if data is None else data
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

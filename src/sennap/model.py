@@ -225,7 +225,7 @@ def forward_graph(
     return GraphOutputs(nap_logits, time_pred, exp_scores)
 
 
-INFER_CHUNK = 512
+INFER_CHUNK = 2048
 
 
 @dataclass

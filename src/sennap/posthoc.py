@@ -4,8 +4,10 @@ Greedy construction over individual flat features of the encoded grid: each
 round estimates the prediction-preservation precision of every single-feature
 extension of the current subset on one shared set of complement draws and
 keeps the best one, stopping once the estimate clears the precision threshold
-or the wall clock runs out.  Works against any class-prediction closure, so
-the same machinery is testable on analytic models.
+or the wall clock runs out.  A round scores its draws a few at a time: each
+`predict` call holds every candidate of its draws, so the rows of one draw
+share their prefix in one `prefix_tree`.  Works against any class-prediction
+closure, so the same machinery is testable on analytic models.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ConfigError
+from .model import INFER_CHUNK
 from .selfexplain import FeatureSampler
 
 
@@ -74,25 +77,25 @@ def estimate_precision(
     return float(np.mean(predict(z) == target))
 
 
-def extension_precisions(
+def extension_counts(
     predict: Callable[[np.ndarray], np.ndarray],
     x_flat: np.ndarray,
     base: np.ndarray,
     columns: np.ndarray,
     target: int,
 ) -> np.ndarray:
-    """Precision of each extension by one of `columns`, on common base rows.
+    """Per extension by one of `columns`: how many of the (g, n) `base` rows keep `target`.
 
-    Candidate j's rows are the (S, n) `base` rows with column j set to x_j, so
-    every candidate sees the same complement draws.  All candidates go to
-    `predict` in one call, laid out base-major: the rows of one base row are
-    adjacent and share everything before their own column.
+    Candidate j's rows are the base rows with column j set to x_j, so every
+    candidate sees the same complement draws.  All candidates go to `predict`
+    in one call, laid out base-major: the rows of one base row are adjacent
+    and share everything before their own column.
     """
-    S, n = base.shape
+    g, n = base.shape
     rows = np.repeat(base[:, None, :], len(columns), axis=1)
     rows[:, np.arange(len(columns)), columns] = x_flat[columns]
-    kept = predict(rows.reshape(-1, n)).reshape(S, len(columns)) == target
-    return kept.mean(axis=0)
+    kept = predict(rows.reshape(-1, n)).reshape(g, len(columns)) == target
+    return kept.sum(axis=0)
 
 
 def greedy_anchor_search(
@@ -105,15 +108,17 @@ def greedy_anchor_search(
     """Grow a feature subset until its estimated precision clears the threshold.
 
     Each round draws its S complement rows once, base = where(subset, x, draws),
-    and estimates every one-feature extension on those common draws with
-    `extension_precisions`, one `predict` call per event row.  A candidate
-    only counts as found after a confirmation estimate on fresh draws also
-    clears the threshold; picking the maximum of many noisy estimates would
-    otherwise systematically overstate precision.  Features are never
-    removed once added, and ties go to the smallest feature index.  The
-    timeout is checked before every call; it produces status "timeout" with
-    the best subset found so far, not an error.  `samples_used` counts S per
-    candidate estimate.
+    and estimates every one-feature extension on those common draws.  It
+    scores them in calls of g = max(1, INFER_CHUNK // free) draws, each an
+    `extension_counts` call over every free candidate, so one call fills one
+    inference chunk; a candidate's estimate is its kept count over all calls
+    divided by S.  A candidate only counts as found after a confirmation
+    estimate on fresh draws also clears the threshold; picking the maximum of
+    many noisy estimates would otherwise systematically overstate precision.
+    Features are never removed once added, and ties go to the smallest
+    feature index.  The timeout is checked before every call; it produces
+    status "timeout" with the best subset found so far, not an error.
+    `samples_used` counts every row submitted to `predict`.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -151,12 +156,16 @@ def greedy_anchor_search(
         base = np.where(subset, x_flat, sampler.draw(rng, S))
         # the full set estimates at exactly 1.0, so some feature is always left
         free = np.flatnonzero(~subset)
-        estimates = np.full(n, -1.0)
-        for columns in np.split(free, np.flatnonzero(np.diff(free // sampler.row_width)) + 1):
+        g = max(1, INFER_CHUNK // len(free))
+        kept = np.zeros(len(free), dtype=np.int64)
+        for lo in range(0, S, g):
             if time.perf_counter() - start > config.timeout_s:
                 return result("timeout", best_subset, best_precision, rounds)
-            estimates[columns] = extension_precisions(predict, x_flat, base, columns, target)
-            samples_used += S * len(columns)
+            draws = base[lo : lo + g]
+            kept += extension_counts(predict, x_flat, draws, free, target)
+            samples_used += len(draws) * len(free)
+        estimates = np.full(n, -1.0)
+        estimates[free] = kept / S
         # argmax takes the first maximum: ties go to the smallest feature index
         best = int(np.argmax(estimates))
         precision = float(estimates[best])

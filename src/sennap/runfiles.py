@@ -1,10 +1,11 @@
 """Run files and worker processes: the one way the package reads, writes and fans out.
 
-An unreadable or undecodable file is one package error naming it.  Every
-file is written beside its target and renamed into place, so a reader, or a
-command killed or failing part-way, sees the previous file or the new one
-whole.  `map_in_workers` writes nothing: what a task returns is its caller's
-to keep.  This module imports no other part of the package except `errors`.
+An unreadable or undecodable file, or one that cannot be written, is one
+package error naming it.  Every file is written beside its target and
+renamed into place, so a reader, or a command killed or failing part-way,
+sees the previous file or the new one whole.  `map_in_workers` writes
+nothing: what a task returns is its caller's to keep.  This module imports
+no other part of the package except `errors`.
 """
 
 from __future__ import annotations
@@ -40,17 +41,25 @@ def read_text(path: str | Path) -> str:
 
 
 def write_atomic(path: str | Path, data: bytes | str):
-    """Write a temporary file beside `path`, then rename it over `path`; text is UTF-8."""
+    """Write a temporary file beside `path`, then rename it over `path`; text is UTF-8.
+
+    Missing directories above `path` are made.  A path that cannot be
+    written is a `ConfigError` naming it, and leaves no temporary file.
+    """
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def key_values(entries: dict[str, object]) -> str:

@@ -60,15 +60,6 @@ class FeatureSampler:
     def forced_mask(self) -> np.ndarray:
         return self.kinds == SAMPLE_INDEX
 
-    @property
-    def row_width(self) -> int:
-        """Features per event row: each row holds one event-index feature.
-
-        Without event-index features the whole vector counts as one row.
-        """
-        rows = int(np.count_nonzero(self.forced_mask))
-        return self.n_features // rows if rows else self.n_features
-
     @classmethod
     def fit(cls, spec: EncodingSpec, train_x: np.ndarray) -> "FeatureSampler":
         """Derive per-feature kinds from the layout and ranges from training data."""

@@ -419,7 +419,6 @@ def _score_cell(
 def _keep(store: Path | None, key: str, blob: bytes, stored: bool):
     """Write a cell that was fitted, not loaded from the store, to the store."""
     if store is not None and not stored:
-        store.mkdir(parents=True, exist_ok=True)
         write_atomic(store / f"{key}.ckpt", blob)
 
 

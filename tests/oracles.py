@@ -4,7 +4,9 @@
 tanh kernels must match; `max_rel_error` checks analytic gradients against
 central finite differences; `fit_normalizers_loop` and `encode_dataset_loop`
 encode one prefix at a time, event by event, which the gathers in
-`sennap.encoding` must match bit for bit.
+`sennap.encoding` must match bit for bit; `round_estimates_per_event_row` is
+the post-hoc round that scores one event row's candidates per `predict` call,
+which the per-draw calls of `sennap.posthoc` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from sennap.encoding import Dataset, EncodingSpec
 from sennap.errors import EncodingError
 from sennap.eventlog import PrefixRecord
 from sennap.neural import LSTMLayerParams, Var, backward, expit
+from sennap.selfexplain import FeatureSampler
 
 
 def lstm_cell_step(
@@ -148,3 +151,30 @@ def encode_dataset_loop(records: Sequence[PrefixRecord], spec: EncodingSpec) -> 
         ids=tuple(r.instance_id for r in records),
         prefix_lengths=tuple(r.length for r in records),
     )
+
+
+def round_estimates_per_event_row(
+    predict: Callable[[np.ndarray], np.ndarray],
+    x_flat: np.ndarray,
+    subset: np.ndarray,
+    base: np.ndarray,
+    target: int,
+    sampler: FeatureSampler,
+) -> np.ndarray:
+    """One greedy round's estimates, one `predict` call per event row of candidates.
+
+    Candidate j's rows are the (S, n) `base` rows with column j set to x_j,
+    base-major within a call; taken features estimate at -1.  An event row
+    holds one event-index feature; without any, the whole vector is one row.
+    """
+    S, n = base.shape
+    rows = int(np.count_nonzero(sampler.forced_mask))
+    row_width = n // rows if rows else n
+    free = np.flatnonzero(~subset)
+    estimates = np.full(n, -1.0)
+    for columns in np.split(free, np.flatnonzero(np.diff(free // row_width)) + 1):
+        z = np.repeat(base[:, None, :], len(columns), axis=1)
+        z[:, np.arange(len(columns)), columns] = x_flat[columns]
+        kept = predict(z.reshape(-1, n)).reshape(S, len(columns)) == target
+        estimates[columns] = kept.mean(axis=0)
+    return estimates

@@ -270,7 +270,7 @@ class TestPipelineArtifacts:
         baseline = load_checkpoint(out / "models" / "baseline.ckpt")
         assert rows["posthoc"]["accuracy"] == accuracy(baseline.params, test_set)
 
-    def test_failed_write_leaves_the_previous_file(self, workdir, tmp_path, monkeypatch):
+    def test_failed_write_leaves_the_previous_file(self, workdir, tmp_path, monkeypatch, capsys):
         out = _copy_runs(workdir, tmp_path)
         records = out / "explanations" / "selfexplain.jsonl"
         before = records.read_bytes()
@@ -316,11 +316,31 @@ class TestPipelineArtifacts:
             return FullDisk(handle) if "w" in mode and "manifest" in path.name else handle
 
         monkeypatch.setattr(Path, "open", open_on_full_disk)
-        with pytest.raises(OSError, match="No space left"):
-            main(["prepare", "--data", str(csv_path), "--out", str(out), "--seed", "6"])
+        capsys.readouterr()
+        code = main(["prepare", "--data", str(csv_path), "--out", str(out), "--seed", "6"])
         monkeypatch.undo()
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {manifest}: cannot write (No space left on device)"]
         assert manifest.read_bytes() == before
         assert not list(manifest.parent.glob(".*.tmp"))
+
+    def test_verify_reads_the_event_log_once(self, workdir, tmp_path, monkeypatch):
+        csv_path, _ = workdir
+        out = _copy_runs(workdir, tmp_path)
+        original, reads = runfiles.read_bytes, []
+
+        def counted(path, *args, **kwargs):
+            reads.append(Path(path))
+            return original(path, *args, **kwargs)
+
+        # every module that imported the reader by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sennap") and getattr(module, "read_bytes", None) is original:
+                monkeypatch.setattr(module, "read_bytes", counted)
+        assert main(["verify", "--out", str(out), "--seed", "5", "--method", "selfexplain",
+                     "--samples", "25"]) == 0
+        assert reads.count(csv_path) == 1
 
 
 class TestCliErrors:
@@ -613,6 +633,29 @@ class TestCliErrors:
         assert runs[0][1] == runs[1][1]
         assert len(set((out / "models" / "cells").glob("*.ckpt")) - trained) == 10
         assert not list((out / "models").rglob("cell_*.ckpt"))
+
+    def test_output_directory_under_a_file(self, workdir, tmp_path, capsys):
+        csv_path, _ = workdir
+        blocker = tmp_path / "notadir"
+        blocker.write_text("a file, not a directory\n")
+        out = blocker / "runs"
+        assert main(["prepare", "--data", str(csv_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0], err
+        assert blocker.read_text() == "a file, not a directory\n"
+
+    def test_directory_where_the_records_go(self, workdir, tmp_path, capsys):
+        out = _copy_runs(workdir, tmp_path)
+        records = out / "explanations" / "selfexplain.jsonl"
+        records.unlink()
+        records.mkdir()
+        code = main(["explain", "--out", str(out), "--seed", "5", "--method", "selfexplain",
+                     "--limit", "6"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(records) in err[0], err
+        assert records.is_dir() and not any(records.iterdir())
+        assert not list(records.parent.glob(".*.tmp"))
 
     def test_checkpoint_directory(self, workdir, tmp_path, capsys):
         out = _copy_runs(workdir, tmp_path)

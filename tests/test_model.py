@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sennap.model import forward_graph, infer, init_model, make_predictor, prefix_tree
+from sennap.model import (
+    INFER_CHUNK, forward_graph, infer, init_model, make_predictor, prefix_tree,
+)
 from sennap.neural import softmax_cross_entropy, mae_loss, add
 from sennap.selfexplain import senn_losses
 
@@ -14,6 +16,7 @@ from oracles import max_rel_error
 
 VOCAB, K = 4, 5
 WIDTH = VOCAB + 5
+CROSSING = INFER_CHUNK + 88  # rows that span two `infer` chunks
 
 
 def _input(batch=3, seed=0, dtype=np.float32):
@@ -82,11 +85,12 @@ class TestForward:
             infer(params, np.zeros((2, K, WIDTH + 1), dtype=np.float32))
 
     def test_chunked_forward_matches_single_batch(self):
-        # 600 rows span two chunks; halves of 300 cut them elsewhere
+        # the rows span two chunks; the halves cut them elsewhere
         params = init_model(VOCAB, K, selfexplain=True, seed=6)
-        x = _input(batch=600)
+        x = _input(batch=CROSSING)
+        half = CROSSING // 2
         whole = infer(params, x)
-        halves = [infer(params, x[:300]), infer(params, x[300:])]
+        halves = [infer(params, x[:half]), infer(params, x[half:])]
         np.testing.assert_array_equal(
             whole.classes, np.concatenate([h.classes for h in halves])
         )
@@ -140,7 +144,7 @@ class TestTapeFreeInfer:
     """`infer` runs the LSTM kernel without a tape; `forward_graph` is the oracle."""
 
     @pytest.mark.parametrize("selfexplain", [False, True])
-    @pytest.mark.parametrize("batch", [1, 600])
+    @pytest.mark.parametrize("batch", [1, CROSSING])
     def test_matches_forward_graph(self, selfexplain, batch):
         params = _spread_model(selfexplain)
         x = _input(batch=batch, seed=13)
@@ -156,7 +160,7 @@ class TestTapeFreeInfer:
     @pytest.mark.parametrize("selfexplain", [False, True])
     def test_time_output_matches_forward_graph(self, selfexplain):
         params = _spread_model(selfexplain)
-        x = _input(batch=600, seed=14)
+        x = _input(batch=CROSSING, seed=14)
         fast = infer(params, x, time=True)
         graph = forward_graph(params, x, train=False)
         np.testing.assert_allclose(fast.time, graph.time_pred.value, rtol=1e-5, atol=1e-5)

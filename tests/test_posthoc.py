@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from sennap.errors import ConfigError
-from sennap.model import make_predictor
+from sennap.model import INFER_CHUNK, make_predictor
 from sennap.posthoc import (
     AnchorConfig,
     estimate_precision,
-    extension_precisions,
+    extension_counts,
     greedy_anchor_search,
 )
 from sennap.selfexplain import SAMPLE_UNIFORM, FeatureSampler
+
+from oracles import round_estimates_per_event_row
 
 
 def _uniform_sampler(n, lo=0.0, hi=1.0):
@@ -163,27 +165,57 @@ class TestGreedySearch:
         assert a.samples_used == b.samples_used
 
 
+def _round_subsets(spec):
+    """The empty subset, and one whose free count does not divide INFER_CHUNK."""
+    empty = np.zeros(spec.n_features, dtype=bool)
+    taken = empty.copy()
+    taken[[3, spec.width + 1]] = True
+    assert INFER_CHUNK % np.count_nonzero(~taken)
+    return [empty, taken]
+
+
 class TestCommonDraws:
     def test_round_estimates_equal_explicit_rows(self, toy_data, baseline_ckpt):
-        """Each candidate's estimate is `estimate_precision` on the round's draws."""
+        """Each candidate's count is `estimate_precision` on the round's draws, times S."""
         spec, train, _, test_eval = toy_data
         predict = make_predictor(baseline_ckpt.params)
         sampler = FeatureSampler.fit(spec, train.x)
         x = test_eval.x[0].reshape(-1)
         target = int(predict(x[None])[0])
-        subset = np.zeros(spec.n_features, dtype=bool)
-        subset[[3, spec.width + 1]] = True
+        subset = _round_subsets(spec)[1]
         columns = np.flatnonzero(~subset)[: 2 * spec.width]
         base = np.where(subset, x, sampler.draw(np.random.default_rng(8), 40))
-        estimates = extension_precisions(predict, x, base, columns, target)
-        for j, estimate in zip(columns, estimates):
+        counts = extension_counts(predict, x, base, columns, target)
+        for j, count in zip(columns, counts):
             extended = subset.copy()
             extended[j] = True
-            assert estimate == estimate_precision(
+            assert count / 40 == estimate_precision(
                 predict, x, extended, sampler, 40, np.random.default_rng(8), target=target
             )
 
-    def test_one_base_major_call_per_event_row(self, toy_data, baseline_ckpt):
+    @pytest.mark.parametrize("taken", [0, 1], ids=["empty", "two_taken"])
+    def test_per_draw_calls_match_the_per_event_row_round(self, toy_data, baseline_ckpt, taken):
+        """Summed per-draw counts over S give the old round's estimates bit for bit."""
+        spec, train, _, test_eval = toy_data
+        predict = make_predictor(baseline_ckpt.params)
+        sampler = FeatureSampler.fit(spec, train.x)
+        x = test_eval.x[2].reshape(-1)
+        target = int(predict(x[None])[0])
+        subset = _round_subsets(spec)[taken]
+        free = np.flatnonzero(~subset)
+        g = INFER_CHUNK // len(free)
+        S = 2 * g + 3  # two full calls and a short one
+        base = np.where(subset, x, sampler.draw(np.random.default_rng(9), S))
+        kept = sum(
+            extension_counts(predict, x, base[lo : lo + g], free, target)
+            for lo in range(0, S, g)
+        )
+        estimates = np.full(spec.n_features, -1.0)
+        estimates[free] = kept / S
+        want = round_estimates_per_event_row(predict, x, subset, base, target, sampler)
+        assert estimates.tobytes() == want.tobytes()
+
+    def test_one_base_major_call_per_group_of_draws(self, toy_data, baseline_ckpt):
         spec, train, _, test_eval = toy_data
         inner = make_predictor(baseline_ckpt.params)
         sampler = FeatureSampler.fit(spec, train.x)
@@ -193,26 +225,30 @@ class TestCommonDraws:
             calls.append(np.array(flat))
             return inner(flat)
 
+        n = spec.n_features
+        g = INFER_CHUNK // n
+        S = 2 * g + 3
         x = test_eval.x[1].reshape(-1)
-        config = AnchorConfig(precision_threshold=1.0, n_samples=7, timeout_s=300.0, seed=3)
+        config = AnchorConfig(precision_threshold=1.0, n_samples=S, timeout_s=300.0, seed=3)
         result = greedy_anchor_search(predict, x, config, sampler, np.random.default_rng(21))
         # calls: the instance, round 0's estimate, which missed, then round 1
         assert (inner(calls[1]) != inner(calls[0])).any()
         replay = np.random.default_rng(21)
-        sampler.draw(replay, 7)
-        base = sampler.draw(replay, 7)
-        round1 = calls[2 : 2 + spec.k]
-        assert [c.shape for c in round1] == [(7 * spec.width, spec.n_features)] * spec.k
-        for r, rows in enumerate(round1):
-            rows = rows.reshape(7, spec.width, spec.n_features)
-            for slot in range(spec.width):
-                j = r * spec.width + slot
-                expected = base.copy()
-                expected[:, j] = x[j]
-                np.testing.assert_array_equal(rows[:, slot], expected)
-        # S rows per candidate estimate, and every row submitted counts
+        sampler.draw(replay, S)
+        base = sampler.draw(replay, S)
+        round1 = calls[2:5]
+        assert [c.shape for c in round1] == [(g * n, n), (g * n, n), (3 * n, n)]
+        # each draw's n candidates are adjacent, candidate j with column j set to x_j
+        rows = np.concatenate(round1).reshape(S, n, n)
+        for j in range(n):
+            expected = base.copy()
+            expected[:, j] = x[j]
+            np.testing.assert_array_equal(rows[:, j], expected)
+        # round 2 has one feature fewer to score, so a call holds more draws
+        g2 = INFER_CHUNK // (n - 1)
+        assert calls[5].shape == (min(g2, S) * (n - 1), n)
+        # every row submitted counts
         assert result.samples_used == sum(len(c) for c in calls[1:])
-
 
     def test_later_rounds_keep_the_subset(self):
         calls = []
@@ -226,7 +262,7 @@ class TestCommonDraws:
         config = AnchorConfig(n_samples=50, timeout_s=20.0, seed=6)
         result = greedy_anchor_search(both_model, x, config, _uniform_sampler(3))
         assert result.status == "found" and result.indices == (0, 1)
-        # the instance, round 0, round 1 (one call: no event rows), round 2
+        # the instance, round 0, round 1 (one call: 50 draws fit one chunk), round 2
         first, second = calls[2], calls[3]
         assert first.shape == (3 * 50, 3) and second.shape == (2 * 50, 3)
         picked = 0 if np.all(second[:, 0] == x[0]) else 1

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
+import pytest
+
 import sennap
+from sennap.errors import ConfigError
+from sennap.runfiles import write_atomic
 
 PACKAGE = Path(sennap.__file__).parent
 
@@ -43,3 +48,13 @@ def test_runfiles_is_the_bottom_layer():
         )
         assert holders == ["runfiles.py"], call
 
+
+
+def test_write_atomic_makes_directories_and_names_an_unwritable_path(tmp_path):
+    target = tmp_path / "a" / "b" / "out.txt"
+    write_atomic(target, "text\n")
+    assert target.read_text() == "text\n"
+    blocked = target / "below_a_file.txt"
+    with pytest.raises(ConfigError, match=re.escape(f"{blocked}: cannot write")):
+        write_atomic(blocked, b"bytes")
+    assert sorted(p.name for p in target.parent.iterdir()) == ["out.txt"]

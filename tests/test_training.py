@@ -151,14 +151,14 @@ class TestFit:
         assert len(ckpt.history) <= ckpt.best_epoch + 1 + config.patience + 1
 
 
-def _tape_validation_loss(params, dataset, config, sampler):
+def _tape_validation_loss(params, dataset, config, sampler, batch_size=1024):
     """`_evaluate_loss` through the tape, for a set of one batch: the oracle.
 
     `forward_graph(train=False)`, then for the faithfulness term
     `masked_blend` on the same re-seeded noise and a second `forward_graph`,
     and `senn_losses` over both.
     """
-    assert len(dataset) <= 1024  # `_evaluate_loss`'s batch
+    assert len(dataset) <= batch_size  # `_evaluate_loss`'s batch
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(3,)))
     x = dataset.x
     B = x.shape[0]
@@ -193,11 +193,12 @@ class TestValidationLoss:
     def test_matches_tape_oracle(self, toy_data, baseline_ckpt, senn_ckpt, mode):
         spec, train, _, _ = toy_data
         ckpt = baseline_ckpt if mode == "baseline" else senn_ckpt
-        rows = _rows(train, 600)
+        # one batch of more rows than an `infer` chunk, so the chunks are cut
+        rows = _rows(train, INFER_CHUNK + 88)
         assert INFER_CHUNK < len(rows)
         sampler = FeatureSampler.fit(spec, train.x)
-        got = _evaluate_loss(ckpt.params, rows, ckpt.config, sampler)
-        want = _tape_validation_loss(ckpt.params, rows, ckpt.config, sampler)
+        got = _evaluate_loss(ckpt.params, rows, ckpt.config, sampler, batch_size=len(rows))
+        want = _tape_validation_loss(ckpt.params, rows, ckpt.config, sampler, batch_size=len(rows))
         assert set(got) == set(want)
         if mode == "selfexplain":
             assert want["faith"] > 0.0 and want["card"] > 0.0
