@@ -263,13 +263,13 @@ def init_lstm(
 
 
 def half_scaled(params: LSTMLayerParams, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's (H+D, 4H) weight and (4H,) bias with the f/i/o columns scaled by 1/2.
+    """`lstm_prefix_forward`'s (H+D, 4H) weight and (4H,) bias, f/i/o columns scaled by 1/2.
 
     The scaling is exact, and it lets one tanh over the gate block give every
-    gate (see `lstm_cell_update`).  The weight is column-major here and
-    `lstm_layer`'s backward reads a row-major W^T: BLAS rounds small-batch
-    products differently per layout, and these layouts keep same-seed
-    checkpoints and predictions bit-identical across releases.
+    gate (see `lstm_cell_update`).  The forward of training and inference reads
+    this column-major weight, and `lstm_layer`'s backward a row-major W^T: BLAS
+    rounds small-batch products differently per layout, and these layouts keep
+    same-seed checkpoints and predictions bit-identical across releases.
     """
     H = params.hidden_size
     half = np.ones(4 * H, dtype=dtype)
@@ -311,9 +311,9 @@ def lstm_cell_update(
     np.multiply(o, tanh_c, out=h)
 
 
-# nodes per input-side projection in `lstm_prefix_forward`: one matmul covers
-# as many whole steps as fit, so a small tree is projected at once and a large
-# one never holds an (N, 4H) block
+# nodes per input-side projection in `lstm_prefix_forward` without `keep`: one
+# matmul covers as many whole steps as fit, so a small tree is projected at once
+# and a large one never holds an (N, 4H) block
 PROJECTION_ROWS = 1024
 
 
@@ -322,6 +322,7 @@ def lstm_prefix_forward(
     offsets: Sequence[int],
     parents: Sequence[np.ndarray | None],
     weights: tuple[np.ndarray, np.ndarray],
+    keep: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Tape-free LSTM over a prefix tree: one node per distinct input prefix.
 
@@ -329,25 +330,31 @@ def lstm_prefix_forward(
     and each continues the (h, c) of the step t-1 node that `parents[t]` names
     (None at step 0, and where step t's nodes continue step t-1's in order).
     `inputs` holds each node's (D,) input row and `weights` comes from
-    `half_scaled`.  Returns the (N, H) hidden states.
+    `half_scaled`.  Returns the (N, H) hidden states.  `keep`, passed only by
+    `lstm_layer`, is the node-indexed storage BPTT reads, (N, H) `h` and `c`,
+    (N, 4H) activated gates and (N, H) `tanh_c`; all nodes then project at once.
     """
     w_half, b_half = weights
     H = w_half.shape[1] // 4
     dtype = inputs.dtype
     w_h, w_x = w_half[:H], w_half[H:]
-    h = np.empty((inputs.shape[0], H), dtype=dtype)
-    c = np.empty_like(h)
     steps = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
     widest = max(step.stop - step.start for step in steps)
-    projected = np.empty((max(widest, min(len(inputs), PROJECTION_ROWS)), 4 * H), dtype=dtype)
+    if keep is None:
+        h = np.empty((inputs.shape[0], H), dtype=dtype)
+        c = np.empty_like(h)
+        projected = np.empty((max(widest, min(len(inputs), PROJECTION_ROWS)), 4 * H), dtype=dtype)
+        tanh_c = np.empty((widest, H), dtype=dtype)
+    else:
+        h, c, projected, tanh_c = keep
+    block_rows = PROJECTION_ROWS if keep is None else len(inputs)
     block = slice(0, 0)
     rec = np.empty((widest, 4 * H), dtype=dtype)
-    tanh_c = np.empty((widest, H), dtype=dtype)
-    ic = np.empty_like(tanh_c)
+    ic = np.empty((widest, H), dtype=dtype)
     for t, step in enumerate(steps):
         n = step.stop - step.start
         if step.stop > block.stop:
-            last = max(t + 1, bisect.bisect_right(offsets, step.start + PROJECTION_ROWS) - 1)
+            last = max(t + 1, bisect.bisect_right(offsets, step.start + block_rows) - 1)
             block = slice(step.start, offsets[last])
             proj = projected[: block.stop - block.start]
             np.matmul(inputs[block], w_x, out=proj)
@@ -361,18 +368,17 @@ def lstm_prefix_forward(
             r = rec[:n]
             np.matmul(h_prev, w_h, out=r)
             g += r
-        lstm_cell_update(g, c_prev, c[step], tanh_c[:n], h[step], ic[:n])
+        tc = tanh_c[:n] if keep is None else tanh_c[step]
+        lstm_cell_update(g, c_prev, c[step], tc, h[step], ic[:n])
     return h
 
 
 def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
-    """Full-sequence LSTM node, the training kernel: input (B, T, D) -> output (B, T, H).
+    """Full-sequence LSTM node on the tape, for training: input (B, T, D) -> output (B, T, H).
 
-    The forward runs time-major from h_0 = c_0 = 0.  The input-side
-    pre-activations of every step are one matmul; only the recurrence runs
-    per step, and the activated gates, cell states and their tanh stay for
-    BPTT.  The weight gradients are single whole-sequence matmuls.  Backward
-    uses the unscaled weights.
+    The forward is `lstm_prefix_forward` over the time-major rows from h_0 = c_0 = 0,
+    keeping the activated gates, cell states and their tanh for BPTT.  The weight
+    gradients are single whole-sequence matmuls; backward uses the unscaled weights.
     """
     xv = x.value
     if xv.ndim != 3 or xv.shape[2] != params.input_size:
@@ -383,23 +389,17 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
     H = params.hidden_size
     dtype = xv.dtype
     xs = np.ascontiguousarray(xv.transpose(1, 0, 2))
-    w_half, b_half = half_scaled(params, dtype)
-    w_h = w_half[:H]
 
-    # (T, B, 4H): half-scaled input-side pre-activations, activated in place
-    gates = (xs.reshape(T * B, D) @ w_half[H:] + b_half).reshape(T, B, 4 * H)
     # h[0] = c[0] = 0, so h[1:] is the output sequence and h[:-1] the previous states
     h = np.zeros((T + 1, B, H), dtype=dtype)
     c = np.zeros((T + 1, B, H), dtype=dtype)
+    gates = np.empty((T, B, 4 * H), dtype=dtype)
     tanh_c = np.empty((T, B, H), dtype=dtype)
-    rec = np.empty((B, 4 * H), dtype=dtype)
-    ic = np.empty((B, H), dtype=dtype)
-    for t in range(T):
-        step = gates[t]
-        if t:
-            np.matmul(h[t], w_h, out=rec)
-            step += rec
-        lstm_cell_update(step, c[t], c[t + 1], tanh_c[t], h[t + 1], ic)
+    # a flat tree: step t's nodes are rows t*B:(t+1)*B, each continuing its row of step t-1
+    lstm_prefix_forward(
+        xs.reshape(T * B, D), [t * B for t in range(T + 1)], [None] * T, half_scaled(params, dtype),
+        keep=[a.reshape(-1, a.shape[-1]) for a in (h[1:], c[1:], gates, tanh_c)],
+    )
     out = h[1:].transpose(1, 0, 2)
 
     def back(g):

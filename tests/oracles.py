@@ -6,7 +6,10 @@ central finite differences; `fit_normalizers_loop` and `encode_dataset_loop`
 encode one prefix at a time, event by event, which the gathers in
 `sennap.encoding` must match bit for bit; `round_estimates_per_event_row` is
 the post-hoc round that scores one event row's candidates per `predict` call,
-which the per-draw calls of `sennap.posthoc` must match bit for bit.
+which the per-draw calls of `sennap.posthoc` must match bit for bit;
+`lstm_layer_loop` is the training LSTM with its own time-major forward loop,
+which `sennap.neural.lstm_layer` on the prefix-tree kernel must match bit for
+bit, forward and backward.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from sennap.encoding import Dataset, EncodingSpec
 from sennap.errors import EncodingError
 from sennap.eventlog import PrefixRecord
-from sennap.neural import LSTMLayerParams, Var, backward, expit
+from sennap.neural import LSTMLayerParams, Var, backward, expit, half_scaled, lstm_cell_update
 from sennap.selfexplain import FeatureSampler
 
 
@@ -178,3 +181,77 @@ def round_estimates_per_event_row(
         kept = predict(z.reshape(-1, n)).reshape(S, len(columns)) == target
         estimates[columns] = kept.mean(axis=0)
     return estimates
+
+
+def lstm_layer_loop(x: Var, params: LSTMLayerParams) -> Var:
+    """Full-sequence LSTM node, the training kernel: input (B, T, D) -> output (B, T, H).
+
+    The forward runs time-major from h_0 = c_0 = 0.  The input-side
+    pre-activations of every step are one matmul; only the recurrence runs
+    per step, and the activated gates, cell states and their tanh stay for
+    BPTT.  The weight gradients are single whole-sequence matmuls.  Backward
+    uses the unscaled weights.
+    """
+    xv = x.value
+    if xv.ndim != 3 or xv.shape[2] != params.input_size:
+        raise ValueError(
+            f"lstm_layer expects (B, T, {params.input_size}), got {xv.shape}"
+        )
+    B, T, D = xv.shape
+    H = params.hidden_size
+    dtype = xv.dtype
+    xs = np.ascontiguousarray(xv.transpose(1, 0, 2))
+    w_half, b_half = half_scaled(params, dtype)
+    w_h = w_half[:H]
+
+    # (T, B, 4H): half-scaled input-side pre-activations, activated in place
+    gates = (xs.reshape(T * B, D) @ w_half[H:] + b_half).reshape(T, B, 4 * H)
+    # h[0] = c[0] = 0, so h[1:] is the output sequence and h[:-1] the previous states
+    h = np.zeros((T + 1, B, H), dtype=dtype)
+    c = np.zeros((T + 1, B, H), dtype=dtype)
+    tanh_c = np.empty((T, B, H), dtype=dtype)
+    rec = np.empty((B, 4 * H), dtype=dtype)
+    ic = np.empty((B, H), dtype=dtype)
+    for t in range(T):
+        step = gates[t]
+        if t:
+            np.matmul(h[t], w_h, out=rec)
+            step += rec
+        lstm_cell_update(step, c[t], c[t + 1], tanh_c[t], h[t + 1], ic)
+    out = h[1:].transpose(1, 0, 2)
+
+    def back(g):
+        # (4H, H+D) row-major; the layout note is in `half_scaled`
+        w_t = np.ascontiguousarray(params.W.value.T, dtype=dtype)
+        d_raw_all = np.empty((T, B, 4 * H), dtype=dtype)
+        dh_next = np.zeros((B, H), dtype=dtype)
+        dc_next = np.zeros((B, H), dtype=dtype)
+        for t in range(T - 1, -1, -1):
+            f = gates[t, :, :H]
+            i = gates[t, :, H : 2 * H]
+            c_bar = gates[t, :, 2 * H : 3 * H]
+            o = gates[t, :, 3 * H :]
+            tanh_ct = tanh_c[t]
+
+            dh = g[:, t, :] + dh_next
+            dc = dc_next + dh * o * (1.0 - tanh_ct * tanh_ct)
+            d_raw = d_raw_all[t]
+            d_raw[:, :H] = (dc * c[t]) * (f * (1.0 - f))
+            d_raw[:, H : 2 * H] = (dc * c_bar) * (i * (1.0 - i))
+            d_raw[:, 2 * H : 3 * H] = (dc * i) * (1.0 - c_bar * c_bar)
+            d_raw[:, 3 * H :] = (dh * tanh_ct) * (o * (1.0 - o))
+            dc_next = dc * f
+            dh_next = d_raw @ w_t[:, :H]
+
+        d_flat = d_raw_all.reshape(T * B, 4 * H)
+        # the h-side and x-side weight gradients, one matmul each
+        d_w = np.empty((H + D, 4 * H), dtype=dtype)
+        np.matmul(h[:-1].reshape(T * B, H).T, d_flat, out=d_w[:H])
+        np.matmul(xs.reshape(T * B, D).T, d_flat, out=d_w[H:])
+        params.W.accumulate(d_w)
+        params.b.accumulate(d_flat.sum(axis=0))
+        if x.requires_grad:
+            dx = (d_flat @ w_t[:, H:]).reshape(T, B, D)
+            x.accumulate(dx.transpose(1, 0, 2))
+
+    return Var(out, parents=(x, params.W, params.b), backward=back)

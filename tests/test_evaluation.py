@@ -237,6 +237,23 @@ class TestVerifyExplanations:
             assert 0.0 <= expl.precision <= 1.0
         assert verified[-1].sufficient is None
 
+    def test_thread_determinism(self, toy_data, senn_ckpt):
+        # the threads share one predictor; each instance's draws come from its own rng
+        spec, train, _, test_eval = toy_data
+        sampler = FeatureSampler.fit(spec, train.x)
+        explanations = explain_selfexplain(senn_ckpt.params, test_eval, spec, limit=8)
+        explanations.insert(3, Explanation(
+            instance_id=test_eval.ids[9], method="selfexplain", indices=(),
+            scores=None, wall_time_s=1.0, status="timeout",
+        ))
+        serial, threaded = (
+            verify_explanations(senn_ckpt.params, test_eval, explanations, sampler,
+                                delta=0.95, n_samples=30, seed=5, threads=threads)
+            for threads in (1, 2)
+        )
+        assert [e.sufficient is None for e in serial] == [i == 3 for i in range(9)]
+        assert threaded == serial
+
     def test_unknown_instance_rejected(self, toy_data, senn_ckpt):
         spec, train, _, test_eval = toy_data
         sampler = FeatureSampler.fit(spec, train.x)

@@ -28,7 +28,7 @@ from sennap.neural import (
     softmax_cross_entropy,
 )
 
-from oracles import lstm_cell_step, max_rel_error
+from oracles import lstm_cell_step, lstm_layer_loop, max_rel_error
 
 
 def _zeroed_lstm(hidden, inputs, dtype=np.float64):
@@ -170,6 +170,54 @@ class TestLstmLayer:
 
         wrt = [xs] + [p for _, p in params.named("s")] + [head.W, head.b]
         assert max_rel_error(loss, wrt, rng, entries_per_var=3) < 1e-3
+
+    @staticmethod
+    def _forward_backward(layer, params, xs, head, classes):
+        """One layer's output and its W, b and x gradients through a loss on every step."""
+        x = parameter(xs.copy())
+        for _, p in params.named("l"):
+            p.grad = None
+        out = layer(x, params)
+        B, T, H = out.shape
+        backward(softmax_cross_entropy(dense(neural.reshape(out, (B, T * H)), head), classes))
+        return out.value, params.W.grad, params.b.grad, x.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("D", [19, 100])
+    @pytest.mark.parametrize("T", [1, 15])
+    @pytest.mark.parametrize("B", [1, 2, 3, 57, 64])
+    def test_layer_matches_time_loop_bit_for_bit(self, B, T, D, dtype):
+        rng = np.random.default_rng(B * 1000 + T * 10 + D)
+        params = init_lstm(rng, D, 100, dtype)
+        head = init_dense(rng, T * 100, 5, dtype)
+        xs = rng.normal(0, 1, (B, T, D)).astype(dtype)
+        classes = rng.integers(0, 5, B)
+        ours = self._forward_backward(lstm_layer, params, xs, head, classes)
+        loop = self._forward_backward(lstm_layer_loop, params, xs, head, classes)
+        for got, want in zip(ours, loop):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_batch_keeps_its_shape(self):
+        params = init_lstm(np.random.default_rng(0), 3, 4)
+        out = lstm_layer(constant(np.zeros((0, 5, 3), dtype=np.float32)), params).value
+        assert out.shape == (0, 5, 4) and out.dtype == np.float32
+
+    def test_inference_kernel_matches_layer_on_a_flat_tree(self):
+        # T*B <= PROJECTION_ROWS: the blocked projection is the same one matmul
+        B, T, D = 57, 15, 19
+        assert T * B <= neural.PROJECTION_ROWS
+        rng = np.random.default_rng(5)
+        params = init_lstm(rng, D, 100)
+        xs = rng.normal(0, 1, (B, T, D)).astype(np.float32)
+        flat = neural.lstm_prefix_forward(
+            np.ascontiguousarray(xs.transpose(1, 0, 2)).reshape(T * B, D),
+            range(0, (T + 1) * B, B),
+            [None] * T,
+            neural.half_scaled(params, np.float32),
+        )
+        out = lstm_layer(constant(xs), params).value
+        np.testing.assert_array_equal(flat.reshape(T, B, 100).transpose(1, 0, 2), out)
 
     def test_dropout_zero_train_equals_infer(self):
         rng = np.random.default_rng(0)
