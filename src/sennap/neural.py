@@ -58,7 +58,13 @@ def constant(value) -> Var:
 
 
 def backward(root: Var):
-    """Reverse sweep from a scalar root, accumulating grads into the tape."""
+    """Reverse sweep from a scalar root, accumulating grads into the leaves.
+
+    A tape is walked once.  Once an inner node's backward has run, the node
+    drops its grad and its closure, and with it what its op kept for the
+    backward, so the sweep holds only the grads still to be passed on.
+    Leaves (the parameters) keep their grads.
+    """
     if root.value.size != 1:
         raise ValueError(f"backward needs a scalar root, got shape {root.shape}")
     order: list[Var] = []
@@ -78,8 +84,11 @@ def backward(root: Var):
                 stack.append((parent, False))
     root.grad = np.ones_like(root.value)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = node._backward = None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -331,8 +340,9 @@ def lstm_prefix_forward(
     (None at step 0, and where step t's nodes continue step t-1's in order).
     `inputs` holds each node's (D,) input row and `weights` comes from
     `half_scaled`.  Returns the (N, H) hidden states.  `keep`, passed only by
-    `lstm_layer`, is the node-indexed storage BPTT reads, (N, H) `h` and `c`,
-    (N, 4H) activated gates and (N, H) `tanh_c`; all nodes then project at once.
+    `lstm_layer`, is the node-indexed storage BPTT reads, (N, H) `h` and `c`
+    and (N, 4H) activated gates; all nodes then project at once.  The tanh of
+    each step's cell state is scratch on both paths, and BPTT recomputes it.
     """
     w_half, b_half = weights
     H = w_half.shape[1] // 4
@@ -344,12 +354,12 @@ def lstm_prefix_forward(
         h = np.empty((inputs.shape[0], H), dtype=dtype)
         c = np.empty_like(h)
         projected = np.empty((max(widest, min(len(inputs), PROJECTION_ROWS)), 4 * H), dtype=dtype)
-        tanh_c = np.empty((widest, H), dtype=dtype)
     else:
-        h, c, projected, tanh_c = keep
+        h, c, projected = keep
     block_rows = PROJECTION_ROWS if keep is None else len(inputs)
     block = slice(0, 0)
     rec = np.empty((widest, 4 * H), dtype=dtype)
+    tanh_c = np.empty((widest, H), dtype=dtype)
     ic = np.empty((widest, H), dtype=dtype)
     for t, step in enumerate(steps):
         n = step.stop - step.start
@@ -368,8 +378,7 @@ def lstm_prefix_forward(
             r = rec[:n]
             np.matmul(h_prev, w_h, out=r)
             g += r
-        tc = tanh_c[:n] if keep is None else tanh_c[step]
-        lstm_cell_update(g, c_prev, c[step], tc, h[step], ic[:n])
+        lstm_cell_update(g, c_prev, c[step], tanh_c[:n], h[step], ic[:n])
     return h
 
 
@@ -377,8 +386,11 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
     """Full-sequence LSTM node on the tape, for training: input (B, T, D) -> output (B, T, H).
 
     The forward is `lstm_prefix_forward` over the time-major rows from h_0 = c_0 = 0,
-    keeping the activated gates, cell states and their tanh for BPTT.  The weight
-    gradients are single whole-sequence matmuls; backward uses the unscaled weights.
+    keeping only what BPTT reads: the hidden and cell states and the activated
+    gates.  The backward runs once: it recomputes each step's tanh of the cell
+    state, writes each step's gate gradients over that step's gates, and
+    rebuilds the time-major input from `x`.  The weight gradients are single
+    whole-sequence matmuls; backward uses the unscaled weights.
     """
     xv = x.value
     if xv.ndim != 3 or xv.shape[2] != params.input_size:
@@ -388,48 +400,50 @@ def lstm_layer(x: Var, params: LSTMLayerParams) -> Var:
     B, T, D = xv.shape
     H = params.hidden_size
     dtype = xv.dtype
-    xs = np.ascontiguousarray(xv.transpose(1, 0, 2))
 
     # h[0] = c[0] = 0, so h[1:] is the output sequence and h[:-1] the previous states
     h = np.zeros((T + 1, B, H), dtype=dtype)
     c = np.zeros((T + 1, B, H), dtype=dtype)
     gates = np.empty((T, B, 4 * H), dtype=dtype)
-    tanh_c = np.empty((T, B, H), dtype=dtype)
     # a flat tree: step t's nodes are rows t*B:(t+1)*B, each continuing its row of step t-1
     lstm_prefix_forward(
-        xs.reshape(T * B, D), [t * B for t in range(T + 1)], [None] * T, half_scaled(params, dtype),
-        keep=[a.reshape(-1, a.shape[-1]) for a in (h[1:], c[1:], gates, tanh_c)],
+        np.ascontiguousarray(xv.transpose(1, 0, 2)).reshape(T * B, D),
+        [t * B for t in range(T + 1)], [None] * T, half_scaled(params, dtype),
+        keep=[a.reshape(-1, a.shape[-1]) for a in (h[1:], c[1:], gates)],
     )
     out = h[1:].transpose(1, 0, 2)
 
     def back(g):
         # (4H, H+D) row-major; the layout note is in `half_scaled`
         w_t = np.ascontiguousarray(params.W.value.T, dtype=dtype)
-        d_raw_all = np.empty((T, B, 4 * H), dtype=dtype)
         dh_next = np.zeros((B, H), dtype=dtype)
         dc_next = np.zeros((B, H), dtype=dtype)
         for t in range(T - 1, -1, -1):
-            f = gates[t, :, :H]
-            i = gates[t, :, H : 2 * H]
-            c_bar = gates[t, :, 2 * H : 3 * H]
-            o = gates[t, :, 3 * H :]
-            tanh_ct = tanh_c[t]
+            # step t's gates are read for the last time here, and take its d_raw
+            d_raw = gates[t]
+            f = d_raw[:, :H]
+            i = d_raw[:, H : 2 * H]
+            c_bar = d_raw[:, 2 * H : 3 * H]
+            o = d_raw[:, 3 * H :]
+            # the forward's tanh on the same (B, H) rows, so the same bits
+            tanh_ct = np.tanh(c[t + 1])
 
             dh = g[:, t, :] + dh_next
             dc = dc_next + dh * o * (1.0 - tanh_ct * tanh_ct)
-            d_raw = d_raw_all[t]
-            d_raw[:, :H] = (dc * c[t]) * (f * (1.0 - f))
-            d_raw[:, H : 2 * H] = (dc * c_bar) * (i * (1.0 - i))
-            d_raw[:, 2 * H : 3 * H] = (dc * i) * (1.0 - c_bar * c_bar)
-            d_raw[:, 3 * H :] = (dh * tanh_ct) * (o * (1.0 - o))
+            d_c = (dc * i) * (1.0 - c_bar * c_bar)
             dc_next = dc * f
+            f[...] = (dc * c[t]) * (f * (1.0 - f))
+            i[...] = (dc * c_bar) * (i * (1.0 - i))
+            c_bar[...] = d_c
+            o[...] = (dh * tanh_ct) * (o * (1.0 - o))
             dh_next = d_raw @ w_t[:, :H]
 
-        d_flat = d_raw_all.reshape(T * B, 4 * H)
+        d_flat = gates.reshape(T * B, 4 * H)
         # the h-side and x-side weight gradients, one matmul each
         d_w = np.empty((H + D, 4 * H), dtype=dtype)
         np.matmul(h[:-1].reshape(T * B, H).T, d_flat, out=d_w[:H])
-        np.matmul(xs.reshape(T * B, D).T, d_flat, out=d_w[H:])
+        xs = np.ascontiguousarray(x.value.transpose(1, 0, 2)).reshape(T * B, D)
+        np.matmul(xs.T, d_flat, out=d_w[H:])
         params.W.accumulate(d_w)
         params.b.accumulate(d_flat.sum(axis=0))
         if x.requires_grad:
@@ -488,16 +502,17 @@ def init_batchnorm(num_features: int, dtype=np.float32) -> BatchNormParams:
     )
 
 
-def _running_norm(x: np.ndarray, bn: BatchNormParams):
-    """Infer-mode batch norm over the trailing axis: (out, x_hat, inv_std)."""
-    inv_std = 1.0 / np.sqrt(bn.running_var + x.dtype.type(bn.eps))
-    x_hat = (x - bn.running_mean) * inv_std
-    return bn.gamma.value * x_hat + bn.beta.value, x_hat, inv_std
-
-
 def batch_norm_infer(x: np.ndarray, bn: BatchNormParams) -> np.ndarray:
-    """Tape-free infer-mode batch norm; the same bits as `batch_norm(train=False)`."""
-    return _running_norm(x, bn)[0]
+    """Tape-free infer-mode batch norm; the same bits as `batch_norm(train=False)`.
+
+    The tape's ops in the tape's order, written into one output buffer.
+    """
+    inv_std = 1.0 / np.sqrt(bn.running_var + x.dtype.type(bn.eps))
+    out = np.subtract(x, bn.running_mean)
+    out *= inv_std
+    np.multiply(bn.gamma.value, out, out=out)
+    out += bn.beta.value
+    return out
 
 
 def batch_norm(x: Var, bn: BatchNormParams, train: bool, update_running: bool = True) -> Var:
@@ -518,16 +533,15 @@ def batch_norm(x: Var, bn: BatchNormParams, train: bool, update_running: bool = 
     if train:
         mean = flat.mean(axis=0)
         var = flat.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (flat - mean) * inv_std
-        if update_running:
-            m = bn.momentum
-            bn.running_mean[...] = (1.0 - m) * bn.running_mean + m * mean
-            bn.running_var[...] = (1.0 - m) * bn.running_var + m * var
-        out = (bn.gamma.value * x_hat + bn.beta.value).reshape(xv.shape)
     else:
-        out, x_hat, inv_std = _running_norm(flat, bn)
-        out = out.reshape(xv.shape)
+        mean, var = bn.running_mean, bn.running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (flat - mean) * inv_std
+    if train and update_running:
+        m = bn.momentum
+        bn.running_mean[...] = (1.0 - m) * bn.running_mean + m * mean
+        bn.running_var[...] = (1.0 - m) * bn.running_var + m * var
+    out = (bn.gamma.value * x_hat + bn.beta.value).reshape(xv.shape)
 
     def back(g):
         g_flat = g.reshape(-1, C)

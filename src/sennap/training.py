@@ -220,6 +220,8 @@ def fit(
                         f"batch {start // config.batch_size}: {comps}"
                     )
             adam_step(named, state, config.learning_rate)
+            # drop this batch's tape before the next forward builds another
+            del total
             weight = x.shape[0]
             for key, value in comps.items():
                 totals[key] = totals.get(key, 0.0) + value * weight

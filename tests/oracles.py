@@ -9,7 +9,10 @@ the post-hoc round that scores one event row's candidates per `predict` call,
 which the per-draw calls of `sennap.posthoc` must match bit for bit;
 `lstm_layer_loop` is the training LSTM with its own time-major forward loop,
 which `sennap.neural.lstm_layer` on the prefix-tree kernel must match bit for
-bit, forward and backward.
+bit, forward and backward; `backward_keeping_tape` is the reverse sweep that
+leaves every node's grad and closure in place, whose parameter grads
+`sennap.neural.backward`, which frees the tape as it walks it, must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -255,3 +258,28 @@ def lstm_layer_loop(x: Var, params: LSTMLayerParams) -> Var:
             x.accumulate(dx.transpose(1, 0, 2))
 
     return Var(out, parents=(x, params.W, params.b), backward=back)
+
+
+def backward_keeping_tape(root: Var):
+    """Reverse sweep from a scalar root that keeps every node's grad and closure."""
+    if root.value.size != 1:
+        raise ValueError(f"backward needs a scalar root, got shape {root.shape}")
+    order: list[Var] = []
+    seen: set[int] = set()
+    stack: list[tuple[Var, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen and parent.requires_grad:
+                stack.append((parent, False))
+    root.grad = np.ones_like(root.value)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)

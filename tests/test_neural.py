@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sennap import neural
 from sennap.neural import (
@@ -13,6 +14,7 @@ from sennap.neural import (
     adam_step,
     backward,
     batch_norm,
+    batch_norm_infer,
     constant,
     dense,
     dropout_mask,
@@ -340,6 +342,26 @@ class TestBatchNorm:
         out = batch_norm(x, bn, train=True).value
         flat = out.reshape(-1, 4)
         np.testing.assert_allclose(flat.mean(axis=0), 0.0, atol=1e-8)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.lists(st.integers(0, 9), min_size=1, max_size=2),
+        features=st.integers(1, 12),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_infer_matches_tape_bit_for_bit(self, seed, lead, features, dtype):
+        rng = np.random.default_rng(seed)
+        bn = init_batchnorm(features, dtype)
+        bn.running_mean[...] = rng.normal(0, 3, features)
+        bn.running_var[...] = rng.uniform(1e-3, 9.0, features)
+        bn.gamma.value = rng.normal(1, 0.5, features).astype(dtype)
+        bn.beta.value = rng.normal(0, 0.5, features).astype(dtype)
+        x = rng.normal(0, 4, (*lead, features)).astype(dtype)
+        got = batch_norm_infer(x, bn)
+        want = batch_norm(constant(x), bn, train=False).value
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ from sennap.training import (
     save_checkpoint,
 )
 
+from oracles import backward_keeping_tape, lstm_layer_loop
+
 
 def _subset(data: Dataset, n: int) -> Dataset:
     return Dataset(
@@ -246,6 +248,83 @@ class TestValidationLoss:
         finally:
             tracemalloc.stop()
         assert validation_peak < step_peak
+
+
+def _grad_nodes(root):
+    """Every node the reverse sweep from `root` visits: the root and its grad-requiring ancestors."""
+    nodes, seen, stack = [], {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
+class TestFreedTape:
+    """`backward` frees the tape as it walks it, and `fit` holds one tape at a time."""
+
+    @staticmethod
+    def _batch(params, train, config, sampler, rows=64):
+        return _batch_losses(
+            params, train.x[:rows], train.y_activity[:rows], train.y_time[:rows],
+            config, sampler, np.random.default_rng(5),
+        )[0]
+
+    def test_inner_nodes_released_and_parameter_grads_unchanged(
+        self, toy_data, senn_ckpt, monkeypatch
+    ):
+        spec, train, _, _ = toy_data
+        config = senn_ckpt.config
+        assert config.mode == "selfexplain" and config.lam > 0.0  # the dual propagation
+        sampler = FeatureSampler.fit(spec, train.x)
+        # the gradient before the freed tape: the time-loop LSTM and a sweep that keeps the tape
+        kept = senn_ckpt.params.copy()
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "lstm_layer", lstm_layer_loop)
+            kept_total = self._batch(kept, train, config, sampler)
+            backward_keeping_tape(kept_total)
+        kept_inner = [node for node in _grad_nodes(kept_total) if node._parents]
+        assert all(node._backward is not None for node in kept_inner)
+
+        params = senn_ckpt.params.copy()
+        total = self._batch(params, train, config, sampler)
+        backward(total)
+        nodes = _grad_nodes(total)
+        inner = [node for node in nodes if node._parents]
+        assert len(inner) == len(kept_inner)
+        for node in inner:
+            assert node.grad is None and node._backward is None
+        leaves = {id(node) for node in nodes if not node._parents}
+        named = params.named_parameters()
+        assert {id(p) for _, p in named} == leaves
+        for (name, p), (_, want) in zip(named, kept.named_parameters()):
+            assert p.grad is not None, name
+            assert p.grad.dtype == want.grad.dtype and p.grad.tobytes() == want.grad.tobytes(), name
+
+    def test_fit_holds_one_tape_at_a_time(self, toy_data, senn_ckpt):
+        spec, train, val, _ = toy_data
+        rows = 160
+        config = replace(senn_ckpt.config, batch_size=rows, max_epochs=1)
+        params = model.init_model(spec.vocab_size, spec.k, selfexplain=True, seed=config.seed)
+        sampler = FeatureSampler.fit(spec, train.x)
+
+        tracemalloc.start()
+        try:
+            backward(self._batch(params, train, config, sampler, rows))
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            # two batches; the fit's own parameters, Adam moments and best copy count here too
+            fit(_subset(train, 2 * rows), _subset(val, 16), spec, config)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit_peak < 1.3 * step_peak
 
 
 class TestTrainConfig:
