@@ -10,6 +10,7 @@ feature in [0, 1].  Every LSTM layer output gets dropout 0.2 in train mode.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .neural import (
     BatchNormParams,
     DenseParams,
     LSTMLayerParams,
+    LSTMWorkspace,
     Var,
     batch_norm,
     batch_norm_infer,
@@ -301,6 +303,7 @@ def infer(
     nap_only: bool = False,
     time: bool = False,
     weights: dict[str, tuple] | None = None,
+    workspace: LSTMWorkspace | None = None,
 ) -> Inference:
     """Tape-free inference pass over (B, k, width) grids in INFER_CHUNK-row chunks.
 
@@ -314,50 +317,80 @@ def infer(
     activity head.  Batch-norm running statistics never move.  Callers that
     make many calls pass `infer_weights(params, x.dtype, time=time)` as
     `weights`, built once.
+
+    Memory: a chunk of N tree nodes holds at most two (N, H) layer outputs at
+    a time, three with `time`.  The explanation scores and the branches'
+    batch norms are taken from the shared stack's output, which is then
+    dropped before the branch LSTMs run.  Every LSTM's scratch comes from
+    `workspace`, one per call when None; a caller that keeps one across
+    calls (as `make_predictor` does, per thread) allocates no scratch once
+    it has grown.
     """
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[1:] != (params.k, params.width):
         raise ValueError(f"expected (B, {params.k}, {params.width}) input, got {x.shape}")
     if weights is None:
         weights = infer_weights(params, x.dtype, time=time)
+    if workspace is None:
+        workspace = LSTMWorkspace()
 
-    def head(h_last, bn, dense):
-        return batch_norm_infer(h_last, bn) @ dense.W.value + dense.b.value
-
-    logits, scores, times = [], [], []
-    # an empty batch still makes one pass, so every output keeps its shape
-    for start in range(0, max(x.shape[0], 1), INFER_CHUNK):
-        tree = prefix_tree(x[start : start + INFER_CHUNK])
+    def run(rows):
+        tree = prefix_tree(rows)
         last = slice(tree.offsets[-2], None)
 
         def lstm(inputs, name):
-            return lstm_prefix_forward(inputs, tree.offsets, tree.parents, weights[name])
+            return lstm_prefix_forward(
+                inputs, tree.offsets, tree.parents, weights[name], workspace=workspace
+            )
+
+        def head(inputs, name, bn, dense):
+            # the branch LSTM's output is dropped as soon as its last step is read
+            h_last = lstm(inputs, name)[last]
+            return (batch_norm_infer(h_last, bn) @ dense.W.value + dense.b.value)[tree.leaves]
 
         h2 = lstm(lstm(tree.inputs, "shared1"), "shared2")
-        a_last = lstm(batch_norm_infer(h2, params.act_bn_in), "act_lstm")[last]
-        logits.append(head(a_last, params.act_bn_out, params.act_head)[tree.leaves])
+        scores = None
         if params.selfexplain and not nap_only:
             exp = params.exp_head
-            scores.append(expit(h2[last] @ exp.W.value + exp.b.value)[tree.leaves])
-        if time:
-            t_last = lstm(batch_norm_infer(h2, params.time_bn_in), "time_lstm")[last]
-            times.append(head(t_last, params.time_bn_out, params.time_head)[tree.leaves, 0])
+            scores = expit(h2[last] @ exp.W.value + exp.b.value)[tree.leaves]
+        a_in = batch_norm_infer(h2, params.act_bn_in)
+        t_in = batch_norm_infer(h2, params.time_bn_in) if time else None
+        del h2
+        logits = head(a_in, "act_lstm", params.act_bn_out, params.act_head)
+        del a_in
+        if not time:
+            return logits, scores, None
+        return logits, scores, head(t_in, "time_lstm", params.time_bn_out, params.time_head)[:, 0]
+
+    # an empty batch still makes one pass, so every output keeps its shape
+    starts = range(0, max(x.shape[0], 1), INFER_CHUNK)
+    logits, scores, times = zip(*(run(x[start : start + INFER_CHUNK]) for start in starts))
     return Inference(
         logits=np.concatenate(logits),
-        scores=np.concatenate(scores) if scores else None,
-        time=np.concatenate(times) if times else None,
+        scores=np.concatenate(scores) if scores[0] is not None else None,
+        time=np.concatenate(times) if time else None,
     )
 
 
 def make_predictor(params: NapModelParams):
-    """Class-prediction closure over flat (B, k*width) inputs (inference mode)."""
+    """Class-prediction closure over flat (B, k*width) inputs (inference mode).
+
+    The closure may be called from several threads at once: each thread keeps
+    its own `LSTMWorkspace`, reused across its calls and freed with the thread.
+    """
     k, width = params.k, params.width
     weights = infer_weights(params, np.float32)
+    local = threading.local()
 
     def predict(flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=np.float32)
         if flat.ndim == 1:
             flat = flat[None]
-        return infer(params, flat.reshape(-1, k, width), nap_only=True, weights=weights).classes
+        workspace = getattr(local, "workspace", None)
+        if workspace is None:
+            workspace = local.workspace = LSTMWorkspace()
+        return infer(
+            params, flat.reshape(-1, k, width), nap_only=True, weights=weights, workspace=workspace
+        ).classes
 
     return predict

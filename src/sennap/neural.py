@@ -326,12 +326,38 @@ def lstm_cell_update(
 PROJECTION_ROWS = 1024
 
 
+class LSTMWorkspace:
+    """Scratch buffers for `lstm_prefix_forward`, grown as needed and reused across calls.
+
+    One buffer per role, dtype and width; a call takes views of their leading
+    rows.  It holds scratch only, never a layer's output, so what it keeps
+    between calls is bounded by the widest step and projection block seen.
+    Not thread-safe: each thread needs its own.
+    """
+
+    def __init__(self):
+        self._buffers: dict[tuple, np.ndarray] = {}
+
+    def take(self, role: str, rows: int, cols: int, dtype) -> np.ndarray:
+        """A C-contiguous (rows, cols) view of `role`'s buffer; its contents are undefined."""
+        key = (role, np.dtype(dtype), cols)
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.shape[0] < rows:
+            buffer = self._buffers[key] = self._allocate(rows, cols, dtype)
+        return buffer[:rows]
+
+    @staticmethod
+    def _allocate(rows: int, cols: int, dtype) -> np.ndarray:
+        return np.empty((rows, cols), dtype=dtype)
+
+
 def lstm_prefix_forward(
     inputs: np.ndarray,
     offsets: Sequence[int],
     parents: Sequence[np.ndarray | None],
     weights: tuple[np.ndarray, np.ndarray],
     keep: Sequence[np.ndarray] | None = None,
+    workspace: LSTMWorkspace | None = None,
 ) -> np.ndarray:
     """Tape-free LSTM over a prefix tree: one node per distinct input prefix.
 
@@ -339,10 +365,16 @@ def lstm_prefix_forward(
     and each continues the (h, c) of the step t-1 node that `parents[t]` names
     (None at step 0, and where step t's nodes continue step t-1's in order).
     `inputs` holds each node's (D,) input row and `weights` comes from
-    `half_scaled`.  Returns the (N, H) hidden states.  `keep`, passed only by
-    `lstm_layer`, is the node-indexed storage BPTT reads, (N, H) `h` and `c`
-    and (N, 4H) activated gates; all nodes then project at once.  The tanh of
-    each step's cell state is scratch on both paths, and BPTT recomputes it.
+    `half_scaled`.  Returns the (N, H) hidden states; without `keep` they
+    are the only (N, ·) array the call allocates.  The cell state then lives
+    in two step-sized buffers, the step being computed and its parents' step.
+    Those, the projection block, the recurrent product, the cell scratch and
+    the parent gathers are views of `workspace`'s buffers (a fresh one when
+    None), so every layer and chunk of a caller that passes one workspace
+    reuses them.  `keep`, passed only by `lstm_layer`, is the node-indexed
+    storage BPTT reads, (N, H) `h` and `c` and (N, 4H) activated gates; all
+    nodes then project at once.  The tanh of each step's cell state is
+    scratch on both paths, and BPTT recomputes it.
     """
     w_half, b_half = weights
     H = w_half.shape[1] // 4
@@ -350,17 +382,25 @@ def lstm_prefix_forward(
     w_h, w_x = w_half[:H], w_half[H:]
     steps = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
     widest = max(step.stop - step.start for step in steps)
+    if workspace is None:
+        workspace = LSTMWorkspace()
+
+    def scratch(role, rows, cols=H):
+        return workspace.take(role, rows, cols, dtype)
+
     if keep is None:
         h = np.empty((inputs.shape[0], H), dtype=dtype)
-        c = np.empty_like(h)
-        projected = np.empty((max(widest, min(len(inputs), PROJECTION_ROWS)), 4 * H), dtype=dtype)
+        projected = scratch("projected", max(widest, min(len(inputs), PROJECTION_ROWS)), 4 * H)
+        # step t's cell state goes to cells[t % 2], so the other holds its parents'
+        cells = (scratch("c_even", widest), scratch("c_odd", widest))
     else:
         h, c, projected = keep
     block_rows = PROJECTION_ROWS if keep is None else len(inputs)
     block = slice(0, 0)
-    rec = np.empty((widest, 4 * H), dtype=dtype)
-    tanh_c = np.empty((widest, H), dtype=dtype)
-    ic = np.empty((widest, H), dtype=dtype)
+    rec = scratch("rec", widest, 4 * H)
+    tanh_c = scratch("tanh_c", widest)
+    ic = scratch("ic", widest)
+    h_gather, c_gather = scratch("h_parent", widest), scratch("c_parent", widest)
     for t, step in enumerate(steps):
         n = step.stop - step.start
         if step.stop > block.stop:
@@ -370,15 +410,24 @@ def lstm_prefix_forward(
             np.matmul(inputs[block], w_x, out=proj)
             proj += b_half
         g = projected[step.start - block.start : step.stop - block.start]
+        c_step = cells[t % 2][:n] if keep is None else c[step]
         if t == 0:
-            c_prev = np.zeros((n, H), dtype=dtype)
+            c_prev = c_gather[:n]
+            c_prev.fill(0)
         else:
-            rows = steps[t - 1] if parents[t] is None else parents[t]
-            h_prev, c_prev = h[rows], c[rows]
+            prev = steps[t - 1]
+            # step t-1's cell state, and the node its row 0 holds
+            c_before, first = (cells[(t - 1) % 2], prev.start) if keep is None else (c, 0)
+            if parents[t] is None:
+                h_prev, c_prev = h[prev], c_before[prev.start - first : prev.stop - first]
+            else:
+                rows = parents[t]
+                h_prev = np.take(h, rows, axis=0, out=h_gather[:n], mode="clip")
+                c_prev = np.take(c_before, rows - first, axis=0, out=c_gather[:n], mode="clip")
             r = rec[:n]
             np.matmul(h_prev, w_h, out=r)
             g += r
-        lstm_cell_update(g, c_prev, c[step], tanh_c[:n], h[step], ic[:n])
+        lstm_cell_update(g, c_prev, c_step, tanh_c[:n], h[step], ic[:n])
     return h
 
 

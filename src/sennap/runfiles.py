@@ -10,6 +10,7 @@ no other part of the package except `errors`.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import multiprocessing
@@ -117,15 +118,24 @@ def _run_task(task: Callable, path: Path, item):
     return task(_load_job(path), item)
 
 
+def _result(future):
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        raise TrainingError(f"a worker process ended unexpectedly: {exc}") from exc
+
+
 def map_in_workers(job, task: Callable, items: Sequence) -> Iterator:
     """Yield `task(job, item)` per item, in order, from spawned worker processes.
 
     One worker per available CPU, at most one per item, each with one BLAS
     thread; `task` is a module-level function.  Each worker reads `job` from a
     file: one that died before reading a large start-up argument would block
-    the parent writing it.  A dead worker is a `TrainingError`.  The pool
-    shuts down when the generator ends, raises or is closed.  Workers import
-    the caller's main module, which needs the `if __name__ == "__main__":` guard.
+    the parent writing it.  A result is released here as it is yielded, so a
+    caller that drops each one holds only the results not yet taken.  A dead
+    worker is a `TrainingError`.  The pool shuts down when the generator
+    ends, raises or is closed.  Workers import the caller's main module,
+    which needs the `if __name__ == "__main__":` guard.
     """
     with tempfile.TemporaryDirectory(prefix="sennap-pool-") as scratch:
         path = Path(scratch) / "job.pickle"
@@ -137,12 +147,11 @@ def map_in_workers(job, task: Callable, items: Sequence) -> Iterator:
         try:
             # the pool starts its workers as tasks arrive
             with _one_blas_thread():
-                futures = [pool.submit(_run_task, task, path, item) for item in items]
-            for future in futures:
-                try:
-                    result = future.result()
-                except BrokenProcessPool as exc:
-                    raise TrainingError(f"a worker process ended unexpectedly: {exc}") from exc
-                yield result
+                futures = collections.deque(
+                    pool.submit(_run_task, task, path, item) for item in items
+                )
+            while futures:
+                # neither the deque nor this frame keeps the future or its result
+                yield _result(futures.popleft())
         finally:
             pool.shutdown(cancel_futures=True)

@@ -12,11 +12,16 @@ which `sennap.neural.lstm_layer` on the prefix-tree kernel must match bit for
 bit, forward and backward; `backward_keeping_tape` is the reverse sweep that
 leaves every node's grad and closure in place, whose parameter grads
 `sennap.neural.backward`, which frees the tape as it walks it, must match bit
-for bit.
+for bit; `lstm_prefix_forward_allocating` and `infer_allocating` are the
+inference kernel and pass that allocate every buffer per call, hold the
+(N, H) cell state and keep the shared stack's output through the branch
+LSTMs, which `sennap.neural.lstm_prefix_forward` on its workspace and
+`sennap.model.infer` must match bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 from datetime import datetime, timezone
 from typing import Callable, Sequence
 
@@ -25,7 +30,17 @@ import numpy as np
 from sennap.encoding import Dataset, EncodingSpec
 from sennap.errors import EncodingError
 from sennap.eventlog import PrefixRecord
-from sennap.neural import LSTMLayerParams, Var, backward, expit, half_scaled, lstm_cell_update
+from sennap.model import INFER_CHUNK, Inference, NapModelParams, infer_weights, prefix_tree
+from sennap.neural import (
+    PROJECTION_ROWS,
+    LSTMLayerParams,
+    Var,
+    backward,
+    batch_norm_infer,
+    expit,
+    half_scaled,
+    lstm_cell_update,
+)
 from sennap.selfexplain import FeatureSampler
 
 
@@ -283,3 +298,114 @@ def backward_keeping_tape(root: Var):
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+
+
+def lstm_prefix_forward_allocating(
+    inputs: np.ndarray,
+    offsets: Sequence[int],
+    parents: Sequence[np.ndarray | None],
+    weights: tuple[np.ndarray, np.ndarray],
+    keep: Sequence[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Tape-free LSTM over a prefix tree: one node per distinct input prefix.
+
+    The nodes are ordered by step: step t's nodes are `offsets[t]:offsets[t+1]`,
+    and each continues the (h, c) of the step t-1 node that `parents[t]` names
+    (None at step 0, and where step t's nodes continue step t-1's in order).
+    `inputs` holds each node's (D,) input row and `weights` comes from
+    `half_scaled`.  Returns the (N, H) hidden states.  `keep`, passed only by
+    `lstm_layer`, is the node-indexed storage BPTT reads, (N, H) `h` and `c`
+    and (N, 4H) activated gates; all nodes then project at once.  The tanh of
+    each step's cell state is scratch on both paths, and BPTT recomputes it.
+    """
+    w_half, b_half = weights
+    H = w_half.shape[1] // 4
+    dtype = inputs.dtype
+    w_h, w_x = w_half[:H], w_half[H:]
+    steps = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+    widest = max(step.stop - step.start for step in steps)
+    if keep is None:
+        h = np.empty((inputs.shape[0], H), dtype=dtype)
+        c = np.empty_like(h)
+        projected = np.empty((max(widest, min(len(inputs), PROJECTION_ROWS)), 4 * H), dtype=dtype)
+    else:
+        h, c, projected = keep
+    block_rows = PROJECTION_ROWS if keep is None else len(inputs)
+    block = slice(0, 0)
+    rec = np.empty((widest, 4 * H), dtype=dtype)
+    tanh_c = np.empty((widest, H), dtype=dtype)
+    ic = np.empty((widest, H), dtype=dtype)
+    for t, step in enumerate(steps):
+        n = step.stop - step.start
+        if step.stop > block.stop:
+            last = max(t + 1, bisect.bisect_right(offsets, step.start + block_rows) - 1)
+            block = slice(step.start, offsets[last])
+            proj = projected[: block.stop - block.start]
+            np.matmul(inputs[block], w_x, out=proj)
+            proj += b_half
+        g = projected[step.start - block.start : step.stop - block.start]
+        if t == 0:
+            c_prev = np.zeros((n, H), dtype=dtype)
+        else:
+            rows = steps[t - 1] if parents[t] is None else parents[t]
+            h_prev, c_prev = h[rows], c[rows]
+            r = rec[:n]
+            np.matmul(h_prev, w_h, out=r)
+            g += r
+        lstm_cell_update(g, c_prev, c[step], tanh_c[:n], h[step], ic[:n])
+    return h
+
+
+def infer_allocating(
+    params: NapModelParams,
+    x: np.ndarray,
+    *,
+    nap_only: bool = False,
+    time: bool = False,
+    weights: dict[str, tuple] | None = None,
+) -> Inference:
+    """Tape-free inference pass over (B, k, width) grids in INFER_CHUNK-row chunks.
+
+    The heads of `forward_graph(train=False)` without the tape, run once per
+    distinct input prefix: the LSTMs are causal and infer-mode batch norm is
+    per feature, so rows that agree on steps 0..t agree on every state up to
+    step t.  Each chunk becomes a `prefix_tree`; every LSTM layer steps its
+    nodes, and the heads read each row's last-step node.  The time head, a
+    training target, runs only with `time` (the validation loss).
+    `nap_only` skips the explanation head, for callers that need only the
+    activity head.  Batch-norm running statistics never move.  Callers that
+    make many calls pass `infer_weights(params, x.dtype, time=time)` as
+    `weights`, built once.
+    """
+    x = np.asarray(x)
+    if x.ndim != 3 or x.shape[1:] != (params.k, params.width):
+        raise ValueError(f"expected (B, {params.k}, {params.width}) input, got {x.shape}")
+    if weights is None:
+        weights = infer_weights(params, x.dtype, time=time)
+
+    def head(h_last, bn, dense):
+        return batch_norm_infer(h_last, bn) @ dense.W.value + dense.b.value
+
+    logits, scores, times = [], [], []
+    # an empty batch still makes one pass, so every output keeps its shape
+    for start in range(0, max(x.shape[0], 1), INFER_CHUNK):
+        tree = prefix_tree(x[start : start + INFER_CHUNK])
+        last = slice(tree.offsets[-2], None)
+
+        def lstm(inputs, name):
+            return lstm_prefix_forward_allocating(inputs, tree.offsets, tree.parents, weights[name])
+
+        h2 = lstm(lstm(tree.inputs, "shared1"), "shared2")
+        a_last = lstm(batch_norm_infer(h2, params.act_bn_in), "act_lstm")[last]
+        logits.append(head(a_last, params.act_bn_out, params.act_head)[tree.leaves])
+        if params.selfexplain and not nap_only:
+            exp = params.exp_head
+            scores.append(expit(h2[last] @ exp.W.value + exp.b.value)[tree.leaves])
+        if time:
+            t_last = lstm(batch_norm_infer(h2, params.time_bn_in), "time_lstm")[last]
+            times.append(head(t_last, params.time_bn_out, params.time_head)[tree.leaves, 0])
+    return Inference(
+        logits=np.concatenate(logits),
+        scores=np.concatenate(scores) if scores else None,
+        time=np.concatenate(times) if times else None,
+    )

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import ast
 import re
+import time
+import tracemalloc
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sennap
 from sennap.errors import ConfigError
-from sennap.runfiles import write_atomic
+from sennap.runfiles import map_in_workers, write_atomic
 
 PACKAGE = Path(sennap.__file__).parent
 
@@ -49,7 +53,6 @@ def test_runfiles_is_the_bottom_layer():
         assert holders == ["runfiles.py"], call
 
 
-
 def test_write_atomic_makes_directories_and_names_an_unwritable_path(tmp_path):
     target = tmp_path / "a" / "b" / "out.txt"
     write_atomic(target, "text\n")
@@ -58,3 +61,29 @@ def test_write_atomic_makes_directories_and_names_an_unwritable_path(tmp_path):
     with pytest.raises(ConfigError, match=re.escape(f"{blocked}: cannot write")):
         write_atomic(blocked, b"bytes")
     assert sorted(p.name for p in target.parent.iterdir()) == ["out.txt"]
+
+
+RESULT_BYTES = 4 << 20
+
+
+def _large_result(job, item: int) -> np.ndarray:
+    time.sleep(0.2)  # results arrive one by one, as a long task's would
+    return np.full(RESULT_BYTES, item, dtype=np.uint8)
+
+
+def test_map_in_workers_releases_each_result_as_it_is_yielded():
+    taken = []
+    tracemalloc.start()
+    try:
+        for item, result in enumerate(map_in_workers(None, _large_result, range(8))):
+            assert result.nbytes == RESULT_BYTES and result[0] == item
+            # every result before this one was dropped by the loop and must be gone
+            assert [ref() is None for ref in taken] == [True] * item
+            taken.append(weakref.ref(result))
+            del result
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one result in transit is three under tracemalloc (the pipe's read chunk, its
+    # buffer and the unpickled copy); all eight held would be eight or more
+    assert peak < 5 * RESULT_BYTES
