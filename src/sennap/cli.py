@@ -74,7 +74,7 @@ OPTIONS = {
     "checkpoint": Option(str, None, "checkpoint path; without it, the method's model under --out"),
     "limit": Option(int, 200, "instance budget"),
     "timeout": Option(float, _ANCHOR.timeout_s, "post-hoc seconds per instance"),
-    "threads": Option(int, 1, "instance-level parallelism"),
+    "threads": Option(int, 1, "instances in flight at once, at most one per CPU"),
 }
 
 

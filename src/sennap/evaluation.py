@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -31,6 +30,7 @@ from .errors import ConfigError
 from .model import NapModelParams, infer, infer_weights, make_predictor
 from .neural import subset_mask
 from .posthoc import AnchorConfig, estimate_precision, greedy_anchor_search
+from .runfiles import map_in_threads
 from .selfexplain import FeatureSampler
 
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -153,14 +153,6 @@ def check_verification(delta: float, n_samples: int):
         raise ConfigError(f"need at least one verification sample, got {n_samples}")
 
 
-def _map_in_order(fn: Callable, items: Sequence, threads: int) -> list:
-    """Apply `fn` to every item, on `threads` threads when above 1; results keep order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def accuracy(params: NapModelParams, dataset: Dataset) -> float:
     """Fraction of instances whose argmax matches the target class."""
     if len(dataset) == 0:
@@ -229,7 +221,11 @@ def explain_posthoc(
     limit: int | None = None,
     threads: int = 1,
 ) -> list[Explanation]:
-    """Greedy anchor search per instance; timeouts become records, not errors."""
+    """Greedy anchor search per instance; timeouts become records, not errors.
+
+    At most `threads` instances are in flight at once, on the threads of
+    `runfiles.map_in_threads`; each search's rounds use the helpers left idle.
+    """
     predict = make_predictor(params)
     n = min(limit, len(dataset)) if limit is not None else len(dataset)
 
@@ -253,7 +249,7 @@ def explain_posthoc(
             best_precision=None if found else result.precision,
         )
 
-    return _map_in_order(solve, range(n), threads)
+    return map_in_threads(solve, range(n), limit=threads)
 
 
 def verify_explanations(
@@ -266,7 +262,10 @@ def verify_explanations(
     seed: int = 0,
     threads: int = 1,
 ) -> list[Explanation]:
-    """Return copies with sufficiency flags filled (timeouts stay unverified)."""
+    """Return copies with sufficiency flags filled (timeouts stay unverified).
+
+    At most `threads` instances are in flight at once (`runfiles.map_in_threads`).
+    """
     check_verification(delta, n_samples)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -293,7 +292,7 @@ def verify_explanations(
         )
         return replace(expl, sufficient=ok, precision=rate)
 
-    return _map_in_order(check, explanations, threads)
+    return map_in_threads(check, explanations, limit=threads)
 
 
 def summarize(

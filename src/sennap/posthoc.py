@@ -4,10 +4,11 @@ Greedy construction over individual flat features of the encoded grid: each
 round estimates the prediction-preservation precision of every single-feature
 extension of the current subset on one shared set of complement draws and
 keeps the best one, stopping once the estimate clears the precision threshold
-or the wall clock runs out.  A round scores its draws a few at a time: each
-`predict` call holds every candidate of its draws, so the rows of one draw
-share their prefix in one `prefix_tree`.  Works against any class-prediction
-closure, so the same machinery is testable on analytic models.
+or the wall clock runs out.  A round scores its draws a group at a time, on
+every CPU: each `predict` call holds every candidate of its draws, so the
+rows of one draw share their prefix in one `prefix_tree`.  Works against any
+class-prediction closure that may be called from several threads at once,
+so the same machinery is testable on analytic models.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import runfiles
 from .errors import ConfigError
 from .model import INFER_CHUNK
 from .selfexplain import FeatureSampler
@@ -98,6 +100,38 @@ def extension_counts(
     return kept.sum(axis=0)
 
 
+def round_counts(
+    predict: Callable[[np.ndarray], np.ndarray],
+    x_flat: np.ndarray,
+    base: np.ndarray,
+    free: np.ndarray,
+    target: int,
+    stop: Callable[[], bool],
+) -> tuple[np.ndarray | None, int]:
+    """One greedy round: kept counts of every `free` candidate over the (S, n) `base` rows.
+
+    The draws go in groups of g = max(1, INFER_CHUNK // (W * len(free))), one
+    `extension_counts` call each, on the W threads of `runfiles.map_in_threads`,
+    so the rows in flight stay within one inference chunk, or within W draws
+    when one draw's candidates alone fill more.  W = 1 is one full chunk after
+    another on the caller.  The counts are summed as integers, so they do not
+    depend on W.  `stop` is asked before each group starts; if it ends the
+    round early the counts are None.  The second value is the rows submitted,
+    those of every group that started.
+    """
+    S = len(base)
+    g = max(1, INFER_CHUNK // (runfiles.thread_workers() * len(free)))
+    groups = range(0, S, g)
+    counts = runfiles.map_in_threads(
+        lambda lo: extension_counts(predict, x_flat, base[lo : lo + g], free, target),
+        groups, stop=stop,
+    )
+    rows = min(len(counts) * g, S) * len(free)
+    if len(counts) < len(groups):
+        return None, rows
+    return np.sum(counts, axis=0), rows
+
+
 def greedy_anchor_search(
     predict: Callable[[np.ndarray], np.ndarray],
     x_flat: np.ndarray,
@@ -108,17 +142,19 @@ def greedy_anchor_search(
     """Grow a feature subset until its estimated precision clears the threshold.
 
     Each round draws its S complement rows once, base = where(subset, x, draws),
-    and estimates every one-feature extension on those common draws.  It
-    scores them in calls of g = max(1, INFER_CHUNK // free) draws, each an
-    `extension_counts` call over every free candidate, so one call fills one
-    inference chunk; a candidate's estimate is its kept count over all calls
-    divided by S.  A candidate only counts as found after a confirmation
-    estimate on fresh draws also clears the threshold; picking the maximum of
-    many noisy estimates would otherwise systematically overstate precision.
-    Features are never removed once added, and ties go to the smallest
-    feature index.  The timeout is checked before every call; it produces
-    status "timeout" with the best subset found so far, not an error.
-    `samples_used` counts every row submitted to `predict`.
+    and estimates every one-feature extension on those common draws: a
+    candidate's estimate is its `round_counts` count divided by S, whatever
+    the number of threads W.  A candidate only counts as found after a
+    confirmation estimate on fresh draws also clears the threshold; picking
+    the maximum of many noisy estimates would otherwise systematically
+    overstate precision.  Features are never removed once added, and ties go
+    to the smallest feature index.  The timeout is checked before every group
+    of a round starts; it produces status "timeout" with the best subset found
+    so far, not an error, once the groups already started are done.
+    `samples_used` counts every Monte-Carlo row submitted to `predict`: S per
+    estimate and the rows of every group that started.  The instance's own
+    row, predicted once for its target class, is not counted.  The process's
+    OpenBLAS runs one thread for the whole search (`runfiles.one_blas_thread`).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -126,8 +162,10 @@ def greedy_anchor_search(
     x_flat = np.asarray(x_flat, dtype=np.float32).reshape(-1)
     n = x_flat.shape[0]
     S = config.n_samples
-    target = int(predict(x_flat[None])[0])
     samples_used = 0
+
+    def expired() -> bool:
+        return time.perf_counter() - start > config.timeout_s
 
     def precision_of(subset: np.ndarray) -> float:
         nonlocal samples_used
@@ -140,34 +178,32 @@ def greedy_anchor_search(
             time.perf_counter() - start, samples_used, rounds,
         )
 
-    subset = np.zeros(n, dtype=bool)
-    precision = precision_of(subset)
-    best_precision, best_subset = -1.0, subset
-    rounds = 0
-    while True:
-        if precision >= config.precision_threshold:
-            precision = precision_of(subset)
+    with runfiles.one_blas_thread():
+        target = int(predict(x_flat[None])[0])
+        subset = np.zeros(n, dtype=bool)
+        precision = precision_of(subset)
+        best_precision, best_subset = -1.0, subset
+        rounds = 0
+        while True:
             if precision >= config.precision_threshold:
-                return result("found", subset, precision, rounds)
-        # a failed confirmation keeps the fresh, lower estimate
-        if precision > best_precision:
-            best_precision, best_subset = precision, subset
-        rounds += 1
-        base = np.where(subset, x_flat, sampler.draw(rng, S))
-        # the full set estimates at exactly 1.0, so some feature is always left
-        free = np.flatnonzero(~subset)
-        g = max(1, INFER_CHUNK // len(free))
-        kept = np.zeros(len(free), dtype=np.int64)
-        for lo in range(0, S, g):
-            if time.perf_counter() - start > config.timeout_s:
+                precision = precision_of(subset)
+                if precision >= config.precision_threshold:
+                    return result("found", subset, precision, rounds)
+            # a failed confirmation keeps the fresh, lower estimate
+            if precision > best_precision:
+                best_precision, best_subset = precision, subset
+            rounds += 1
+            base = np.where(subset, x_flat, sampler.draw(rng, S))
+            # the full set estimates at exactly 1.0, so some feature is always left
+            free = np.flatnonzero(~subset)
+            kept, rows = round_counts(predict, x_flat, base, free, target, expired)
+            samples_used += rows
+            if kept is None:
                 return result("timeout", best_subset, best_precision, rounds)
-            draws = base[lo : lo + g]
-            kept += extension_counts(predict, x_flat, draws, free, target)
-            samples_used += len(draws) * len(free)
-        estimates = np.full(n, -1.0)
-        estimates[free] = kept / S
-        # argmax takes the first maximum: ties go to the smallest feature index
-        best = int(np.argmax(estimates))
-        precision = float(estimates[best])
-        subset = subset.copy()
-        subset[best] = True
+            estimates = np.full(n, -1.0)
+            estimates[free] = kept / S
+            # argmax takes the first maximum: ties go to the smallest feature index
+            best = int(np.argmax(estimates))
+            precision = float(estimates[best])
+            subset = subset.copy()
+            subset[best] = True

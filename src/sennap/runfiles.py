@@ -1,23 +1,27 @@
-"""Run files and worker processes: the one way the package reads, writes and fans out.
+"""Run files, worker processes and helper threads: how the package reads, writes and fans out.
 
 An unreadable or undecodable file, or one that cannot be written, is one
 package error naming it.  Every file is written beside its target and
 renamed into place, so a reader, or a command killed or failing part-way,
 sees the previous file or the new one whole.  `map_in_workers` writes
-nothing: what a task returns is its caller's to keep.  This module imports
-no other part of the package except `errors`.
+nothing: what a task returns is its caller's to keep.  `map_in_threads`
+runs tasks on the calling thread and the process's one pool of helper
+threads, with the process's OpenBLAS held at one thread.  This module
+imports no other part of the package except `errors`.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import ctypes
 import functools
 import multiprocessing
 import os
 import pickle
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -92,7 +96,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def _one_blas_thread_env():
     """Processes started inside see one BLAS thread; the environment is restored after.
 
     A spawned child loads BLAS when it imports numpy, before it runs any task.
@@ -125,6 +129,10 @@ def _result(future):
         raise TrainingError(f"a worker process ended unexpectedly: {exc}") from exc
 
 
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def map_in_workers(job, task: Callable, items: Sequence) -> Iterator:
     """Yield `task(job, item)` per item, in order, from spawned worker processes.
 
@@ -140,13 +148,12 @@ def map_in_workers(job, task: Callable, items: Sequence) -> Iterator:
     with tempfile.TemporaryDirectory(prefix="sennap-pool-") as scratch:
         path = Path(scratch) / "job.pickle"
         write_atomic(path, pickle.dumps(job))
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         pool = ProcessPoolExecutor(
-            min(cpus or 1, len(items)), mp_context=multiprocessing.get_context("spawn")
+            min(_cpus(), len(items)), mp_context=multiprocessing.get_context("spawn")
         )
         try:
             # the pool starts its workers as tasks arrive
-            with _one_blas_thread():
+            with _one_blas_thread_env():
                 futures = collections.deque(
                     pool.submit(_run_task, task, path, item) for item in items
                 )
@@ -155,3 +162,190 @@ def map_in_workers(job, task: Callable, items: Sequence) -> Iterator:
                 yield _result(futures.popleft())
         finally:
             pool.shutdown(cancel_futures=True)
+
+
+class _PhdrInfo(ctypes.Structure):
+    """The two leading fields of `struct dl_phdr_info` (<link.h>), all that is read."""
+
+    _fields_ = [("dlpi_addr", ctypes.c_size_t), ("dlpi_name", ctypes.c_char_p)]
+
+
+def _loaded_libraries() -> list[str]:
+    """Paths of the shared libraries loaded in this process; empty without `dl_iterate_phdr`."""
+    paths: list[str] = []
+
+    def visit(info, size, data):
+        if info.contents.dlpi_name:
+            paths.append(os.fsdecode(info.contents.dlpi_name))
+        return 0
+
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no process-wide symbol table on this platform
+        return paths
+    if not hasattr(libc, "dl_iterate_phdr"):
+        return paths
+    callback = ctypes.CFUNCTYPE(
+        ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_char_p
+    )(visit)
+    libc.dl_iterate_phdr.argtypes = [type(callback), ctypes.c_char_p]
+    libc.dl_iterate_phdr.restype = ctypes.c_int
+    libc.dl_iterate_phdr(callback, None)
+    return paths
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    Found as threadpoolctl finds them: among the libraries loaded in this
+    process, one with "openblas" in its file name that exports
+    `openblas_set_num_threads` or scipy-openblas's `scipy_openblas_set_num_threads64_`.
+    A library in a directory of numpy's own, such as a wheel's `numpy.libs`,
+    comes first.
+    """
+    import numpy  # noqa: F401  (loads its BLAS, if nothing has yet)
+
+    paths = [
+        os.path.normpath(p) for p in _loaded_libraries()
+        if "openblas" in os.path.basename(p).lower()
+    ]
+    paths.sort(key=lambda p: not os.path.basename(os.path.dirname(p)).startswith("numpy"))
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for prefix, suffix in (("", ""), ("scipy_", "64_"), ("", "64_"), ("scipy_", "")):
+            get = getattr(library, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(library, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def thread_workers() -> int:
+    """W, the threads `map_in_threads` runs on: the caller plus one helper per other CPU.
+
+    1 when no OpenBLAS is found, because without the pin two threads would
+    share BLAS's own threads and run slower than one.
+    """
+    return _cpus() if _openblas() is not None else 1
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """The process's OpenBLAS runs one thread inside; the count is restored on the last exit.
+
+    Reference-counted, so nested and concurrent holders share one pin.  The
+    count is process-wide: any thread's BLAS call, an in-process `fit` too,
+    sees one thread while some holder is inside.  Without OpenBLAS it does
+    nothing.
+    """
+    global _pin_depth, _pin_saved
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)
+
+
+_pool_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+
+
+def _helpers() -> ThreadPoolExecutor:
+    """The process's one pool of W - 1 helper threads, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(thread_workers() - 1, thread_name_prefix="sennap-helper")
+        return _pool
+
+
+class _Claims:
+    """Hands out item indices in order until the items run out, `stop` says so, or `close`."""
+
+    def __init__(self, n: int, stop: Callable[[], bool] | None):
+        self.lock = threading.Lock()
+        self.next, self.end, self.stop = 0, n, stop
+
+    def take(self) -> int | None:
+        with self.lock:
+            if self.next < self.end and not (self.stop is not None and self.stop()):
+                self.next += 1
+                return self.next - 1
+            self.end = self.next
+            return None
+
+    def close(self):
+        with self.lock:
+            self.end = self.next
+
+
+def map_in_threads(
+    fn: Callable,
+    items: Sequence,
+    *,
+    limit: int | None = None,
+    stop: Callable[[], bool] | None = None,
+) -> list:
+    """`[fn(item) for item in items]`, in order, on the caller and up to W - 1 helper threads.
+
+    At most `limit` items (W by default) are in flight at once.  Items start
+    in order, and `stop`, when given, is asked before each one starts; once it
+    says True no further item starts, and the results of the items that did
+    start, a prefix of `items`, are returned.  Every thread that runs items
+    takes the next one not yet started, the caller too; a helper task that has
+    not started by the time the caller runs out of items is cancelled, so a
+    task may itself call `map_in_threads` without deadlock.  When this returns
+    or raises, no helper is still running an item.  While helpers run, the
+    process's OpenBLAS runs one thread (`one_blas_thread`).  A failed item
+    stops the start of further items, and the first failure in item order is
+    raised once the started items are done.
+    """
+    width = min(thread_workers(), len(items), limit or len(items))
+    claims = _Claims(len(items), stop)
+    out, failed = [None] * len(items), {}
+
+    def drain():
+        while (i := claims.take()) is not None:
+            try:
+                out[i] = fn(items[i])
+            except BaseException as exc:  # re-raised by the caller below
+                failed[i] = exc
+                claims.close()
+
+    if width <= 1:
+        drain()
+    else:
+        with one_blas_thread():
+            helpers = [_helpers().submit(drain) for _ in range(width - 1)]
+            try:
+                drain()
+            finally:
+                # a cancelled task counts as done only once a helper dequeues it,
+                # so waiting on it from a helper could wait for itself
+                wait([future for future in helpers if not future.cancel()])
+    if failed:
+        raise failed[min(failed)]
+    return out[: claims.next]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sennap import runfiles
 from sennap.errors import ConfigError
 from sennap.model import INFER_CHUNK, make_predictor
 from sennap.posthoc import (
@@ -174,6 +175,18 @@ def _round_subsets(spec):
     return [empty, taken]
 
 
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Rounds run as one call after another on the caller, each a full chunk (W = 1)."""
+    monkeypatch.setattr(runfiles, "thread_workers", lambda: 1)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Rounds run on the caller and one helper (W = 2), whatever the CPU count."""
+    monkeypatch.setattr(runfiles, "thread_workers", lambda: 2)
+
+
 class TestCommonDraws:
     def test_round_estimates_equal_explicit_rows(self, toy_data, baseline_ckpt):
         """Each candidate's count is `estimate_precision` on the round's draws, times S."""
@@ -215,7 +228,7 @@ class TestCommonDraws:
         want = round_estimates_per_event_row(predict, x, subset, base, target, sampler)
         assert estimates.tobytes() == want.tobytes()
 
-    def test_one_base_major_call_per_group_of_draws(self, toy_data, baseline_ckpt):
+    def test_one_base_major_call_per_group_of_draws(self, toy_data, baseline_ckpt, one_worker):
         spec, train, _, test_eval = toy_data
         inner = make_predictor(baseline_ckpt.params)
         sampler = FeatureSampler.fit(spec, train.x)
@@ -250,7 +263,7 @@ class TestCommonDraws:
         # every row submitted counts
         assert result.samples_used == sum(len(c) for c in calls[1:])
 
-    def test_later_rounds_keep_the_subset(self):
+    def test_later_rounds_keep_the_subset(self, one_worker):
         calls = []
 
         def both_model(X):
@@ -265,6 +278,67 @@ class TestCommonDraws:
         # the instance, round 0, round 1 (one call: 50 draws fit one chunk), round 2
         first, second = calls[2], calls[3]
         assert first.shape == (3 * 50, 3) and second.shape == (2 * 50, 3)
+        picked = 0 if np.all(second[:, 0] == x[0]) else 1
+        np.testing.assert_array_equal(second[:, picked], x[picked])
+
+
+class TestCommonDrawsOnTwoWorkers:
+    """The layouts above at W = 2: groups of half the draws, in calls of any order."""
+
+    def test_groups_of_draws_halve(self, toy_data, baseline_ckpt, two_workers):
+        spec, train, _, test_eval = toy_data
+        inner = make_predictor(baseline_ckpt.params)
+        sampler = FeatureSampler.fit(spec, train.x)
+        calls = []
+
+        def predict(flat):
+            calls.append(np.array(flat))  # list.append is atomic across threads
+            return inner(flat)
+
+        n = spec.n_features
+        g = INFER_CHUNK // (2 * n)
+        S = 2 * g + 3
+        x = test_eval.x[1].reshape(-1)
+        config = AnchorConfig(precision_threshold=1.0, n_samples=S, timeout_s=300.0, seed=3)
+        result = greedy_anchor_search(predict, x, config, sampler, np.random.default_rng(21))
+        replay = np.random.default_rng(21)
+        sampler.draw(replay, S)
+        base = sampler.draw(replay, S)
+        # a round's groups all end before the next round starts, so round 1 is
+        # calls[2:5], in whatever order the two threads made them
+        with_x0 = base.copy()
+        with_x0[:, 0] = x[0]
+        firsts = [int(np.flatnonzero((with_x0 == c[0]).all(axis=1))[0]) for c in calls[2:5]]
+        assert sorted(firsts) == [0, g, 2 * g]
+        round1 = [c for _, c in sorted(zip(firsts, calls[2:5]), key=lambda pair: pair[0])]
+        assert [c.shape for c in round1] == [(g * n, n), (g * n, n), (3 * n, n)]
+        rows = np.concatenate(round1).reshape(S, n, n)
+        for j in range(n):
+            expected = base.copy()
+            expected[:, j] = x[j]
+            np.testing.assert_array_equal(rows[:, j], expected)
+        g2 = INFER_CHUNK // (2 * (n - 1))
+        round2 = [(min(g2, S - lo) * (n - 1), n) for lo in range(0, S, g2)]
+        assert sorted(c.shape for c in calls[5 : 5 + len(round2)]) == sorted(round2)
+        assert result.samples_used == sum(len(c) for c in calls[1:])
+
+    def test_later_rounds_keep_the_subset(self, two_workers):
+        calls = []
+
+        def both_model(X):
+            X = np.atleast_2d(X)
+            calls.append(X.copy())
+            return ((X[:, 0] > 0.5) & (X[:, 1] > 0.5)).astype(np.int64)
+
+        x = np.array([0.9, 0.9, 0.9], dtype=np.float32)
+        config = AnchorConfig(n_samples=700, timeout_s=20.0, seed=6)
+        result = greedy_anchor_search(both_model, x, config, _uniform_sampler(3))
+        assert result.status == "found" and result.indices == (0, 1)
+        # the instance, round 0, round 1 in groups of 341 draws, round 2 in groups of 512
+        assert sorted(len(c) for c in calls[2:5]) == [18 * 3, 341 * 3, 341 * 3]
+        second = calls[5:7]
+        assert sorted(len(c) for c in second) == [188 * 2, 512 * 2]
+        second = np.concatenate(second)
         picked = 0 if np.all(second[:, 0] == x[0]) else 1
         np.testing.assert_array_equal(second[:, picked], x[picked])
 

@@ -46,7 +46,8 @@ def test_runfiles_is_the_bottom_layer():
     assert _package_imports(checked) == {"cli", "model", "training", "sennap"}
     source = (PACKAGE / "runfiles.py").read_text(encoding="utf-8")
     assert _package_imports(source) == {"errors"}
-    for call in ("ProcessPoolExecutor(", "os.replace("):
+    # one process pool, one thread pool and one renamer for the whole package
+    for call in ("ProcessPoolExecutor(", "ThreadPoolExecutor(", "os.replace("):
         holders = sorted(
             path.name for path in PACKAGE.glob("*.py") if call in path.read_text(encoding="utf-8")
         )
