@@ -35,7 +35,9 @@ from .evaluation import (
     verify_explanations,
 )
 from .posthoc import AnchorConfig
-from .runfiles import read_bytes, read_manifest, read_text, write_atomic, write_manifest
+from .runfiles import (
+    read_bytes, read_manifest, read_text, thread_workers, write_atomic, write_manifest,
+)
 from .selfexplain import FeatureSampler
 from .training import (
     Checkpoint, TrainConfig, fit_cell, grid_search, load_checkpoint, save_checkpoint,
@@ -227,10 +229,18 @@ def _checkpoint_path(path: str | None, out_dir: Path, method: str) -> Path:
     return path
 
 
-def _threads(settings: Settings) -> int:
+def _threads(settings: Settings, *, used: bool = True) -> int:
+    """--threads, validated; a count above W, the threads this process runs on, is warned of."""
     threads = settings.get("threads")
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
+    workers = thread_workers()
+    if used and threads > workers:
+        print(
+            f"warning: --threads {threads} runs {workers} at a time: one thread per CPU that "
+            f"OpenBLAS may use, and one without OpenBLAS",
+            file=sys.stderr,
+        )
     return threads
 
 
@@ -454,7 +464,7 @@ def cmd_explain(args) -> int:
     if limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {limit}")
     seed = settings.get("seed")
-    threads = _threads(settings)
+    threads = _threads(settings, used=method == "posthoc")
     prepared = Prepared(out_dir)
     ckpt = load_checkpoint(_checkpoint_path(settings.get("checkpoint"), out_dir, method))
     _check_spec(ckpt, prepared.spec)

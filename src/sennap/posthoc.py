@@ -111,9 +111,10 @@ def round_counts(
     """One greedy round: kept counts of every `free` candidate over the (S, n) `base` rows.
 
     The draws go in groups of g = max(1, INFER_CHUNK // (W * len(free))), one
-    `extension_counts` call each, on the W threads of `runfiles.map_in_threads`,
-    so the rows in flight stay within one inference chunk, or within W draws
-    when one draw's candidates alone fill more.  W = 1 is one full chunk after
+    `extension_counts` call each, on `runfiles.map_in_threads`: the caller and
+    the helpers idle at the time, W threads at most.  So the rows in flight
+    stay within one inference chunk, or within W draws when one draw's
+    candidates alone fill more.  W = 1 is one full chunk after
     another on the caller.  The counts are summed as integers, so they do not
     depend on W.  `stop` is asked before each group starts; if it ends the
     round early the counts are None.  The second value is the rows submitted,

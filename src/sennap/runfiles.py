@@ -21,7 +21,7 @@ import os
 import pickle
 import tempfile
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -196,13 +196,14 @@ def _loaded_libraries() -> list[str]:
 
 @functools.lru_cache(maxsize=1)
 def _openblas():
-    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+    """(get, set, threads) for the OpenBLAS numpy loaded, or None.
 
-    Found as threadpoolctl finds them: among the libraries loaded in this
-    process, one with "openblas" in its file name that exports
-    `openblas_set_num_threads` or scipy-openblas's `scipy_openblas_set_num_threads64_`.
-    A library in a directory of numpy's own, such as a wheel's `numpy.libs`,
-    comes first.
+    `get` and `set` are its thread-count functions, and `threads` is the
+    count it had when first found here, before any pin.  They are found as
+    threadpoolctl finds them: among the libraries loaded in this process, one
+    with "openblas" in its file name that exports `openblas_set_num_threads`
+    or scipy-openblas's `scipy_openblas_set_num_threads64_`.  A library in a
+    directory of numpy's own, such as a wheel's `numpy.libs`, comes first.
     """
     import numpy  # noqa: F401  (loads its BLAS, if nothing has yet)
 
@@ -222,17 +223,20 @@ def _openblas():
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+                return get, put, get()
     return None
 
 
 def thread_workers() -> int:
     """W, the threads `map_in_threads` runs on: the caller plus one helper per other CPU.
 
+    Capped by the thread count OpenBLAS started with, so a process given
+    `OPENBLAS_NUM_THREADS=1`, such as a `map_in_workers` worker, has W = 1.
     1 when no OpenBLAS is found, because without the pin two threads would
     share BLAS's own threads and run slower than one.
     """
-    return _cpus() if _openblas() is not None else 1
+    blas = _openblas()
+    return min(_cpus(), blas[2]) if blas is not None else 1
 
 
 _pin_lock = threading.Lock()
@@ -254,7 +258,7 @@ def one_blas_thread():
     if blas is None:
         yield
         return
-    get, put = blas
+    get, put, _ = blas
     with _pin_lock:
         if _pin_depth == 0:
             _pin_saved = get()
@@ -271,15 +275,25 @@ def one_blas_thread():
 
 _pool_lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
+_idle = 0  # helpers running no map's task
 
 
-def _helpers() -> ThreadPoolExecutor:
-    """The process's one pool of W - 1 helper threads, started on first use."""
-    global _pool
+def _take_helpers(wanted: int) -> int:
+    """Reserve up to `wanted` idle helpers, starting the pool of W - 1 on first use."""
+    global _pool, _idle
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(thread_workers() - 1, thread_name_prefix="sennap-helper")
-        return _pool
+            _idle = thread_workers() - 1
+            _pool = ThreadPoolExecutor(_idle, thread_name_prefix="sennap-helper")
+        taken = min(wanted, _idle)
+        _idle -= taken
+        return taken
+
+
+def _give_back_helper():
+    global _idle
+    with _pool_lock:
+        _idle += 1
 
 
 class _Claims:
@@ -309,19 +323,20 @@ def map_in_threads(
     limit: int | None = None,
     stop: Callable[[], bool] | None = None,
 ) -> list:
-    """`[fn(item) for item in items]`, in order, on the caller and up to W - 1 helper threads.
+    """`[fn(item) for item in items]`, in order, on the caller and the idle helper threads.
 
-    At most `limit` items (W by default) are in flight at once.  Items start
-    in order, and `stop`, when given, is asked before each one starts; once it
+    At most `limit` items (W by default) are in flight at once, on the caller
+    and up to `limit` - 1 helpers that no other map is using; with none idle,
+    as when every helper runs an item of an enclosing map, the caller runs
+    every item.  So a helper task never queues behind another map's task, and
+    a task may itself call `map_in_threads` without deadlock.  Items start in
+    order, and `stop`, when given, is asked before each one starts; once it
     says True no further item starts, and the results of the items that did
-    start, a prefix of `items`, are returned.  Every thread that runs items
-    takes the next one not yet started, the caller too; a helper task that has
-    not started by the time the caller runs out of items is cancelled, so a
-    task may itself call `map_in_threads` without deadlock.  When this returns
-    or raises, no helper is still running an item.  While helpers run, the
-    process's OpenBLAS runs one thread (`one_blas_thread`).  A failed item
-    stops the start of further items, and the first failure in item order is
-    raised once the started items are done.
+    start, a prefix of `items`, are returned.  When this returns or raises,
+    no helper is still running an item.  While helpers run, the process's
+    OpenBLAS runs one thread (`one_blas_thread`).  A failed item stops the
+    start of further items, and the first failure in item order is raised
+    once the started items are done.
     """
     width = min(thread_workers(), len(items), limit or len(items))
     claims = _Claims(len(items), stop)
@@ -335,17 +350,23 @@ def map_in_threads(
                 failed[i] = exc
                 claims.close()
 
-    if width <= 1:
+    def help_out():
+        try:
+            drain()
+        finally:
+            _give_back_helper()
+
+    helpers = _take_helpers(width - 1) if width > 1 else 0
+    if helpers == 0:
         drain()
     else:
         with one_blas_thread():
-            helpers = [_helpers().submit(drain) for _ in range(width - 1)]
+            futures = [_pool.submit(help_out) for _ in range(helpers)]
             try:
                 drain()
             finally:
-                # a cancelled task counts as done only once a helper dequeues it,
-                # so waiting on it from a helper could wait for itself
-                wait([future for future in helpers if not future.cancel()])
+                for future in futures:
+                    future.result()
     if failed:
         raise failed[min(failed)]
     return out[: claims.next]

@@ -445,6 +445,20 @@ class TestCliErrors:
         _assert_one_error_line(capsys)
         assert _tree_bytes(out / "verification") == before
 
+    def test_threads_above_the_workers_are_warned_of(self, workdir, tmp_path, capsys, monkeypatch):
+        out = _copy_runs(workdir, tmp_path)
+        monkeypatch.setattr("sennap.cli.thread_workers", lambda: 1)
+        assert main(["verify", "--out", str(out), "--method", "selfexplain", "--seed", "5",
+                     "--samples", "5", "--threads", "2"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: --threads 2 runs 1 at a time: one thread per CPU that OpenBLAS may use, "
+            "and one without OpenBLAS"
+        ]
+        # a self-explaining explain runs no threads, so its --threads is not warned of
+        assert main(["explain", "--out", str(out), "--method", "selfexplain", "--limit", "5",
+                     "--threads", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "flags",
         [["--samples", "0"], ["--delta", "0"], ["--eval-limit", "0"]],

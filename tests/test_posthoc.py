@@ -13,6 +13,7 @@ from sennap.posthoc import (
     estimate_precision,
     extension_counts,
     greedy_anchor_search,
+    round_counts,
 )
 from sennap.selfexplain import SAMPLE_UNIFORM, FeatureSampler
 
@@ -167,12 +168,14 @@ class TestGreedySearch:
 
 
 def _round_subsets(spec):
-    """The empty subset, and one whose free count does not divide INFER_CHUNK."""
+    """The empty subset, one whose free count does not divide INFER_CHUNK, and step 0 taken."""
     empty = np.zeros(spec.n_features, dtype=bool)
     taken = empty.copy()
     taken[[3, spec.width + 1]] = True
     assert INFER_CHUNK % np.count_nonzero(~taken)
-    return [empty, taken]
+    step0 = empty.copy()
+    step0[: spec.width] = True
+    return [empty, taken, step0]
 
 
 @pytest.fixture
@@ -206,9 +209,11 @@ class TestCommonDraws:
                 predict, x, extended, sampler, 40, np.random.default_rng(8), target=target
             )
 
-    @pytest.mark.parametrize("taken", [0, 1], ids=["empty", "two_taken"])
-    def test_per_draw_calls_match_the_per_event_row_round(self, toy_data, baseline_ckpt, taken):
-        """Summed per-draw counts over S give the old round's estimates bit for bit."""
+    @pytest.mark.parametrize("taken", [0, 1, 2], ids=["empty", "two_taken", "step0_taken"])
+    def test_per_draw_calls_match_the_per_event_row_round(
+        self, toy_data, baseline_ckpt, monkeypatch, taken
+    ):
+        """A round's counts over S give the per-event-row round's estimates bit for bit, at any W."""
         spec, train, _, test_eval = toy_data
         predict = make_predictor(baseline_ckpt.params)
         sampler = FeatureSampler.fit(spec, train.x)
@@ -216,17 +221,16 @@ class TestCommonDraws:
         target = int(predict(x[None])[0])
         subset = _round_subsets(spec)[taken]
         free = np.flatnonzero(~subset)
-        g = INFER_CHUNK // len(free)
-        S = 2 * g + 3  # two full calls and a short one
+        S = 2 * (INFER_CHUNK // len(free)) + 3  # two full calls and a short one at W = 1
         base = np.where(subset, x, sampler.draw(np.random.default_rng(9), S))
-        kept = sum(
-            extension_counts(predict, x, base[lo : lo + g], free, target)
-            for lo in range(0, S, g)
-        )
-        estimates = np.full(spec.n_features, -1.0)
-        estimates[free] = kept / S
         want = round_estimates_per_event_row(predict, x, subset, base, target, sampler)
-        assert estimates.tobytes() == want.tobytes()
+        for w in (1, 2, 3):
+            monkeypatch.setattr(runfiles, "thread_workers", lambda: w)
+            kept, rows = round_counts(predict, x, base, free, target, stop=lambda: False)
+            assert kept.dtype == np.int64 and rows == S * len(free)
+            estimates = np.full(spec.n_features, -1.0)
+            estimates[free] = kept / S
+            assert estimates.tobytes() == want.tobytes(), w
 
     def test_one_base_major_call_per_group_of_draws(self, toy_data, baseline_ckpt, one_worker):
         spec, train, _, test_eval = toy_data
@@ -263,27 +267,37 @@ class TestCommonDraws:
         # every row submitted counts
         assert result.samples_used == sum(len(c) for c in calls[1:])
 
-    def test_later_rounds_keep_the_subset(self, one_worker):
-        calls = []
+    def test_later_rounds_keep_the_subset(self, monkeypatch):
+        for w, S in ((1, 50), (2, 700)):
+            monkeypatch.setattr(runfiles, "thread_workers", lambda: w)
+            calls = []
 
-        def both_model(X):
-            X = np.atleast_2d(X)
-            calls.append(X.copy())
-            return ((X[:, 0] > 0.5) & (X[:, 1] > 0.5)).astype(np.int64)
+            def both_model(X):
+                X = np.atleast_2d(X)
+                calls.append(X.copy())  # list.append is atomic across threads
+                return ((X[:, 0] > 0.5) & (X[:, 1] > 0.5)).astype(np.int64)
 
-        x = np.array([0.9, 0.9, 0.9], dtype=np.float32)
-        config = AnchorConfig(n_samples=50, timeout_s=20.0, seed=6)
-        result = greedy_anchor_search(both_model, x, config, _uniform_sampler(3))
-        assert result.status == "found" and result.indices == (0, 1)
-        # the instance, round 0, round 1 (one call: 50 draws fit one chunk), round 2
-        first, second = calls[2], calls[3]
-        assert first.shape == (3 * 50, 3) and second.shape == (2 * 50, 3)
-        picked = 0 if np.all(second[:, 0] == x[0]) else 1
-        np.testing.assert_array_equal(second[:, picked], x[picked])
+            x = np.array([0.9, 0.9, 0.9], dtype=np.float32)
+            config = AnchorConfig(n_samples=S, timeout_s=20.0, seed=6)
+            result = greedy_anchor_search(both_model, x, config, _uniform_sampler(3))
+            assert result.status == "found" and result.indices == (0, 1)
+            # the instance, round 0, then rounds 1 and 2 in groups of INFER_CHUNK // (W * free)
+            # draws: at W = 1, S = 50 one call each, at W = 2, S = 700 three and two calls
+            lengths = []
+            for free in (3, 2):
+                g = INFER_CHUNK // (w * free)
+                lengths.append(sorted(min(g, S - lo) * free for lo in range(0, S, g)))
+            first = calls[2 : 2 + len(lengths[0])]
+            second = calls[2 + len(first) : 2 + len(first) + len(lengths[1])]
+            assert sorted(len(c) for c in first) == lengths[0]
+            assert sorted(len(c) for c in second) == lengths[1]
+            second = np.concatenate(second)
+            picked = 0 if np.all(second[:, 0] == x[0]) else 1
+            np.testing.assert_array_equal(second[:, picked], x[picked])
 
 
 class TestCommonDrawsOnTwoWorkers:
-    """The layouts above at W = 2: groups of half the draws, in calls of any order."""
+    """The call layout above at W = 2: groups of half the draws, in calls of any order."""
 
     def test_groups_of_draws_halve(self, toy_data, baseline_ckpt, two_workers):
         spec, train, _, test_eval = toy_data
@@ -321,26 +335,6 @@ class TestCommonDrawsOnTwoWorkers:
         round2 = [(min(g2, S - lo) * (n - 1), n) for lo in range(0, S, g2)]
         assert sorted(c.shape for c in calls[5 : 5 + len(round2)]) == sorted(round2)
         assert result.samples_used == sum(len(c) for c in calls[1:])
-
-    def test_later_rounds_keep_the_subset(self, two_workers):
-        calls = []
-
-        def both_model(X):
-            X = np.atleast_2d(X)
-            calls.append(X.copy())
-            return ((X[:, 0] > 0.5) & (X[:, 1] > 0.5)).astype(np.int64)
-
-        x = np.array([0.9, 0.9, 0.9], dtype=np.float32)
-        config = AnchorConfig(n_samples=700, timeout_s=20.0, seed=6)
-        result = greedy_anchor_search(both_model, x, config, _uniform_sampler(3))
-        assert result.status == "found" and result.indices == (0, 1)
-        # the instance, round 0, round 1 in groups of 341 draws, round 2 in groups of 512
-        assert sorted(len(c) for c in calls[2:5]) == [18 * 3, 341 * 3, 341 * 3]
-        second = calls[5:7]
-        assert sorted(len(c) for c in second) == [188 * 2, 512 * 2]
-        second = np.concatenate(second)
-        picked = 0 if np.all(second[:, 0] == x[0]) else 1
-        np.testing.assert_array_equal(second[:, picked], x[picked])
 
 
 class TestAnchorsOnTrainedModel:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,6 @@ from sennap import runfiles
 from sennap.model import INFER_CHUNK, make_predictor
 from sennap.posthoc import AnchorConfig, greedy_anchor_search, round_counts
 from sennap.selfexplain import SAMPLE_UNIFORM, FeatureSampler
-
-from oracles import round_estimates_per_event_row
 
 needs_openblas = pytest.mark.skipif(runfiles._openblas() is None, reason="no OpenBLAS found")
 
@@ -30,6 +29,7 @@ def workers(monkeypatch):
     def use(w: int):
         monkeypatch.setattr(runfiles, "thread_workers", lambda: w)
         monkeypatch.setattr(runfiles, "_pool", None)
+        monkeypatch.setattr(runfiles, "_idle", 0)
 
     yield use
     if runfiles._pool is not None:
@@ -74,35 +74,6 @@ class Spy:
 def _threshold_model(X):
     X = np.atleast_2d(X)
     return (X[:, 0] + X[:, 1] > 1.0).astype(np.int64)
-
-
-def _subsets(spec):
-    empty = np.zeros(spec.n_features, dtype=bool)
-    two = empty.copy()
-    two[[3, spec.width + 1]] = True
-    step0 = empty.copy()
-    step0[: spec.width] = True
-    return {"empty": empty, "two_taken": two, "step0_taken": step0}
-
-
-@pytest.mark.parametrize("subset", ["empty", "two_taken", "step0_taken"])
-@pytest.mark.parametrize("w", [1, 2, 3])
-def test_round_estimates_are_the_oracles_bits(toy_data, baseline_ckpt, workers, w, subset):
-    spec, train, _, test_eval = toy_data
-    workers(w)
-    predict = make_predictor(baseline_ckpt.params)
-    sampler = FeatureSampler.fit(spec, train.x)
-    x = test_eval.x[2].reshape(-1)
-    target = int(predict(x[None])[0])
-    subset = _subsets(spec)[subset]
-    free = np.flatnonzero(~subset)
-    base = np.where(subset, x, sampler.draw(np.random.default_rng(9), 100))
-    kept, rows = round_counts(predict, x, base, free, target, stop=lambda: False)
-    assert kept.dtype == np.int64 and rows == 100 * len(free)
-    estimates = np.full(spec.n_features, -1.0)
-    estimates[free] = kept / 100
-    want = round_estimates_per_event_row(predict, x, subset, base, target, sampler)
-    assert estimates.tobytes() == want.tobytes()
 
 
 def test_search_records_do_not_depend_on_workers(toy_data, baseline_ckpt, workers):
@@ -169,7 +140,7 @@ def test_limit_caps_the_items_in_flight(workers, limit):
 class TestPin:
     @needs_openblas
     def test_count_reads_one_inside_and_is_restored_once(self, monkeypatch):
-        get, put = runfiles._openblas()
+        get, put, threads = runfiles._openblas()
         original = get()
         sets = []
 
@@ -177,7 +148,7 @@ class TestPin:
             sets.append(count)
             put(count)
 
-        monkeypatch.setattr(runfiles, "_openblas", lambda: (get, spy_put))
+        monkeypatch.setattr(runfiles, "_openblas", lambda: (get, spy_put, threads))
         with runfiles.one_blas_thread():
             assert get() == 1
             with runfiles.one_blas_thread():
@@ -203,6 +174,17 @@ class TestPin:
         assert not any(t.is_alive() for t in threads)
         assert seen == [1, 1, 1, 1]
         assert get() == original and sets == [1, original]
+
+    @needs_openblas
+    def test_workers_are_capped_by_the_blas_threads_at_start(self, monkeypatch):
+        monkeypatch.setattr(runfiles, "_cpus", lambda: 4)
+        get, put, threads = runfiles._openblas()
+        # read when OpenBLAS was found, so a search's own pin does not shrink W
+        with runfiles.one_blas_thread():
+            assert runfiles.thread_workers() == min(4, threads)
+        for started_with, w in ((1, 1), (3, 3), (8, 4)):
+            monkeypatch.setattr(runfiles, "_openblas", lambda: (get, put, started_with))
+            assert runfiles.thread_workers() == w
 
     def test_no_openblas_means_one_worker_and_no_pin(self, monkeypatch):
         real = runfiles._openblas()
@@ -241,6 +223,30 @@ def test_stress_every_item_runs_once_and_the_pin_unwinds(workers):
                 assert blas[0]() == before
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_rounds_inside_instances_free_their_draws(workers):
+    """A round run while every helper is busy with instances leaves nothing behind in the pool."""
+    workers(2)
+    n = 8
+    x = np.full(n, 0.9, dtype=np.float32)
+    sampler = _uniform_sampler(n)
+    alive = []
+
+    def instance(i):
+        rng = np.random.default_rng(i)
+        for _ in range(10):
+            base = sampler.draw(rng, 3 * INFER_CHUNK // (2 * n))  # three groups
+            kept, _ = round_counts(_threshold_model, x, base, np.arange(n), 1, stop=lambda: False)
+            assert kept is not None
+            freed = weakref.ref(base)
+            del base
+            alive.append(freed() is not None)
+        return i
+
+    assert runfiles.map_in_threads(instance, range(4), limit=2) == list(range(4))
+    assert len(alive) == 40 and not any(alive)
+    assert runfiles._idle == 1
 
 
 _NESTED = """
