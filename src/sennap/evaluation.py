@@ -29,7 +29,7 @@ from .encoding import (
 from .errors import ConfigError
 from .model import NapModelParams, infer, infer_weights, make_predictor
 from .neural import subset_mask
-from .posthoc import AnchorConfig, estimate_precision, greedy_anchor_search
+from .posthoc import AnchorConfig, check_verification, estimate_precision, greedy_anchor_search
 from .runfiles import map_in_threads
 from .selfexplain import FeatureSampler
 
@@ -143,14 +143,6 @@ def instance_rng(seed: int, instance_id: str) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([seed, int.from_bytes(digest[:8], "big")])
     )
-
-
-def check_verification(delta: float, n_samples: int):
-    """Reject a sufficiency threshold outside (0, 1] or fewer than one sample."""
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError(f"delta must lie in (0, 1], got {delta}")
-    if n_samples < 1:
-        raise ConfigError(f"need at least one verification sample, got {n_samples}")
 
 
 def accuracy(params: NapModelParams, dataset: Dataset) -> float:

@@ -26,6 +26,14 @@ from .model import INFER_CHUNK
 from .selfexplain import FeatureSampler
 
 
+def check_verification(delta: float, n_samples: int):
+    """Reject a sufficiency threshold outside (0, 1] or fewer than one sample."""
+    if not 0.0 < delta <= 1.0:
+        raise ConfigError(f"delta must lie in (0, 1], got {delta}")
+    if n_samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {n_samples}")
+
+
 @dataclass
 class AnchorConfig:
     precision_threshold: float = 0.95
@@ -34,10 +42,7 @@ class AnchorConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if not 0.0 < self.precision_threshold <= 1.0:
-            raise ConfigError("precision threshold must lie in (0, 1]")
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
+        check_verification(self.precision_threshold, self.n_samples)
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
             raise ConfigError(f"timeout must be positive and finite, got {self.timeout_s}")
         if self.seed < 0:

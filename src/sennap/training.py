@@ -9,9 +9,12 @@ byte-identical checkpoints under the same BLAS thread count.
 `grid_search` (one per cell) run it as cells of one job on
 `runfiles.map_in_workers`, in spawned worker processes with one BLAS thread
 each, so their bytes do not depend on the caller's thread settings.  A
-worker loads its cell from the store or fits it, and returns the checkpoint;
-the caller writes each new fit to the store, keyed by everything the fit
-reads.  Checkpoints and cells are written with `runfiles.write_atomic`.
+worker loads its cell from the store, or fits it and writes it there, keyed
+by everything the fit reads; it hands back only the cell's record and whether
+the store held it, and the caller loads the one checkpoint it needs.  A cell's
+worker writes that cell and the caller writes the rest, each file with
+`runfiles.write_atomic`, so a killed run keeps every cell finished before the
+kill.
 
 Checkpoint container layout (little-endian):
     magic "SENNAPCK" | u32 version | u64 metadata length | metadata UTF-8
@@ -37,9 +40,10 @@ import numpy as np
 from . import __version__
 from .encoding import Dataset, EncodingSpec
 from .errors import CheckpointError, ConfigError, SennapError, TrainingError
-from .evaluation import Explanation, check_verification, summarize, verify_explanations
+from .evaluation import Explanation, summarize, verify_explanations
 from .model import NapModelParams, forward_graph, infer, infer_weights, init_model
 from .neural import AdamState, adam_step, backward, masked_blend_value, subset_mask
+from .posthoc import check_verification
 from .runfiles import key_values, map_in_workers, parse_key_values, read_bytes, write_atomic
 from .selfexplain import FeatureSampler, dual_propagate, senn_loss_values, senn_losses
 
@@ -352,7 +356,7 @@ class _FitJob:
     train: Dataset
     validation: Dataset
     spec: EncodingSpec
-    store: Path | None
+    store: Path
 
 
 @dataclass
@@ -366,44 +370,42 @@ class _GridJob(_FitJob):
     n_samples: int
 
 
-def _load_or_fit(
-    job: _FitJob, cell: tuple[TrainConfig, str]
-) -> tuple[Checkpoint, bytes, bool]:
-    """A worker's task for one cell: load it from the store, or fit it.
+def _load_or_fit(job: _FitJob, cell: tuple[TrainConfig, str]) -> tuple[Checkpoint, bool]:
+    """A worker's task for one cell: load it from the store, or fit it and store it.
 
-    Returns the checkpoint, its bytes, and whether they came from the store;
-    the caller stores a new fit (`_keep`).  An unreadable stored file is
-    fitted again; a failed fit raises `TrainingError`.
+    Returns the checkpoint and whether it came from the store.  An unreadable
+    stored file is fitted again; a failed fit raises `TrainingError` and
+    stores nothing.
     """
     config, key = cell
-    if job.store is not None:
-        path = job.store / f"{key}.ckpt"
-        try:
-            blob = read_bytes(path, CheckpointError)
-            return _parse_checkpoint(blob, path), blob, True
-        except CheckpointError:
-            pass
+    path = job.store / f"{key}.ckpt"
+    try:
+        return load_checkpoint(path), True
+    except CheckpointError:
+        pass
     # `fit` raises on every non-finite loss and gradient; numpy's warnings on
     # the way there would only print ahead of that error
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ckpt = fit(job.train, job.validation, job.spec, config)
-    return ckpt, _checkpoint_bytes(ckpt), False
+    save_checkpoint(ckpt, path)
+    return ckpt, False
 
 
-def _score_cell(
-    job: _GridJob, cell: tuple[TrainConfig, str]
-) -> tuple[GridCell, bytes | None, bool]:
-    """A grid worker's task for one cell: its record, then `_load_or_fit`'s bytes and flag.
+def _store_cell(job: _FitJob, cell: tuple[TrainConfig, str]) -> bool:
+    """`fit_cell`'s worker task: `_load_or_fit`, handing back only its flag."""
+    return _load_or_fit(job, cell)[1]
 
-    The checkpoint goes back as bytes, not as an object: unpickling every
-    cell's checkpoint raised the calling process's peak memory.  A cell whose
-    fit fails is recorded as failed, with no bytes.
+
+def _score_cell(job: _GridJob, cell: tuple[TrainConfig, str]) -> tuple[GridCell, bool]:
+    """A grid worker's task for one cell: its record, and whether the store held it.
+
+    A cell whose fit fails is recorded as failed.
     """
     config, _ = cell
     try:
-        ckpt, blob, stored = _load_or_fit(job, cell)
+        ckpt, stored = _load_or_fit(job, cell)
     except TrainingError as exc:
-        return GridCell(config.learning_rate, config.xi, "failed", error=str(exc)), None, False
+        return GridCell(config.learning_rate, config.xi, "failed", error=str(exc)), False
     acc, faith, size = _cell_metrics(
         ckpt, job.selection, job.sampler, job.limit, job.delta, job.n_samples
     )
@@ -415,13 +417,7 @@ def _score_cell(
         best_val_loss=ckpt.best_val_loss,
         epochs_run=len(ckpt.history),
     )
-    return record, blob, stored
-
-
-def _keep(store: Path | None, key: str, blob: bytes, stored: bool):
-    """Write a cell that was fitted, not loaded from the store, to the store."""
-    if store is not None and not stored:
-        write_atomic(store / f"{key}.ckpt", blob)
+    return record, stored
 
 
 def fit_cell(
@@ -435,19 +431,18 @@ def fit_cell(
 
     The fit runs in one spawned worker with one BLAS thread, so its bytes do
     not depend on the caller's thread settings.  A checkpoint stored under
-    `checkpoint_dir` with the same key (`_cell_keys`) is loaded instead, and a
-    new fit is stored there.  Returns the checkpoint and whether it came from
-    the store.  A calling script needs the `if __name__ == "__main__":`
-    guard, as for `grid_search`.
+    `checkpoint_dir` with the same key (`_cell_keys`) is loaded instead;
+    otherwise the worker stores its new fit there, and this loads it back.
+    Returns the checkpoint and whether it came from the store.  A calling
+    script needs the `if __name__ == "__main__":` guard, as for `grid_search`.
     """
     (key,) = _cell_keys(train, validation, spec, [config])
     store = Path(checkpoint_dir)
     # unpacking reads the generator to its end, which shuts the pool down
-    [(ckpt, blob, stored)] = map_in_workers(
-        _FitJob(train, validation, spec, store), _load_or_fit, [(config, key)]
+    [stored] = map_in_workers(
+        _FitJob(train, validation, spec, store), _store_cell, [(config, key)]
     )
-    _keep(store, key, blob, stored)
-    return ckpt, stored
+    return load_checkpoint(store / f"{key}.ckpt"), stored
 
 
 def _rank(cell: GridCell):
@@ -459,12 +454,12 @@ def grid_search(
     validation: Dataset,
     spec: EncodingSpec,
     config: TrainConfig,
+    checkpoint_dir: str | Path,
     grid: str | tuple[Sequence[float], Sequence[float]] = "full",
     selection_set: Dataset | None = None,
     selection_limit: int = 200,
     delta: float = 0.95,
     n_samples: int = 100,
-    checkpoint_dir: str | Path | None = None,
     log: Callable[[str], None] | None = None,
 ) -> tuple[GridResult, Checkpoint]:
     """Train one self-explaining model per (learning rate, xi) combination.
@@ -473,9 +468,10 @@ def grid_search(
     available CPU and at most one per cell, each with one BLAS thread, so
     records and checkpoints do not depend on the pool size.  `checkpoint_dir`
     is the cell store: a cell whose key (`_cell_keys`) has a readable
-    checkpoint there is loaded instead of trained, and every newly trained
-    cell is written there as its result arrives.  Each worker imports the
-    caller's main module, so a calling script needs the
+    checkpoint there is loaded instead of trained, and the worker that trains
+    a cell writes it there as soon as it is trained.  Workers hand back only
+    records; the selected cell's checkpoint is loaded from the store.  Each
+    worker imports the caller's main module, so a calling script needs the
     `if __name__ == "__main__":` guard.
 
     Selection: highest validation accuracy, ties broken by higher
@@ -492,31 +488,29 @@ def grid_search(
     configs = [replace(config, mode="selfexplain", learning_rate=lr, xi=xi) for lr, xi in plan]
     keys = _cell_keys(train, validation, spec, configs)
     job = _GridJob(
-        train, validation, spec, Path(checkpoint_dir) if checkpoint_dir is not None else None,
+        train, validation, spec, Path(checkpoint_dir),
         selection, FeatureSampler.fit(spec, train.x), selection_limit, delta, n_samples,
     )
 
     cells: list[GridCell] = []
-    best, best_blob = None, None
+    best, best_key = None, None
     results = map_in_workers(job, _score_cell, list(zip(configs, keys)))
     try:
-        for cell_no, (key, (cell, blob, stored)) in enumerate(zip(keys, results), 1):
+        for cell_no, (key, (cell, stored)) in enumerate(zip(keys, results), 1):
             if log:
                 log(
                     f"grid cell {cell_no}/{len(plan)}: lr={cell.learning_rate:g} "
                     f"xi={cell.xi:g}" + (" (stored)" if stored else "")
                 )
-            if blob is not None:
-                _keep(job.store, key, blob, stored)
             cells.append(cell)
             if cell.status == "ok" and (best is None or _rank(cell) < _rank(best)):
-                best, best_blob = cell, blob
+                best, best_key = cell, key
     finally:
         results.close()  # stops the workers if the loop ends early
 
     if best is None:
         raise TrainingError("every grid cell failed to train")
-    return GridResult(cells=cells, selected=best), _parse_checkpoint(best_blob, "grid cell")
+    return GridResult(cells=cells, selected=best), load_checkpoint(job.store / f"{best_key}.ckpt")
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +528,8 @@ def _history_from_json(text: str) -> list[EpochStats]:
     return [EpochStats(h["epoch"], h["train"], h["val"]) for h in json.loads(text)]
 
 
-def _checkpoint_bytes(ckpt: Checkpoint) -> bytes:
-    """Serialize to the documented container; identical inputs yield identical bytes."""
+def save_checkpoint(ckpt: Checkpoint, path: str | Path):
+    """Serialize to the documented container, atomically; identical inputs yield identical bytes."""
     meta: dict[str, str] = {}
     meta.update(ckpt.spec.to_metadata())
     meta.update(ckpt.config.to_metadata())
@@ -560,12 +554,7 @@ def _checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         parts.append(struct.pack("<B", data.ndim))
         parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
         parts.append(data.tobytes())
-    return b"".join(parts)
-
-
-def save_checkpoint(ckpt: Checkpoint, path: str | Path):
-    """Serialize to the documented container; a reader never sees a partly written file."""
-    write_atomic(path, _checkpoint_bytes(ckpt))
+    write_atomic(path, b"".join(parts))
 
 
 # sections are vectors and matrices; the bound keeps a corrupt rank byte out of numpy
@@ -574,11 +563,7 @@ MAX_SECTION_RANK = 2
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint container back into live model parameters."""
-    return _parse_checkpoint(read_bytes(path, CheckpointError), path)
-
-
-def _parse_checkpoint(data: bytes, path: str | Path) -> Checkpoint:
-    """`load_checkpoint` on bytes in memory; `path` names them in errors."""
+    data = read_bytes(path, CheckpointError)
     offset = 0
 
     def take(count: int, what: str) -> bytes:

@@ -462,7 +462,7 @@ class TestC7SufficiencyOracle:
 
 
 class TestC8ProtocolArithmetic:
-    def test_grid_cardinalities(self, toy_data):
+    def test_grid_cardinalities(self, toy_data, tmp_path):
         check("C8 full grid has exactly 30 combinations", len(grid_plan("full")) == 30)
         check("C8 small grid has exactly 10 combinations", len(grid_plan("small")) == 10)
 
@@ -473,11 +473,11 @@ class TestC8ProtocolArithmetic:
                             val.ids[:4], val.prefix_lengths[:4])
         config = TrainConfig(max_epochs=1, patience=1, seed=6)
         result_full, _ = grid_search(
-            micro_train, micro_val, spec, config, grid="full",
+            micro_train, micro_val, spec, config, tmp_path / "full", grid="full",
             selection_limit=2, n_samples=4,
         )
         result_small, _ = grid_search(
-            micro_train, micro_val, spec, config, grid="small",
+            micro_train, micro_val, spec, config, tmp_path / "small", grid="small",
             selection_limit=2, n_samples=4,
         )
         check("C8 full grid_search produces 30 rows", len(result_full.cells) == 30)

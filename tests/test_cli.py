@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +99,21 @@ def _tree_bytes(directory):
     }
 
 
-def _assert_one_error_line(capsys):
-    """Check stderr holds a single error line; returns stdout."""
+def _assert_one_error_line(capsys, expected=None):
+    """Check stderr holds a single error line, `expected` when given; returns stdout."""
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    assert expected is None or err[0] == expected, err
     return captured.out
+
+
+# the one error line an invalid --delta or --samples gives, whichever command reads it
+_VERIFICATION_ERRORS = {
+    ("--delta", "0"): "error: delta must lie in (0, 1], got 0.0",
+    ("--delta", "nan"): "error: delta must lie in (0, 1], got nan",
+    ("--samples", "0"): "error: samples must be >= 1, got 0",
+}
 
 
 def _write_helpdesk_shaped_csv(path, n_cases):
@@ -378,19 +390,20 @@ class TestCliErrors:
         "flags",
         [
             ["--method", "posthoc", "--delta", "0"],
+            ["--method", "posthoc", "--delta", "nan"],
             ["--method", "posthoc", "--samples", "0"],
             ["--method", "posthoc", "--timeout", "0"],
             ["--method", "selfexplain", "--limit", "0"],
             ["--method", "posthoc", "--limit", "0"],
         ],
-        ids=["delta", "samples", "timeout", "limit-selfexplain", "limit-posthoc"],
+        ids=["delta", "delta-nan", "samples", "timeout", "limit-selfexplain", "limit-posthoc"],
     )
     def test_invalid_explain_flags(self, workdir, tmp_path, capsys, flags):
         out = _copy_runs(workdir, tmp_path)
         before = _tree_bytes(out / "explanations")
         code = main(["explain", "--out", str(out), *flags])
         assert code == 1
-        _assert_one_error_line(capsys)
+        _assert_one_error_line(capsys, _VERIFICATION_ERRORS.get(tuple(flags[-2:])))
         assert _tree_bytes(out / "explanations") == before
 
     @pytest.mark.parametrize(
@@ -435,14 +448,15 @@ class TestCliErrors:
         assert _tree_bytes(out) == before
 
     @pytest.mark.parametrize(
-        "flags", [["--samples", "0"], ["--delta", "0"]], ids=["samples", "delta"]
+        "flags", [["--samples", "0"], ["--delta", "0"], ["--delta", "nan"]],
+        ids=["samples", "delta", "delta-nan"],
     )
     def test_invalid_verify_flags(self, workdir, tmp_path, capsys, flags):
         out = _copy_runs(workdir, tmp_path)
         before = _tree_bytes(out / "verification")
         code = main(["verify", "--out", str(out), "--method", "selfexplain", *flags])
         assert code == 1
-        _assert_one_error_line(capsys)
+        _assert_one_error_line(capsys, _VERIFICATION_ERRORS[tuple(flags)])
         assert _tree_bytes(out / "verification") == before
 
     def test_threads_above_the_workers_are_warned_of(self, workdir, tmp_path, capsys, monkeypatch):
@@ -461,8 +475,8 @@ class TestCliErrors:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--samples", "0"], ["--delta", "0"], ["--eval-limit", "0"]],
-        ids=["samples", "delta", "eval-limit"],
+        [["--samples", "0"], ["--delta", "0"], ["--delta", "nan"], ["--eval-limit", "0"]],
+        ids=["samples", "delta", "delta-nan", "eval-limit"],
     )
     def test_invalid_gridsearch_flags_rejected_before_training(
         self, workdir, tmp_path, capsys, flags
@@ -472,7 +486,8 @@ class TestCliErrors:
         code = main(["gridsearch", "--out", str(out), "--grid", "small",
                      "--epochs", "1", *flags])
         assert code == 1
-        assert "grid cell" not in _assert_one_error_line(capsys)
+        expected = _VERIFICATION_ERRORS.get(tuple(flags))
+        assert "grid cell" not in _assert_one_error_line(capsys, expected)
         assert _tree_bytes(out / "models") == before
 
     def test_prepare_negative_seed_rejected(self, workdir, tmp_path, capsys):
@@ -784,6 +799,103 @@ class TestCliErrors:
              "--timestamp-col", "CompleteTimestamp"]
         )
         assert code == 0
+
+
+def _running(pgid: int) -> bool:
+    """Whether a process of group `pgid` still runs; one that died but is not reaped does not."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    if not os.path.isdir("/proc"):
+        return True
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:  # the fields after the command name: state, parent, group, ...
+            state, _, group = stat.read_text().rpartition(")")[2].split()[:3]
+        except OSError:  # the process ended while listed
+            continue
+        if state != "Z" and int(group) == pgid:
+            return True
+    return False
+
+
+def _wait_until_gone(pgid: int, timeout_s: float = 30.0):
+    deadline = time.monotonic() + timeout_s
+    while _running(pgid):
+        assert time.monotonic() < deadline, f"process group {pgid} is still running"
+        time.sleep(0.01)
+
+
+class TestKillAndRerun:
+    # kill points, as fractions of an uninterrupted run's wall time
+    FRACTIONS = (0.4, 0.8)
+    COMMANDS = (
+        ["train", "--mode", "baseline", "--epochs", "1"],
+        ["gridsearch", "--grid", "small", "--epochs", "1", "--eval-limit", "4",
+         "--samples", "10"],
+    )
+
+    def test_rerun_after_a_kill_gives_the_uninterrupted_files(self, tmp_path):
+        """`train` and `gridsearch` killed with all their workers part-way, then run again.
+
+        Each command is a CLI process in a session of its own, so one SIGKILL
+        to its process group ends it and every worker it spawned.  The rerun
+        loads every cell the killed run stored.  A kill inside `write_atomic`
+        may leave a `.<name>.<pid>.tmp` file beside its target, which nothing
+        reads; every other file equals an uninterrupted run's.
+        """
+        csv_path = tmp_path / "log.csv"
+        write_markov_csv(csv_path, n_cases=60, seed=23)
+        prepared = tmp_path / "prepared"
+        assert main(["prepare", "--data", str(csv_path), "--out", str(prepared),
+                     "--seed", "5"]) == 0
+        # a killed pool leaves its job directory in TMPDIR, here inside tmp_path
+        env = {**os.environ, "PYTHONPATH": str(Path(sennap.__file__).resolve().parents[1]),
+               "TMPDIR": str(tmp_path)}
+
+        def start(argv, out):
+            return subprocess.Popen(
+                [sys.executable, "-m", "sennap.cli", *argv, "--out", str(out), "--seed", "5"],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True,
+            )
+
+        def finish(argv, out):
+            proc = start(argv, out)
+            stdout, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == 0, stderr
+            return stdout
+
+        def cells(out):
+            return set((out / "models" / "cells").glob("*.ckpt"))
+
+        reference = tmp_path / "reference"
+        shutil.copytree(prepared, reference)
+        wall_s = []
+        for argv in self.COMMANDS:
+            began = time.perf_counter()
+            finish(argv, reference)
+            wall_s.append(time.perf_counter() - began)
+        expected = _tree_bytes(reference)
+
+        for fraction in self.FRACTIONS:
+            out = tmp_path / f"killed-{fraction}"
+            shutil.copytree(prepared, out)
+            for argv, seconds in zip(self.COMMANDS, wall_s):
+                before = cells(out)
+                proc = start(argv, out)
+                time.sleep(fraction * seconds)
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate(timeout=30)
+                _wait_until_gone(proc.pid)
+                kept = cells(out) - before
+                assert finish(argv, out).count("(stored)") == len(kept), argv
+            got = _tree_bytes(out)
+            for name in [name for name in got if name.name.endswith(".tmp")]:
+                target = re.fullmatch(r"\.(.+)\.\d+\.tmp", name.name)
+                assert target and name.with_name(target[1]) in expected, name
+                del got[name]
+            assert got == expected, fraction
 
 
 class TestConfigFile:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sennap import runfiles
 from sennap.model import INFER_CHUNK, make_predictor
@@ -307,3 +310,75 @@ def test_first_failure_in_item_order_is_raised(workers):
     with pytest.raises(ValueError, match="3"):
         runfiles.map_in_threads(task, range(20))
     assert set(range(3)) <= set(done) and max(done) < 8
+
+
+class _ItemFailed(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _fresh_pool(w: int):
+    """The `workers` fixture for one example: W = `w`, with its W - 1 helpers started and idle."""
+    saved = runfiles.thread_workers, runfiles._pool, runfiles._idle
+    runfiles.thread_workers = lambda: w
+    runfiles._pool, runfiles._idle = None, 0
+    if w > 1:  # at W = 1 no map starts the pool
+        runfiles._take_helpers(0)
+    try:
+        yield
+    finally:
+        if runfiles._pool is not None:
+            runfiles._pool.shutdown(wait=True)
+        runfiles.thread_workers, runfiles._pool, runfiles._idle = saved
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 12),
+    w=st.integers(1, 3),
+    limit=st.sampled_from([None, 1, 2, 3]),
+    stop_after=st.one_of(st.none(), st.integers(0, 12)),
+    data=st.data(),
+)
+def test_map_in_threads_starts_a_prefix_once_and_frees_its_helpers(n, w, limit, stop_after, data):
+    failing = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()), "failing")
+    nested = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()), "nested")
+    lock = threading.Lock()
+    runs = collections.Counter()
+    allowed = 0
+
+    def stop():  # asked under the map's lock, once before each start
+        nonlocal allowed
+        if allowed == stop_after:
+            return True
+        allowed += 1
+        return False
+
+    def fn(i):
+        with lock:
+            runs[i] += 1
+        time.sleep(0.001 * (i % 3))
+        if i in nested:
+            inner = runfiles.map_in_threads(lambda j: i + j, range(3), limit=limit)
+            assert inner == [i, i + 1, i + 2]
+        if i in failing:
+            raise _ItemFailed(i)
+        return 2 * i
+
+    with _fresh_pool(w):
+        starts = n if stop_after is None else min(n, stop_after)
+        first_failure = min((i for i in failing if i < starts), default=None)
+        try:
+            out = runfiles.map_in_threads(fn, range(n), limit=limit,
+                                          stop=None if stop_after is None else stop)
+        except _ItemFailed as exc:
+            assert exc.args == (first_failure,)
+            assert set(range(first_failure + 1)) <= set(runs) <= set(range(starts))
+            if min(w, limit or w) == 1:  # one item at a time: none starts after a failure
+                assert set(runs) == set(range(first_failure + 1))
+        else:
+            assert first_failure is None
+            assert out == [2 * i for i in range(starts)]
+            assert set(runs) == set(range(starts))
+        assert all(count == 1 for count in runs.values())
+        assert runfiles._idle == w - 1

@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sennap
-from sennap import model
+from sennap import model, training
 from sennap.encoding import Dataset, EncodingSpec
 from sennap.errors import CheckpointError, ConfigError, TrainingError
 from sennap.evaluation import accuracy
 from sennap.model import INFER_CHUNK, forward_graph
 from sennap.neural import backward, masked_blend, reshape
-from sennap.runfiles import read_manifest, write_manifest
+from sennap.runfiles import map_in_workers, read_manifest, write_manifest
 from sennap.selfexplain import FeatureSampler, senn_losses
 from sennap.training import (
     CHECKPOINT_MAGIC,
@@ -32,6 +32,7 @@ from sennap.training import (
     _batch_losses,
     _evaluate_loss,
     fit,
+    fit_cell,
     grid_plan,
     grid_search,
     load_checkpoint,
@@ -547,11 +548,11 @@ class TestGridSearch:
         xis = {xi for _, xi in grid_plan("small")}
         assert xis == {1e-9, 1e-10}
 
-    def test_single_cell_grid_selects_that_cell(self, tiny_sets):
+    def test_single_cell_grid_selects_that_cell(self, tiny_sets, tmp_path):
         spec, train, val = tiny_sets
         config = TrainConfig(max_epochs=2, patience=5, seed=21)
         result, best = grid_search(
-            train, val, spec, config,
+            train, val, spec, config, tmp_path,
             grid=((0.002,), (1e-6,)),
             selection_limit=4, n_samples=10,
         )
@@ -560,30 +561,30 @@ class TestGridSearch:
         assert best.config.learning_rate == 0.002
         assert best.config.xi == 1e-6
 
-    def test_reproducible_under_fixed_seed(self, tiny_sets):
+    def test_reproducible_under_fixed_seed(self, tiny_sets, tmp_path):
         spec, train, val = tiny_sets
         config = TrainConfig(max_epochs=2, patience=5, seed=22)
 
-        def run():
+        def run(store):
             return grid_search(
-                train, val, spec, config,
+                train, val, spec, config, store,
                 grid=((0.002, 0.01), (1e-9,)),
                 selection_limit=4, n_samples=10,
             )
 
-        first, _ = run()
-        second, _ = run()
+        first, _ = run(tmp_path / "first")
+        second, _ = run(tmp_path / "second")
         assert first.cells == second.cells
         assert first.selected == second.selected
 
-    def test_cell_without_finite_validation_loss_recorded_as_failed(self, tiny_sets):
+    def test_cell_without_finite_validation_loss_recorded_as_failed(self, tiny_sets, tmp_path):
         # one Adam step at lr 1e30 overflows the weights; with a single epoch
         # the training loss stays finite and only the validation loss is NaN
         spec, train, val = tiny_sets
         config = TrainConfig(max_epochs=1, batch_size=64, seed=21)
         with np.errstate(over="ignore", invalid="ignore"):
             result, best = grid_search(
-                train, val, spec, config,
+                train, val, spec, config, tmp_path,
                 grid=((0.002, 1e30), (1e-9,)),
                 selection_limit=4, n_samples=10,
             )
@@ -594,13 +595,14 @@ class TestGridSearch:
         assert result.selected is ok
         assert best.config.learning_rate == 0.002
 
-    def test_empty_selection_set_rejected_before_training(self, tiny_sets):
+    def test_empty_selection_set_rejected_before_training(self, tiny_sets, tmp_path):
         spec, train, val = tiny_sets
         with pytest.raises(ConfigError, match="selection"):
             grid_search(
-                train, val, spec, TrainConfig(max_epochs=1, seed=21),
+                train, val, spec, TrainConfig(max_epochs=1, seed=21), tmp_path,
                 grid=((0.002,), (1e-6,)), selection_set=_subset(val, 0),
             )
+        assert list(tmp_path.iterdir()) == []
 
     def test_store_directory_created_and_selected_cell_stored(self, tiny_sets, tmp_path):
         spec, train, val = tiny_sets
@@ -615,6 +617,32 @@ class TestGridSearch:
         save_checkpoint(best, tmp_path / "selected.ckpt")
         assert (tmp_path / "selected.ckpt").read_bytes() in {f.read_bytes() for f in files}
         assert result.selected.learning_rate == best.config.learning_rate
+
+    def test_workers_hand_back_records_and_flags_only(self, tiny_sets, tmp_path, monkeypatch):
+        # each cell's worker writes its checkpoint; what crosses back to this
+        # process is the grid's record and flag, or `fit_cell`'s flag
+        spec, train, val = tiny_sets
+        crossed = []
+
+        def spy(job, task, items):
+            results = map_in_workers(job, task, items)
+            try:
+                for result in results:
+                    crossed.append(pickle.dumps(result))
+                    yield result
+            finally:
+                results.close()
+
+        monkeypatch.setattr(training, "map_in_workers", spy)
+        config = TrainConfig(max_epochs=1, seed=21)
+        grid_search(train, val, spec, config, tmp_path, grid=((0.002, 0.01), (1e-9,)),
+                    selection_limit=4, n_samples=10)
+        _, stored = fit_cell(train, val, spec, config, tmp_path)
+        assert not stored
+        assert [type(pickle.loads(blob)) for blob in crossed] == [tuple, tuple, bool]
+        assert max(len(blob) for blob in crossed) < 1024
+        assert all(f.stat().st_size > 8 * 1024 for f in tmp_path.glob("*.ckpt"))
+        assert len(list(tmp_path.glob("*.ckpt"))) == 3
 
     def test_no_child_process_or_environment_change_is_left(self, tiny_sets, tmp_path):
         spec, train, val = tiny_sets
@@ -766,7 +794,7 @@ _UNGUARDED_GRID = """
 import pickle
 from sennap.training import TrainConfig, grid_search
 spec, train, val = pickle.loads(open({data!r}, "rb").read())
-grid_search(train, val, spec, TrainConfig(max_epochs=1, seed=23),
+grid_search(train, val, spec, TrainConfig(max_epochs=1, seed=23), "cells",
             grid=((0.002,), (1e-9,)), selection_limit=4, n_samples=10)
 """
 
