@@ -22,8 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoding import Dataset, EncodingSpec, encode_dataset, fit_normalizers
-from .errors import ConfigError, EncodingError, SennapError, SpecMismatchError
-from .eventlog import ColumnMap, SplitSpec, generate_prefixes, parse_csv, split_chronological
+from .errors import ConfigError, SennapError, SpecMismatchError
+from .eventlog import (
+    ColumnMap, EventLog, SplitSpec, generate_prefixes, parse_csv, split_chronological,
+)
 from .evaluation import (
     Explanation,
     accuracy,
@@ -130,36 +132,25 @@ class Settings:
 # ---------------------------------------------------------------------------
 
 
-def _write_split(path: Path, split: SplitSpec):
-    parts = ("train", "validation", "test")
-    write_atomic(path, "".join(f"{p}\t{c.case_id}\n" for p in parts for c in getattr(split, p)))
-
-
-def _read_split(path: Path, log) -> SplitSpec:
-    if not path.exists():
-        raise ConfigError(f"missing split file {path}; run `prepare` first")
-    by_id = {case.case_id: case for case in log.cases}
-    parts: dict[str, list] = {"train": [], "validation": [], "test": []}
-    for line_no, line in enumerate(read_text(path).splitlines(), 1):
-        part, _, case_id = line.partition("\t")
-        if part not in parts:
-            raise ConfigError(f"{path}: line {line_no}: unknown split part {part!r}")
-        if case_id not in by_id:
-            raise ConfigError(f"{path}: line {line_no}: unknown case id {case_id!r}")
-        parts[part].append(by_id[case_id])
-    return SplitSpec(
-        train=tuple(parts["train"]),
-        validation=tuple(parts["validation"]),
-        test=tuple(parts["test"]),
+def _split_and_spec(log: EventLog) -> tuple[SplitSpec, EncodingSpec]:
+    """The log's chronological split and the encoding fitted on its training prefixes."""
+    split = split_chronological(log)
+    train_prefixes = generate_prefixes(split.train, log.vocabulary, log.k, "train")
+    mean_first, mean_prev = fit_normalizers(train_prefixes)
+    spec = EncodingSpec(
+        vocab=tuple(log.vocabulary),
+        k=log.k,
+        mean_since_first=mean_first,
+        mean_since_prev=mean_prev,
     )
+    return split, spec
 
 
 class Prepared:
-    """Prepared artifacts reloaded for downstream commands."""
+    """The prepared log, checked against `prepare`'s digest, with its split and encoding."""
 
     def __init__(self, out_dir: Path):
-        prep = out_dir / "prepare"
-        manifest_path = prep / "manifest.txt"
+        manifest_path = out_dir / "prepare" / "manifest.txt"
         if not manifest_path.exists():
             raise ConfigError(f"no prepared artifacts under {out_dir}; run `prepare`")
         self.manifest = read_manifest(manifest_path)
@@ -180,37 +171,40 @@ class Prepared:
         if hashlib.sha256(raw).hexdigest() != entry("data.sha256"):
             raise ConfigError(f"{data}: the event log changed after `prepare`; run `prepare` again")
         self.log = parse_csv(data, columns, data=raw)
-        self.split = _read_split(prep / "split.txt", self.log)
-        encoding_path = prep / "encoding.txt"
-        if not encoding_path.exists():
-            raise ConfigError(f"missing encoding file {encoding_path}; run `prepare` again")
-        try:
-            self.spec = EncodingSpec.from_metadata(read_manifest(encoding_path))
-        except KeyError as exc:
-            raise ConfigError(f"{encoding_path}: missing key {exc}") from None
-        except (ValueError, TypeError, EncodingError) as exc:
-            raise ConfigError(f"{encoding_path}: malformed value ({exc})") from None
+        self.split, self.spec = _split_and_spec(self.log)
 
     def dataset(self, part: str, purpose: str) -> Dataset:
         cases = getattr(self.split, part)
-        records = generate_prefixes(cases, self.spec_vocab_map(), self.spec.k, purpose)
+        records = generate_prefixes(cases, self.log.vocabulary, self.spec.k, purpose)
         return encode_dataset(records, self.spec)
-
-    def spec_vocab_map(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.spec.vocab)}
 
     def sampler(self) -> FeatureSampler:
         train = self.dataset("train", "train")
         return FeatureSampler.fit(self.spec, train.x)
 
 
-def _check_spec(ckpt: Checkpoint, spec: EncodingSpec):
-    if ckpt.spec != spec:
-        raise SpecMismatchError(
-            "checkpoint encoding spec does not match the prepared data "
-            f"(checkpoint |A|={ckpt.spec.vocab_size}, k={ckpt.spec.k}; "
-            f"data |A|={spec.vocab_size}, k={spec.k})"
-        )
+def _load_checked(path: Path, spec: EncodingSpec) -> Checkpoint:
+    """The checkpoint at `path`, refused unless it encodes its input as `spec` does."""
+    ckpt = load_checkpoint(path)
+    trained = ckpt.spec
+    if trained == spec:
+        return ckpt
+    differs = []
+    if trained.vocab_size != spec.vocab_size:
+        was, now = trained.vocab_size, spec.vocab_size
+        differs.append(f"activity count |A| (checkpoint {was}, data {now})")
+    elif trained.vocab != spec.vocab:
+        i = next(i for i in range(spec.vocab_size) if trained.vocab[i] != spec.vocab[i])
+        was, now = trained.vocab[i], spec.vocab[i]
+        differs.append(f"activity label {i} (checkpoint {was!r}, data {now!r})")
+    for name in ("k", "mean_since_first", "mean_since_prev"):
+        was, now = getattr(trained, name), getattr(spec, name)
+        if was != now:
+            differs.append(f"{name} (checkpoint {was!r}, data {now!r})")
+    raise SpecMismatchError(
+        f"checkpoint {path}: encoding spec differs from the prepared data's in "
+        + "; ".join(differs)
+    )
 
 
 def _default_checkpoint(out_dir: Path, method: str) -> Path:
@@ -306,19 +300,9 @@ def cmd_prepare(args) -> int:
 
     raw = read_bytes(data)
     log = parse_csv(data, columns, data=raw)
-    split = split_chronological(log)
-    train_prefixes = generate_prefixes(split.train, log.vocabulary, log.k, "train")
-    mean_first, mean_prev = fit_normalizers(train_prefixes)
-    spec = EncodingSpec(
-        vocab=tuple(log.vocabulary),
-        k=log.k,
-        mean_since_first=mean_first,
-        mean_since_prev=mean_prev,
-    )
+    split, spec = _split_and_spec(log)
 
     prep = out_dir / "prepare"
-    write_manifest(prep / "encoding.txt", spec.to_metadata())
-    _write_split(prep / "split.txt", split)
     write_manifest(
         prep / "manifest.txt",
         {
@@ -334,8 +318,8 @@ def cmd_prepare(args) -> int:
             "split.train": len(split.train),
             "split.validation": len(split.validation),
             "split.test": len(split.test),
-            "mean_since_first": repr(mean_first),
-            "mean_since_prev": repr(mean_prev),
+            "mean_since_first": repr(spec.mean_since_first),
+            "mean_since_prev": repr(spec.mean_since_prev),
             "seed": seed,
         },
     )
@@ -466,8 +450,8 @@ def cmd_explain(args) -> int:
     seed = settings.get("seed")
     threads = _threads(settings, used=method == "posthoc")
     prepared = Prepared(out_dir)
-    ckpt = load_checkpoint(_checkpoint_path(settings.get("checkpoint"), out_dir, method))
-    _check_spec(ckpt, prepared.spec)
+    ckpt_path = _checkpoint_path(settings.get("checkpoint"), out_dir, method)
+    ckpt = _load_checked(ckpt_path, prepared.spec)
 
     test_set = prepared.dataset("test", "eval")
     if len(test_set) == 0:
@@ -509,8 +493,7 @@ def cmd_verify(args) -> int:
     threads = _threads(settings)
     prepared = Prepared(out_dir)
     ckpt_path = _checkpoint_path(settings.get("checkpoint"), out_dir, method)
-    ckpt = load_checkpoint(ckpt_path)
-    _check_spec(ckpt, prepared.spec)
+    ckpt = _load_checked(ckpt_path, prepared.spec)
 
     explanations = _read_explanations(
         out_dir / "explanations" / f"{method}.jsonl", prepared.spec.n_features
@@ -558,7 +541,8 @@ def cmd_report(args) -> int:
             raise ConfigError(f"{summary_path}: malformed value ({exc})") from None
         # the model `verify` used; summaries written before the path was recorded
         # fall back to the method's default checkpoint
-        ckpt = load_checkpoint(_checkpoint_path(summary_kv.get("checkpoint"), out_dir, method))
+        ckpt_path = _checkpoint_path(summary_kv.get("checkpoint"), out_dir, method)
+        ckpt = _load_checked(ckpt_path, prepared.spec)
         acc = accuracy(ckpt.params, test_set)
         reports.append(
             summarize(explanations, accuracy=acc, delta=delta, n_samples=n_samples, seed=seed)

@@ -10,6 +10,7 @@ feature in [0, 1].  Every LSTM layer output gets dropout 0.2 in train mode.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 
@@ -109,17 +110,8 @@ class NapModelParams:
         return sum(int(p.value.size) for _, p in self.named_parameters())
 
     def copy(self) -> "NapModelParams":
-        """Deep copy of all parameter values and running statistics."""
-        clone = init_model(
-            self.vocab_size,
-            self.k,
-            selfexplain=self.selfexplain,
-            seed=None,
-            dtype=self.shared1.W.value.dtype,
-        )
-        for (_, dst), (_, src) in zip(clone.sections(), self.sections()):
-            dst[...] = src
-        return clone
+        """Deep copy of all parameter values, running statistics and settings."""
+        return copy.deepcopy(self)
 
 
 def init_model(

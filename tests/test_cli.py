@@ -145,14 +145,37 @@ class TestPipelineArtifacts:
         again = tmp_path / "again"
         args = ["prepare", "--data", str(csv_path), "--out", str(again), "--seed", "5"]
         assert main(args) == 0
-        first = {
-            p.name: p.read_bytes() for p in (again / "prepare").iterdir()
-        }
+        first = _tree_bytes(again / "prepare")
+        # the split and the encoding are derived from the checked log, so only the manifest is kept
+        assert list(first) == [Path("manifest.txt")]
         assert main(args) == 0
-        for p in (again / "prepare").iterdir():
-            assert p.read_bytes() == first[p.name]
-        for name in ("encoding.txt", "split.txt", "manifest.txt"):
-            assert (out / "prepare" / name).read_bytes() == first[name]
+        assert _tree_bytes(again / "prepare") == first
+        assert (out / "prepare" / "manifest.txt").read_bytes() == first[Path("manifest.txt")]
+
+    def test_damaged_split_and_encoding_files_are_ignored(self, workdir, tmp_path):
+        # earlier releases wrote both beside the manifest; the split and the
+        # encoding now come from the checked log, so neither file is read
+        _, source = workdir
+        out = _copy_runs(workdir, tmp_path)
+        (out / "prepare" / "split.txt").write_bytes(b"train\tnocase\n\xff\n")
+        (out / "prepare" / "encoding.txt").write_text('vocab=["x"]\nk=abc\n', encoding="utf-8")
+        assert main(["verify", "--out", str(out), "--seed", "5", "--method", "selfexplain",
+                     "--samples", "25"]) == 0
+        assert main(["report", "--out", str(out)]) == 0
+        for directory in ("verification", "report"):
+            # the summary names the checkpoint by its path under the run directory
+            got = {name: data.replace(bytes(out), bytes(source))
+                   for name, data in _tree_bytes(out / directory).items()}
+            assert got == _tree_bytes(source / directory), directory
+
+        def without_times(path):
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in records]
+
+        assert main(["explain", "--out", str(out), "--seed", "5", "--method", "selfexplain",
+                     "--limit", "6"]) == 0
+        records = Path("explanations", "selfexplain.jsonl")
+        assert without_times(out / records) == without_times(source / records)
 
     def test_checkpoints_exist_and_load(self, workdir):
         _, out = workdir
@@ -502,10 +525,6 @@ class TestCliErrors:
         "damage, named",
         [
             ("manifest-key", "manifest.txt"),
-            ("encoding-file", "encoding.txt"),
-            ("encoding-number", "encoding.txt"),
-            ("encoding-nan", "encoding.txt"),
-            ("encoding-labels", "encoding.txt"),
             ("data-digest", "data.sha256"),
             ("data-shifted", "changed after `prepare`"),
         ],
@@ -531,17 +550,6 @@ class TestCliErrors:
             manifest = read_manifest(prep / "manifest.txt")
             manifest["data"] = str(csv_path)
             write_manifest(prep / "manifest.txt", manifest)
-        elif damage == "encoding-file":
-            (prep / "encoding.txt").unlink()
-        else:
-            key, value = {
-                "encoding-number": ("mean_since_prev", "abc"),
-                "encoding-nan": ("mean_since_first", "nan"),
-                "encoding-labels": ("vocab", '["a", "a", "b", "c", "d"]'),
-            }[damage]
-            encoding = read_manifest(prep / "encoding.txt")
-            encoding[key] = value
-            write_manifest(prep / "encoding.txt", encoding)
         for argv in (["train", "--mode", "baseline", "--epochs", "1"],
                      ["explain", "--method", "selfexplain"]):
             code = main([*argv, "--out", str(out)])
@@ -566,7 +574,6 @@ class TestCliErrors:
             ("verified-index-large", ["report"], "jsonl: line 1"),
             ("explanation-missing", ["verify", "--method", "selfexplain"], "selfexplain.jsonl"),
             ("explanation-directory", ["verify", "--method", "selfexplain"], "selfexplain.jsonl"),
-            ("split-utf8", ["verify", "--method", "selfexplain"], "split.txt"),
             ("repeated-instance", ["verify", "--method", "selfexplain"], "jsonl: line 7"),
             ("instance-list", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
             ("status-unknown", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
@@ -576,7 +583,7 @@ class TestCliErrors:
         ids=["summary-file", "summary-number", "explanation-json", "explanation-key",
              "explanation-utf8", "explanation-list", "index-large", "index-negative", "index-float",
              "index-bool", "best-index-large", "verified-index-large",
-             "explanation-missing", "explanation-directory", "split-utf8",
+             "explanation-missing", "explanation-directory",
              "repeated-instance", "instance-list", "status-unknown", "scores-short",
              "verified-repeated-instance"],
     )
@@ -608,9 +615,6 @@ class TestCliErrors:
             records.unlink()
             if damage == "explanation-directory":
                 records.mkdir()
-        elif damage == "split-utf8":
-            with (out / "prepare" / "split.txt").open("ab") as handle:
-                handle.write(b"\xff\n")
         elif damage.endswith("repeated-instance"):
             if damage.startswith("verified"):
                 records = out / "verification" / "selfexplain.jsonl"
@@ -785,6 +789,53 @@ class TestCliErrors:
         )
         assert code == 1
         assert "spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ("relabelled", "activity label {d} (checkpoint 'd', data 'x')"),
+            ("extra-activity", "activity count |A| (checkpoint 5, data 6)"),
+            ("slower", "mean_since_first (checkpoint {first!r}, data {twice_first!r}); "
+                       "mean_since_prev (checkpoint {prev!r}, data {twice_prev!r})"),
+        ],
+        ids=["relabelled", "extra-activity", "slower"],
+    )
+    def test_checkpoints_of_other_data_refused(self, workdir, tmp_path, capsys, change, named):
+        # the run directory prepared again from a changed copy of its log: `verify`
+        # and `report` refuse the models trained on the old one, naming what differs
+        csv_path, _ = workdir
+        out = _copy_runs(workdir, tmp_path)
+        manifest = read_manifest(out / "prepare" / "manifest.txt")
+        header, *rows = csv_path.read_text(encoding="utf-8").splitlines()
+        events = [row.split(",") for row in rows]
+        if change == "relabelled":
+            events = [[case, "x" if act == "d" else act, ts] for case, act, ts in events]
+        elif change == "extra-activity":
+            events[-1][1] = "z"
+        else:  # every time gap twice as long
+            origin = int(events[0][2])
+            events = [[case, act, str(2 * int(ts) - origin)] for case, act, ts in events]
+        changed = tmp_path / "changed.csv"
+        changed.write_text("\n".join([header, *map(",".join, events)]) + "\n", encoding="utf-8")
+        assert main(["prepare", "--data", str(changed), "--out", str(out), "--seed", "5"]) == 0
+        first, prev = float(manifest["mean_since_first"]), float(manifest["mean_since_prev"])
+        baseline = out / "models" / "baseline.ckpt"
+        vocab = load_checkpoint(baseline).spec.vocab
+        named = named.format(d=vocab.index("d"), first=first, prev=prev,
+                             twice_first=2 * first, twice_prev=2 * prev)
+        before = {d: _tree_bytes(out / d) for d in ("verification", "report")}
+        capsys.readouterr()
+        # `verify` loads the copy's model, `report` the one its summary names
+        verified = read_manifest(out / "verification" / "posthoc.summary.txt")["checkpoint"]
+        for argv, checkpoint in ((["verify", "--method", "posthoc"], baseline),
+                                 (["report"], verified)):
+            assert main([*argv, "--out", str(out)]) == 1
+            _assert_one_error_line(
+                capsys,
+                f"error: checkpoint {checkpoint}: encoding spec differs from the prepared "
+                f"data's in {named}",
+            )
+        assert {d: _tree_bytes(out / d) for d in before} == before
 
     def test_column_flags_remap(self, tmp_path):
         csv_path = tmp_path / "named.csv"

@@ -266,8 +266,15 @@ class TestParameters:
             np.testing.assert_array_equal(a, b)
 
     def test_copy_is_deep(self):
-        params = init_model(VOCAB, K, seed=8)
+        params = init_model(VOCAB, K, selfexplain=True, seed=8)
+        params.dropout = 0.0
         clone = params.copy()
+        assert clone.dropout == 0.0 and clone.selfexplain
+        originals = [a for _, a in params.sections()]
+        for (name, a), b in zip(clone.sections(), originals):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype, name
+            assert not any(np.shares_memory(a, other) for other in originals), name
         clone.shared1.W.value[0, 0] += 1.0
         assert params.shared1.W.value[0, 0] != clone.shared1.W.value[0, 0]
         clone.act_bn_in.running_mean[0] += 1.0

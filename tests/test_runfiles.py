@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import re
+import tempfile
 import time
 import tracemalloc
 import weakref
@@ -88,3 +89,26 @@ def test_map_in_workers_releases_each_result_as_it_is_yielded():
     # one result in transit is three under tracemalloc (the pipe's read chunk, its
     # buffer and the unpickled copy); all eight held would be eight or more
     assert peak < 5 * RESULT_BYTES
+
+
+def _echo(job, item):
+    if item == "raise":
+        raise ValueError("the task raised")
+    return job, item
+
+
+@pytest.mark.parametrize("ending", ["return", "raise", "close"])
+def test_map_in_workers_removes_its_job_directory(tmp_path, monkeypatch, ending):
+    # a SIGKILLed caller cannot remove it; every exit the generator controls does
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    if ending == "return":
+        assert list(map_in_workers("job", _echo, [1, 2])) == [("job", 1), ("job", 2)]
+    elif ending == "raise":
+        with pytest.raises(ValueError, match="the task raised"):
+            list(map_in_workers("job", _echo, [1, "raise"]))
+    else:  # as a grid closes its results when its loop ends early
+        results = map_in_workers("job", _echo, [1, 2, 3])
+        assert next(results) == ("job", 1)
+        assert len(list(tmp_path.glob("sennap-pool-*"))) == 1
+        results.close()
+    assert list(tmp_path.iterdir()) == []

@@ -410,20 +410,37 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
-    def test_non_finite_normalizer_in_metadata_rejected(self, senn_blob, tmp_path):
-        _, blob = senn_blob
+    @staticmethod
+    def _with_metadata(blob: bytes, key: str, value: str) -> bytes:
+        """The checkpoint `blob` with metadata entry `key` set to `value`."""
         start = len(CHECKPOINT_MAGIC) + 12
         (meta_len,) = struct.unpack_from("<Q", blob, start - 8)
         lines = blob[start : start + meta_len].decode("utf-8").splitlines()
         meta = "".join(
-            ("mean_since_first=nan" if line.startswith("mean_since_first=") else line) + "\n"
-            for line in lines
+            (f"{key}={value}" if line.startswith(f"{key}=") else line) + "\n" for line in lines
         ).encode("utf-8")
+        return blob[: start - 8] + struct.pack("<Q", len(meta)) + meta + blob[start + meta_len :]
+
+    def test_non_finite_normalizer_in_metadata_rejected(self, senn_blob, tmp_path):
+        _, blob = senn_blob
         path = tmp_path / "model.ckpt"
-        path.write_bytes(
-            blob[: start - 8] + struct.pack("<Q", len(meta)) + meta + blob[start + meta_len :]
-        )
+        path.write_bytes(self._with_metadata(blob, "mean_since_first", "nan"))
         with pytest.raises(CheckpointError, match="normalizer means"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("vocab", '["a", "a", "b", "c", "d"]', "labels must be distinct"),
+            ("mean_since_prev", "abc", "could not convert"),
+        ],
+        ids=["repeated-label", "mean-not-a-number"],
+    )
+    def test_malformed_spec_in_metadata_rejected(self, senn_blob, tmp_path, key, value, named):
+        _, blob = senn_blob
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(self._with_metadata(blob, key, value))
+        with pytest.raises(CheckpointError, match=f"{path}: malformed metadata .*{named}"):
             load_checkpoint(path)
 
 
