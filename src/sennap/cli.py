@@ -223,6 +223,28 @@ def _checkpoint_path(path: str | None, out_dir: Path, method: str) -> Path:
     return path
 
 
+def _recorded_checkpoint(path: Path, out_dir: Path) -> Path:
+    """How `verify` records a checkpoint: relative to --out if it lies there, else as given.
+
+    So a run directory that is copied or moved reports on its own models.
+    """
+    try:
+        return path.resolve().relative_to(out_dir.resolve())
+    except ValueError:
+        return path
+
+
+def _summary_checkpoint(recorded: str | None, out_dir: Path) -> str | None:
+    """The checkpoint a summary records: a relative path under --out first, else as written.
+
+    Summaries written before paths were recorded relative to --out hold the
+    path as `verify` was given it, relative to the working directory.
+    """
+    if recorded and not Path(recorded).is_absolute() and (out_dir / recorded).exists():
+        return str(out_dir / recorded)
+    return recorded
+
+
 def _threads(settings: Settings, *, used: bool = True) -> int:
     """--threads, validated; a count above W, the threads this process runs on, is warned of."""
     threads = settings.get("threads")
@@ -243,37 +265,25 @@ def _write_jsonl(path: Path, records):
 
 
 def _read_explanations(path: Path, n_features: int) -> list[Explanation]:
+    """The records of a JSON-lines file; a bad line is one `ConfigError` naming it."""
     explanations = []
     ids = set()
     # json.loads decodes each line's bytes, so a line that is not UTF-8 is named like any other
     for line_no, line in enumerate(read_bytes(path).splitlines(), 1):
         if not line:
             continue
-        try:
-            explanation = Explanation.from_record(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {line_no}: not JSON ({exc.msg})") from None
-        except KeyError as exc:
-            raise ConfigError(f"{path}: line {line_no}: missing key {exc}") from None
-        except (TypeError, ValueError, AttributeError) as exc:  # AttributeError: not an object
-            raise ConfigError(f"{path}: line {line_no}: malformed record ({exc})") from None
         where = f"{path}: line {line_no}:"
-        # bool is a subclass of int, so the exact type test also rejects true and false
-        for index in explanation.indices + (explanation.best_indices or ()):
-            if type(index) is not int or not 0 <= index < n_features:
-                raise ConfigError(
-                    f"{where} feature index {index!r} is not an integer in 0..{n_features - 1}"
-                )
-        instance, scores = explanation.instance_id, explanation.scores
-        if type(instance) is not str:
-            raise ConfigError(f"{where} instance id {instance!r} is not a string")
-        if instance in ids:
-            raise ConfigError(f"{where} instance {instance!r} is repeated")
-        if explanation.status not in ("found", "timeout"):
-            raise ConfigError(f"{where} unknown status {explanation.status!r}")
-        if scores is not None and len(scores) != len(explanation.indices):
-            raise ConfigError(f"{where} {len(scores)} scores for {explanation.size} indices")
-        ids.add(instance)
+        try:
+            explanation = Explanation.from_record(json.loads(line), n_features)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{where} not JSON ({exc.msg})") from None
+        except KeyError as exc:
+            raise ConfigError(f"{where} missing key {exc}") from None
+        except (TypeError, ValueError, AttributeError) as exc:  # AttributeError: not an object
+            raise ConfigError(f"{where} malformed record ({exc})") from None
+        if explanation.instance_id in ids:
+            raise ConfigError(f"{where} instance {explanation.instance_id!r} is repeated")
+        ids.add(explanation.instance_id)
         explanations.append(explanation)
     return explanations
 
@@ -507,7 +517,8 @@ def cmd_verify(args) -> int:
     _write_jsonl(ver_dir / f"{method}.jsonl", [e.to_record() for e in verified])
     report = summarize(verified, delta=delta, n_samples=samples, seed=seed)
     write_manifest(
-        ver_dir / f"{method}.summary.txt", {**report.as_rows(), "checkpoint": ckpt_path}
+        ver_dir / f"{method}.summary.txt",
+        {**report.as_rows(), "checkpoint": _recorded_checkpoint(ckpt_path, out_dir)},
     )
     print(
         f"{method}: existing {100 * report.existing_rate:.2f}%, "
@@ -541,7 +552,9 @@ def cmd_report(args) -> int:
             raise ConfigError(f"{summary_path}: malformed value ({exc})") from None
         # the model `verify` used; summaries written before the path was recorded
         # fall back to the method's default checkpoint
-        ckpt_path = _checkpoint_path(summary_kv.get("checkpoint"), out_dir, method)
+        ckpt_path = _checkpoint_path(
+            _summary_checkpoint(summary_kv.get("checkpoint"), out_dir), out_dir, method
+        )
         ckpt = _load_checked(ckpt_path, prepared.spec)
         acc = accuracy(ckpt.params, test_set)
         reports.append(

@@ -10,6 +10,7 @@ scheduling order.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -85,9 +86,15 @@ class Explanation:
         return record
 
     @classmethod
-    def from_record(cls, record: dict) -> "Explanation":
+    def from_record(cls, record: dict, n_features: int | None = None) -> "Explanation":
+        """Inverse of `to_record`; a field of the wrong type or range is a `ValueError` naming it.
+
+        Feature indices are integers in 0..`n_features` - 1, or any
+        non-negative integer without `n_features`.  Fields a record may leave
+        out, or set to null, read as None.
+        """
         best = record.get("best_indices")
-        return cls(
+        explanation = cls(
             instance_id=record["instance"],
             method=record["method"],
             indices=tuple(record["indices"]),
@@ -101,6 +108,33 @@ class Explanation:
             best_indices=tuple(best) if best is not None else None,
             best_precision=record.get("best_precision"),
         )
+        explanation._check(n_features)
+        return explanation
+
+    def _check(self, n_features: int | None):
+        # bool is a subclass of int, so the exact type tests also reject true and false
+        within = f"in 0..{n_features - 1}" if n_features is not None else ">= 0"
+        for index in self.indices + (self.best_indices or ()):
+            if type(index) is not int or index < 0 or n_features is not None and index >= n_features:
+                raise ValueError(f"feature index {index!r} is not an integer {within}")
+        if type(self.instance_id) is not str:
+            raise ValueError(f"instance id {self.instance_id!r} is not a string")
+        if self.status not in ("found", "timeout"):
+            raise ValueError(f"unknown status {self.status!r}")
+        if self.scores is not None and len(self.scores) != self.size:
+            raise ValueError(f"{len(self.scores)} scores for {self.size} indices")
+        if self.sufficient is not None and type(self.sufficient) is not bool:
+            raise ValueError(f"sufficient {self.sufficient!r} is not true, false or null")
+        if not (math.isfinite(self.wall_time_s) and self.wall_time_s >= 0):
+            raise ValueError(f"wall_time_s {self.wall_time_s!r} is not a finite time >= 0")
+        for name in ("precision", "best_precision"):
+            value = getattr(self, name)
+            if value is not None and not (type(value) in (int, float) and 0 <= value <= 1):
+                raise ValueError(f"{name} {value!r} is not a number in [0, 1]")
+        for name in ("rounds", "samples_used"):
+            value = getattr(self, name)
+            if value is not None and not (type(value) is int and value >= 0):
+                raise ValueError(f"{name} {value!r} is not an integer >= 0")
 
 
 @dataclass

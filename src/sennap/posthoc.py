@@ -4,11 +4,13 @@ Greedy construction over individual flat features of the encoded grid: each
 round estimates the prediction-preservation precision of every single-feature
 extension of the current subset on one shared set of complement draws and
 keeps the best one, stopping once the estimate clears the precision threshold
-or the wall clock runs out.  A round scores its draws a group at a time, on
-every CPU: each `predict` call holds every candidate of its draws, so the
-rows of one draw share their prefix in one `prefix_tree`.  Works against any
-class-prediction closure that may be called from several threads at once,
-so the same machinery is testable on analytic models.
+or the wall clock runs out.  Every Monte-Carlo count, a round's and a single
+estimate's alike, goes through `kept_counts`, which scores its draws a group
+at a time on every CPU: in a round each `predict` call holds every candidate
+of its draws, so the rows of one draw share their prefix in one
+`prefix_tree`.  Works against any class-prediction closure that may be
+called from several threads at once, so the same machinery is testable on
+analytic models.
 """
 
 from __future__ import annotations
@@ -59,6 +61,49 @@ class AnchorResult:
     rounds: int
 
 
+def kept_counts(
+    predict: Callable[[np.ndarray], np.ndarray],
+    x_flat: np.ndarray,
+    base: np.ndarray,
+    target: int,
+    columns: np.ndarray | None = None,
+    stop: Callable[[], bool] | None = None,
+) -> tuple[np.ndarray | None, int]:
+    """Per candidate, how many of the (S, n) `base` rows keep `target`.
+
+    The package's one count of kept predictions.  With `columns`, candidate
+    j's rows are the base rows with column j set to x_j, so every candidate
+    sees the same complement draws, laid out draw-major: the rows of one draw
+    are adjacent and share everything before their own column.  Without, the
+    one candidate is `base` itself.  The draws go in groups of
+    g = max(1, INFER_CHUNK // (W * candidates)), one `predict` call each, on
+    `runfiles.map_in_threads`: the caller and the helpers idle at the time,
+    W threads at most.  So the rows in flight stay within one inference
+    chunk, or within W draws when one draw's candidates alone fill more.  The
+    counts are summed as integers, so they do not depend on W.  `stop`, when
+    given, is asked before each group starts; if it ends the count early the
+    counts are None.  The second value is the rows submitted, those of every
+    group that started.
+    """
+    S, n = base.shape
+    c = 1 if columns is None else len(columns)
+    g = max(1, INFER_CHUNK // (runfiles.thread_workers() * c))
+
+    def count(lo: int) -> np.ndarray:
+        rows = base[lo : lo + g]
+        if columns is not None:
+            rows = np.repeat(rows[:, None, :], c, axis=1)
+            rows[:, np.arange(c), columns] = x_flat[columns]
+        return (predict(rows.reshape(-1, n)).reshape(-1, c) == target).sum(axis=0)
+
+    groups = range(0, S, g)
+    counts = runfiles.map_in_threads(count, groups, stop=stop)
+    rows = min(len(counts) * g, S) * c
+    if len(counts) < len(groups):
+        return None, rows
+    return np.sum(counts, axis=0), rows
+
+
 def estimate_precision(
     predict: Callable[[np.ndarray], np.ndarray],
     x_flat: np.ndarray,
@@ -68,7 +113,10 @@ def estimate_precision(
     rng: np.random.Generator,
     target: int | None = None,
 ) -> float:
-    """Monte-Carlo estimate of P[prediction unchanged | z_S = x_S, complement ~ D]."""
+    """Monte-Carlo estimate of P[prediction unchanged | z_S = x_S, complement ~ D].
+
+    The kept count of `n_samples` draws, divided by `n_samples`.
+    """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     x_flat = np.asarray(x_flat, dtype=np.float32).reshape(-1)
@@ -80,62 +128,9 @@ def estimate_precision(
         mask[subset.astype(np.int64)] = True
     if target is None:
         target = int(predict(x_flat[None])[0])
-    z = np.where(mask, x_flat, sampler.draw(rng, n_samples))
-    return float(np.mean(predict(z) == target))
-
-
-def extension_counts(
-    predict: Callable[[np.ndarray], np.ndarray],
-    x_flat: np.ndarray,
-    base: np.ndarray,
-    columns: np.ndarray,
-    target: int,
-) -> np.ndarray:
-    """Per extension by one of `columns`: how many of the (g, n) `base` rows keep `target`.
-
-    Candidate j's rows are the base rows with column j set to x_j, so every
-    candidate sees the same complement draws.  All candidates go to `predict`
-    in one call, laid out base-major: the rows of one base row are adjacent
-    and share everything before their own column.
-    """
-    g, n = base.shape
-    rows = np.repeat(base[:, None, :], len(columns), axis=1)
-    rows[:, np.arange(len(columns)), columns] = x_flat[columns]
-    kept = predict(rows.reshape(-1, n)).reshape(g, len(columns)) == target
-    return kept.sum(axis=0)
-
-
-def round_counts(
-    predict: Callable[[np.ndarray], np.ndarray],
-    x_flat: np.ndarray,
-    base: np.ndarray,
-    free: np.ndarray,
-    target: int,
-    stop: Callable[[], bool],
-) -> tuple[np.ndarray | None, int]:
-    """One greedy round: kept counts of every `free` candidate over the (S, n) `base` rows.
-
-    The draws go in groups of g = max(1, INFER_CHUNK // (W * len(free))), one
-    `extension_counts` call each, on `runfiles.map_in_threads`: the caller and
-    the helpers idle at the time, W threads at most.  So the rows in flight
-    stay within one inference chunk, or within W draws when one draw's
-    candidates alone fill more.  W = 1 is one full chunk after
-    another on the caller.  The counts are summed as integers, so they do not
-    depend on W.  `stop` is asked before each group starts; if it ends the
-    round early the counts are None.  The second value is the rows submitted,
-    those of every group that started.
-    """
-    S = len(base)
-    g = max(1, INFER_CHUNK // (runfiles.thread_workers() * len(free)))
-    groups = range(0, S, g)
-    counts = runfiles.map_in_threads(
-        lambda lo: extension_counts(predict, x_flat, base[lo : lo + g], free, target),
-        groups, stop=stop,
-    )
-    rows = min(len(counts) * g, S) * len(free)
-    if len(counts) < len(groups):
-        return None, rows
-    return np.sum(counts, axis=0), rows
+    base = np.where(mask, x_flat, sampler.draw(rng, n_samples))
+    kept, _ = kept_counts(predict, x_flat, base, target)
+    return int(kept[0]) / n_samples
 
 
 def greedy_anchor_search(
@@ -149,7 +144,7 @@ def greedy_anchor_search(
 
     Each round draws its S complement rows once, base = where(subset, x, draws),
     and estimates every one-feature extension on those common draws: a
-    candidate's estimate is its `round_counts` count divided by S, whatever
+    candidate's estimate is its `kept_counts` count divided by S, whatever
     the number of threads W.  A candidate only counts as found after a
     confirmation estimate on fresh draws also clears the threshold; picking
     the maximum of many noisy estimates would otherwise systematically
@@ -202,7 +197,7 @@ def greedy_anchor_search(
             base = np.where(subset, x_flat, sampler.draw(rng, S))
             # the full set estimates at exactly 1.0, so some feature is always left
             free = np.flatnonzero(~subset)
-            kept, rows = round_counts(predict, x_flat, base, free, target, expired)
+            kept, rows = kept_counts(predict, x_flat, base, target, free, expired)
             samples_used += rows
             if kept is None:
                 return result("timeout", best_subset, best_precision, rounds)

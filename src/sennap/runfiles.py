@@ -19,6 +19,7 @@ import functools
 import multiprocessing
 import os
 import pickle
+import shutil
 import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -133,6 +134,35 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+_POOL_PREFIX = "sennap-pool-"
+
+
+def _runs(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0 only asks whether the process exists
+    except ProcessLookupError:
+        return False
+    except OSError:  # it exists, but belongs to another user
+        pass
+    return True
+
+
+def _remove_stale_job_directories():
+    """Remove `sennap-pool-<pid>-*` directories whose process no longer runs.
+
+    A caller killed by SIGKILL leaves its job directory, a copy of the job,
+    in the temporary directory.  A name without a pid, a live pid's
+    directory and one that cannot be removed are left as they are.  Only on
+    POSIX, where signal 0 asks after a process without touching it.
+    """
+    if os.name != "posix":
+        return
+    for path in Path(tempfile.gettempdir()).glob(_POOL_PREFIX + "*"):
+        pid, dash, _ = path.name[len(_POOL_PREFIX):].partition("-")
+        if dash and pid.isdigit() and not _runs(int(pid)) and path.is_dir():
+            shutil.rmtree(path, ignore_errors=True)
+
+
 def map_in_workers(job, task: Callable, items: Sequence) -> Iterator:
     """Yield `task(job, item)` per item, in order, from spawned worker processes.
 
@@ -142,10 +172,13 @@ def map_in_workers(job, task: Callable, items: Sequence) -> Iterator:
     the parent writing it.  A result is released here as it is yielded, so a
     caller that drops each one holds only the results not yet taken.  A dead
     worker is a `TrainingError`.  The pool shuts down when the generator
-    ends, raises or is closed.  Workers import the caller's main module,
+    ends, raises or is closed.  The job's directory is named after this
+    process, and the directories that processes no longer running left
+    behind are removed first.  Workers import the caller's main module,
     which needs the `if __name__ == "__main__":` guard.
     """
-    with tempfile.TemporaryDirectory(prefix="sennap-pool-") as scratch:
+    _remove_stale_job_directories()
+    with tempfile.TemporaryDirectory(prefix=f"{_POOL_PREFIX}{os.getpid()}-") as scratch:
         path = Path(scratch) / "job.pickle"
         write_atomic(path, pickle.dumps(job))
         pool = ProcessPoolExecutor(

@@ -28,7 +28,6 @@ from .neural import (
     scale,
     softmax_cross_entropy,
     softmax_cross_entropy_value,
-    subset_mask,
 )
 
 SAMPLE_ACTIVITY = 0  # Bernoulli(0.5) over {0, 1}

@@ -3,6 +3,7 @@
 The synthetic generator is a seeded Markov chain over five activities whose
 next step depends almost entirely on the previous activity, so small models
 can learn it quickly and sufficiency-based explanations have real signal.
+The `workers` fixture sets W, the threads `runfiles.map_in_threads` runs on.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from sennap import runfiles
 from sennap.encoding import EncodingSpec, encode_dataset, fit_normalizers
 from sennap.errors import LogParseError
 from sennap.eventlog import Case, Event, EventLog, generate_prefixes, split_chronological
@@ -125,3 +127,28 @@ def senn_ckpt(toy_data):
         batch_size=64, max_epochs=20, patience=8, seed=3,
     )
     return fit(train, val, spec, config)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set W, with a fresh pool of W - 1 helpers, shut down when replaced and after the test.
+
+    It may be called more than once in a test, as a `hypothesis` example
+    does.  The process's own pool is left running and restored afterwards.
+    """
+    replaced = False
+
+    def shut_down():
+        if replaced and runfiles._pool is not None:
+            runfiles._pool.shutdown(wait=True)
+
+    def use(w: int):
+        nonlocal replaced
+        shut_down()
+        monkeypatch.setattr(runfiles, "thread_workers", lambda: w)
+        monkeypatch.setattr(runfiles, "_pool", None)
+        monkeypatch.setattr(runfiles, "_idle", 0)
+        replaced = True
+
+    yield use
+    shut_down()

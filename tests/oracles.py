@@ -7,6 +7,9 @@ encode one prefix at a time, event by event, which the gathers in
 `sennap.encoding` must match bit for bit; `round_estimates_per_event_row` is
 the post-hoc round that scores one event row's candidates per `predict` call,
 which the per-draw calls of `sennap.posthoc` must match bit for bit;
+`kept_counts_loop` counts kept predictions one candidate per `predict` call,
+which `sennap.posthoc.kept_counts`, in groups of draws on several threads,
+must match;
 `lstm_layer_loop` is the training LSTM with its own time-major forward loop,
 which `sennap.neural.lstm_layer` on the prefix-tree kernel must match bit for
 bit, forward and backward; `backward_keeping_tape` is the reverse sweep that
@@ -199,6 +202,28 @@ def round_estimates_per_event_row(
         kept = predict(z.reshape(-1, n)).reshape(S, len(columns)) == target
         estimates[columns] = kept.mean(axis=0)
     return estimates
+
+
+def kept_counts_loop(
+    predict: Callable[[np.ndarray], np.ndarray],
+    x_flat: np.ndarray,
+    base: np.ndarray,
+    target: int,
+    columns: np.ndarray | None = None,
+) -> np.ndarray:
+    """Kept counts one candidate at a time: its S rows in one `predict` call.
+
+    Candidate j's rows are the `base` rows with column j set to x_j; without
+    `columns`, the one candidate is `base` itself.
+    """
+    if columns is None:
+        return np.array([np.count_nonzero(predict(base) == target)])
+    counts = []
+    for j in columns:
+        z = base.copy()
+        z[:, j] = x_flat[j]
+        counts.append(np.count_nonzero(predict(z) == target))
+    return np.array(counts)
 
 
 def lstm_layer_loop(x: Var, params: LSTMLayerParams) -> Var:

@@ -305,6 +305,25 @@ class TestPipelineArtifacts:
         baseline = load_checkpoint(out / "models" / "baseline.ckpt")
         assert rows["posthoc"]["accuracy"] == accuracy(baseline.params, test_set)
 
+    def test_copied_run_directory_reports_on_its_own_models(self, workdir, tmp_path, monkeypatch):
+        source = _copy_runs(workdir, tmp_path)
+        summaries = sorted((source / "verification").glob("*.summary.txt"))
+        recorded = {p.name: read_manifest(p)["checkpoint"] for p in summaries}
+        assert recorded == {"posthoc.summary.txt": "models/baseline.ckpt",
+                            "selfexplain.summary.txt": "models/selfexplain.ckpt"}
+        copy = tmp_path / "copy"
+        shutil.copytree(source, copy)
+        shutil.rmtree(source)
+        assert main(["report", "--out", str(copy)]) == 0
+        report = _tree_bytes(copy / "report")
+        # older summaries record the path as `verify` was given it, from the working directory
+        monkeypatch.chdir(tmp_path)
+        for name, path in recorded.items():
+            summary = copy / "verification" / name
+            write_manifest(summary, {**read_manifest(summary), "checkpoint": f"copy/{path}"})
+        assert main(["report", "--out", "copy"]) == 0
+        assert _tree_bytes(copy / "report") == report
+
     def test_failed_write_leaves_the_previous_file(self, workdir, tmp_path, monkeypatch, capsys):
         out = _copy_runs(workdir, tmp_path)
         records = out / "explanations" / "selfexplain.jsonl"
@@ -579,13 +598,27 @@ class TestCliErrors:
             ("status-unknown", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
             ("scores-short", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
             ("verified-repeated-instance", ["report"], "jsonl: line 7"),
+            ("verified-sufficient-string", ["report"], "jsonl: line 1"),
+            ("verified-sufficient-number", ["report"], "jsonl: line 1"),
+            ("verified-wall-time-nan", ["report"], "jsonl: line 1"),
+            ("wall-time-negative", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("wall-time-infinite", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("verified-precision-large", ["report"], "jsonl: line 1"),
+            ("verified-precision-nan", ["report"], "jsonl: line 1"),
+            ("best-precision-negative", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("rounds-negative", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("rounds-float", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
+            ("samples-used-bool", ["verify", "--method", "selfexplain"], "jsonl: line 1"),
         ],
         ids=["summary-file", "summary-number", "explanation-json", "explanation-key",
              "explanation-utf8", "explanation-list", "index-large", "index-negative", "index-float",
              "index-bool", "best-index-large", "verified-index-large",
              "explanation-missing", "explanation-directory",
              "repeated-instance", "instance-list", "status-unknown", "scores-short",
-             "verified-repeated-instance"],
+             "verified-repeated-instance", "verified-sufficient-string",
+             "verified-sufficient-number", "verified-wall-time-nan", "wall-time-negative",
+             "wall-time-infinite", "verified-precision-large", "verified-precision-nan",
+             "best-precision-negative", "rounds-negative", "rounds-float", "samples-used-bool"],
     )
     def test_damaged_run_files(self, workdir, tmp_path, capsys, damage, argv, named):
         out = _copy_runs(workdir, tmp_path)
@@ -636,6 +669,17 @@ class TestCliErrors:
                 "verified-index-large": ("indices", [1000000]),
                 "instance-list": ("instance", ["case0001#2"]),
                 "status-unknown": ("status", "weird"),
+                "verified-sufficient-string": ("sufficient", "false"),
+                "verified-sufficient-number": ("sufficient", 1),
+                "verified-wall-time-nan": ("wall_time_s", float("nan")),
+                "wall-time-negative": ("wall_time_s", -0.5),
+                "wall-time-infinite": ("wall_time_s", float("inf")),
+                "verified-precision-large": ("precision", 1.5),
+                "verified-precision-nan": ("precision", float("nan")),
+                "best-precision-negative": ("best_precision", -0.1),
+                "rounds-negative": ("rounds", -1),
+                "rounds-float": ("rounds", 2.0),
+                "samples-used-bool": ("samples_used", True),
             }[damage]
             if damage.startswith("verified"):
                 records = out / "verification" / "selfexplain.jsonl"
@@ -825,14 +869,13 @@ class TestCliErrors:
                              twice_first=2 * first, twice_prev=2 * prev)
         before = {d: _tree_bytes(out / d) for d in ("verification", "report")}
         capsys.readouterr()
-        # `verify` loads the copy's model, `report` the one its summary names
-        verified = read_manifest(out / "verification" / "posthoc.summary.txt")["checkpoint"]
-        for argv, checkpoint in ((["verify", "--method", "posthoc"], baseline),
-                                 (["report"], verified)):
+        # `verify` loads the copy's model, and so does `report`: its summary names the
+        # model relative to --out
+        for argv in (["verify", "--method", "posthoc"], ["report"]):
             assert main([*argv, "--out", str(out)]) == 1
             _assert_one_error_line(
                 capsys,
-                f"error: checkpoint {checkpoint}: encoding spec differs from the prepared "
+                f"error: checkpoint {baseline}: encoding spec differs from the prepared "
                 f"data's in {named}",
             )
         assert {d: _tree_bytes(out / d) for d in before} == before

@@ -14,10 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sennap import model
+from sennap import model, runfiles
 from sennap.model import INFER_CHUNK, infer, infer_weights, init_model, make_predictor, prefix_tree
 from sennap.neural import LSTMWorkspace, batch_norm_infer, lstm_prefix_forward
-from sennap.posthoc import extension_counts
+from sennap.posthoc import kept_counts
 from sennap.selfexplain import SAMPLE_ACTIVITY, SAMPLE_INDEX, SAMPLE_UNIFORM, FeatureSampler
 
 from oracles import infer_allocating, lstm_prefix_forward_allocating
@@ -63,10 +63,11 @@ def _instance(rng, length):
 
 
 def _posthoc_rows(seed, calls=((N_FEATURES, None),)):
-    """The rows of post-hoc `predict` calls, laid out by `extension_counts`.
+    """The rows of post-hoc `predict` calls, laid out by `kept_counts` at W = 1.
 
     Each call is (free feature count, draws); draws default to what fills one
-    INFER_CHUNK, as `greedy_anchor_search` sends them.
+    INFER_CHUNK, as `greedy_anchor_search` sends them.  At W = 1 the groups
+    run in order on the caller, so the rows come in the round's own order.
     """
     rng = np.random.default_rng(seed)
     sampler = _sampler()
@@ -83,7 +84,9 @@ def _posthoc_rows(seed, calls=((N_FEATURES, None),)):
         subset[free] = False
         g = draws or INFER_CHUNK // n_free
         base = np.where(subset, x_flat, sampler.draw(rng, g))
-        extension_counts(record, x_flat, base, free, 0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runfiles, "thread_workers", lambda: 1)
+            kept_counts(record, x_flat, base, 0, free)
     return np.concatenate(rows).reshape(-1, K, WIDTH)
 
 

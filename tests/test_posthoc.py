@@ -4,20 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sennap import runfiles
 from sennap.errors import ConfigError
 from sennap.model import INFER_CHUNK, make_predictor
-from sennap.posthoc import (
-    AnchorConfig,
-    estimate_precision,
-    extension_counts,
-    greedy_anchor_search,
-    round_counts,
-)
+from sennap.posthoc import AnchorConfig, estimate_precision, greedy_anchor_search, kept_counts
 from sennap.selfexplain import SAMPLE_UNIFORM, FeatureSampler
 
-from oracles import round_estimates_per_event_row
+from oracles import kept_counts_loop, round_estimates_per_event_row
 
 
 def _uniform_sampler(n, lo=0.0, hi=1.0):
@@ -190,25 +185,53 @@ def two_workers(monkeypatch):
     monkeypatch.setattr(runfiles, "thread_workers", lambda: 2)
 
 
-class TestCommonDraws:
-    def test_round_estimates_equal_explicit_rows(self, toy_data, baseline_ckpt):
-        """Each candidate's count is `estimate_precision` on the round's draws, times S."""
-        spec, train, _, test_eval = toy_data
-        predict = make_predictor(baseline_ckpt.params)
-        sampler = FeatureSampler.fit(spec, train.x)
-        x = test_eval.x[0].reshape(-1)
-        target = int(predict(x[None])[0])
-        subset = _round_subsets(spec)[1]
-        columns = np.flatnonzero(~subset)[: 2 * spec.width]
-        base = np.where(subset, x, sampler.draw(np.random.default_rng(8), 40))
-        counts = extension_counts(predict, x, base, columns, target)
-        for j, count in zip(columns, counts):
-            extended = subset.copy()
-            extended[j] = True
-            assert count / 40 == estimate_precision(
-                predict, x, extended, sampler, 40, np.random.default_rng(8), target=target
-            )
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(1, 40),
+    w=st.integers(1, 3),
+    with_columns=st.booleans(),
+    stop_after=st.one_of(st.none(), st.integers(0, 6)),
+    data=st.data(),
+)
+def test_kept_counts_match_a_loop_per_candidate(workers, n, w, with_columns, stop_after, data):
+    """Counts in groups of draws on W threads equal one call per candidate; a stop gives None."""
+    workers(w)
+    columns = None
+    if with_columns:
+        columns = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    c = 1 if columns is None else len(columns)
+    g = max(1, INFER_CHUNK // (w * c))
+    S = data.draw(st.integers(1, 6 * g), "S")  # up to six groups
+    groups = -(-S // g)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    x = rng.random(n, dtype=np.float32)
+    base = rng.random((S, n), dtype=np.float32)
+    weights = rng.integers(0, 3, n)
 
+    def predict(X):  # integer arithmetic: a row's class does not depend on its call
+        return ((X > 0.5) * weights).sum(axis=1) % 3
+
+    target = int(predict(x[None])[0])
+    asked = 0
+
+    def stop():
+        nonlocal asked
+        asked += 1
+        return asked > stop_after
+
+    kept, rows = kept_counts(predict, x, base, target, columns,
+                             None if stop_after is None else stop)
+    started = groups if stop_after is None else min(groups, stop_after)
+    assert rows == min(started * g, S) * c
+    if started < groups:
+        assert kept is None
+    else:
+        assert kept.dtype == np.int64
+        np.testing.assert_array_equal(kept, kept_counts_loop(predict, x, base, target, columns))
+
+
+class TestCommonDraws:
     @pytest.mark.parametrize("taken", [0, 1, 2], ids=["empty", "two_taken", "step0_taken"])
     def test_per_draw_calls_match_the_per_event_row_round(
         self, toy_data, baseline_ckpt, monkeypatch, taken
@@ -226,7 +249,7 @@ class TestCommonDraws:
         want = round_estimates_per_event_row(predict, x, subset, base, target, sampler)
         for w in (1, 2, 3):
             monkeypatch.setattr(runfiles, "thread_workers", lambda: w)
-            kept, rows = round_counts(predict, x, base, free, target, stop=lambda: False)
+            kept, rows = kept_counts(predict, x, base, target, free)
             assert kept.dtype == np.int64 and rows == S * len(free)
             estimates = np.full(spec.n_features, -1.0)
             estimates[free] = kept / S

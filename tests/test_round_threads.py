@@ -19,24 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from sennap import runfiles
 from sennap.model import INFER_CHUNK, make_predictor
-from sennap.posthoc import AnchorConfig, greedy_anchor_search, round_counts
+from sennap.posthoc import AnchorConfig, greedy_anchor_search, kept_counts
 from sennap.selfexplain import SAMPLE_UNIFORM, FeatureSampler
 
 needs_openblas = pytest.mark.skipif(runfiles._openblas() is None, reason="no OpenBLAS found")
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """Set W, with a fresh pool of W - 1 helpers that is shut down after the test."""
-
-    def use(w: int):
-        monkeypatch.setattr(runfiles, "thread_workers", lambda: w)
-        monkeypatch.setattr(runfiles, "_pool", None)
-        monkeypatch.setattr(runfiles, "_idle", 0)
-
-    yield use
-    if runfiles._pool is not None:
-        runfiles._pool.shutdown(wait=True)
 
 
 def _uniform_sampler(n):
@@ -125,7 +111,7 @@ def test_calls_and_rows_in_flight_are_bounded(workers, w, n):
     spy = Spy(_threshold_model, sleep_s=0.02)
     x = np.full(n, 0.9, dtype=np.float32)
     base = _uniform_sampler(n).draw(np.random.default_rng(3), 12 * max(1, INFER_CHUNK // (w * n)))
-    kept, rows = round_counts(spy, x, base, np.arange(n), 1, stop=lambda: False)
+    kept, rows = kept_counts(spy, x, base, 1, np.arange(n))
     assert kept is not None and rows == len(base) * n
     assert 2 <= spy.peak_calls <= w
     assert spy.peak_rows <= max(INFER_CHUNK, w * n)
@@ -240,7 +226,7 @@ def test_rounds_inside_instances_free_their_draws(workers):
         rng = np.random.default_rng(i)
         for _ in range(10):
             base = sampler.draw(rng, 3 * INFER_CHUNK // (2 * n))  # three groups
-            kept, _ = round_counts(_threshold_model, x, base, np.arange(n), 1, stop=lambda: False)
+            kept, _ = kept_counts(_threshold_model, x, base, 1, np.arange(n))
             assert kept is not None
             freed = weakref.ref(base)
             del base

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -112,3 +115,17 @@ def test_map_in_workers_removes_its_job_directory(tmp_path, monkeypatch, ending)
         assert len(list(tmp_path.glob("sennap-pool-*"))) == 1
         results.close()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_map_in_workers_removes_the_job_directories_of_dead_processes(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    ended = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    dead = tmp_path / f"sennap-pool-{int(ended.stdout)}-x1"
+    live = tmp_path / f"sennap-pool-{os.getpid()}-x2"
+    unnamed = tmp_path / "sennap-pool-x3"
+    for directory in (dead, live, unnamed):
+        directory.mkdir()
+        (directory / "job.pickle").write_bytes(b"a killed run's job")
+    assert list(map_in_workers("job", _echo, [1])) == [("job", 1)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([live.name, unnamed.name])

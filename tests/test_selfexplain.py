@@ -7,7 +7,7 @@ import pytest
 
 from sennap.encoding import EncodingSpec
 from sennap.model import GraphOutputs, forward_graph, init_model
-from sennap.neural import constant
+from sennap.neural import constant, subset_mask
 from sennap.posthoc import estimate_precision
 from sennap.model import make_predictor
 from sennap.selfexplain import (
@@ -17,7 +17,6 @@ from sennap.selfexplain import (
     FeatureSampler,
     dual_propagate,
     senn_losses,
-    subset_mask,
 )
 
 from conftest import build_log, make_markov_cases
