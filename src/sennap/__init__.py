@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 
 from .encoding import Dataset, EncodingSpec, encode_dataset, fit_normalizers
 from .eventlog import (
-    Case,
+    Cases,
     ColumnMap,
-    Event,
     EventLog,
-    PrefixRecord,
+    Prefixes,
     SplitSpec,
     generate_prefixes,
     parse_csv,

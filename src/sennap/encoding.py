@@ -7,25 +7,25 @@ index (raw, at |A|), time since the first event divided by its training mean
 time since midnight / 86400 (|A|+3), and weekday / 6 with Monday = 0 (|A|+4).
 Day boundaries and weekdays use UTC so encodings are machine-independent.
 
-`encode_dataset` does not walk the prefixes.  It lays out every event that
-some prefix covers once, case after case, and computes each event's row in
-float64 numpy arithmetic: the weekday from the epoch seconds as
-`(stamp // 86400 + 3) % 7`, since 1970-01-01 was a Thursday.  The rows are
+`encode_dataset` does not walk the prefixes.  It computes the row of every
+event of the log once, in float64 numpy arithmetic on the log's columns: the
+weekday from the epoch seconds as `(stamp // 86400 + 3) % 7`, since
+1970-01-01 was a Thursday.  The rows are
 cast to float32 once, into a table whose last row is the all-zero padding,
-and every left-padded grid is one gather from that table.  `fit_normalizers`
-reads the same per-event values and adds them in prefix order, left to right.
+and every left-padded grid is one gather from that table, at the log events
+`_prefix_rows` lists for it.  `fit_normalizers` reads the same per-event
+values at the same rows and adds them in prefix order, left to right.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EncodingError
-from .eventlog import Case, Event, PrefixRecord
+from .eventlog import EventLog, Prefixes
 
 EXTRA_FEATURES = 5
 
@@ -143,96 +143,80 @@ class Dataset:
         return self.x.shape[0]
 
 
-class _PrefixEvents(NamedTuple):
-    """The events a set of prefix records covers, laid out case after case."""
+def _prefix_rows(prefixes: Prefixes, k: int) -> np.ndarray:
+    """(N, k) log event at each left-padded prefix step; event_count on the padding."""
+    length = prefixes.length
+    if np.any(length > k):
+        i = int(np.argmax(length > k))
+        raise EncodingError(
+            f"prefix length {length[i]} exceeds k={k} for {prefixes.instance_ids()[i]}"
+        )
+    step = np.arange(k) - (k - length)[:, None]  # negative on the padding
+    first = prefixes.log.case_start[prefixes.case]
+    return np.where(step >= 0, first[:, None] + step, prefixes.log.event_count)
 
-    events: list[Event]      # (E,) each case's events up to its longest prefix
-    position: np.ndarray     # (E,) int64, 0-based index of the event in its case
-    stamps: np.ndarray       # (E,) int64 epoch seconds
-    since_first: np.ndarray  # (E,) float64 seconds since the case's first event
-    since_prev: np.ndarray   # (E,) float64 seconds since the case's previous event
-    rows: np.ndarray         # (N, k) event of each left-padded prefix step; E pads
 
+def _elapsed(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(position, since_first, since_prev) of every event of the log.
 
-def _prefix_events(records: Sequence[PrefixRecord], k: int) -> _PrefixEvents:
-    """Each event that some record's prefix covers, once, and where each prefix reads it.
-
-    Events after the longest prefix of their case are not read.
+    The 0-based index of the event in its case, and the float64 seconds since
+    its case's first event and since its previous one.
     """
-    slot_of: dict[int, int] = {}  # id(case) -> its index in `cases`
-    cases: list[Case] = []
-    covered: list[int] = []
-    slots = []
-    for record in records:
-        if record.length > k:
-            raise EncodingError(
-                f"prefix length {record.length} exceeds k={k} for {record.instance_id}"
-            )
-        slot = slot_of.setdefault(id(record.case), len(cases))
-        if slot == len(cases):
-            cases.append(record.case)
-            covered.append(record.length)
-        elif record.length > covered[slot]:
-            covered[slot] = record.length
-        slots.append(slot)
-    events = [event for case, n in zip(cases, covered) for event in case.events[:n]]
-    n_events = len(events)
-    counts = np.array(covered, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    case_start = np.repeat(starts, counts)
-    position = np.arange(n_events) - case_start
-    previous = np.arange(n_events) - (position > 0)  # a case's first event is its own previous
-    stamps = np.fromiter((event.timestamp for event in events), np.int64, n_events)
-    lengths = np.array([record.length for record in records], dtype=np.int64)
-    step = np.arange(k) - (k - lengths)[:, None]  # negative on the padding
-    first_row = starts[np.array(slots, dtype=np.intp)]
-    return _PrefixEvents(
-        events=events,
-        position=position,
-        stamps=stamps,
-        since_first=(stamps - stamps[case_start]).astype(np.float64),
-        since_prev=(stamps - stamps[previous]).astype(np.float64),
-        rows=np.where(step >= 0, first_row[:, None] + step, n_events),
+    counts = np.diff(log.case_start)
+    case_start = np.repeat(log.case_start[:-1], counts)
+    position = np.arange(log.event_count) - case_start
+    previous = np.arange(log.event_count) - (position > 0)  # a first event is its own previous
+    stamps = log.stamps
+    return (
+        position,
+        (stamps - stamps[case_start]).astype(np.float64),
+        (stamps - stamps[previous]).astype(np.float64),
     )
 
 
-def fit_normalizers(train_prefixes: Sequence[PrefixRecord]) -> tuple[float, float]:
+def fit_normalizers(train_prefixes: Prefixes) -> tuple[float, float]:
     """Means of the two elapsed-time features over all events of all prefixes.
 
     A zero mean (e.g. an instantaneous log) falls back to 1.0 so the
     corresponding feature passes through undivided.
     """
-    if not train_prefixes:
+    if not len(train_prefixes):
         raise EncodingError("cannot fit normalizers on an empty prefix set")
-    events = _prefix_events(train_prefixes, max(record.length for record in train_prefixes))
-    rows = events.rows[events.rows < len(events.events)]  # prefix after prefix, event after event
+    rows = _prefix_rows(train_prefixes, int(train_prefixes.length.max()))
+    rows = rows[rows < train_prefixes.log.event_count]  # prefix after prefix, event after event
+    _, since_first, since_prev = _elapsed(train_prefixes.log)
     # cumsum adds left to right, so the means keep their bits; np.sum adds pairwise
-    mean_first = float(np.cumsum(events.since_first[rows])[-1] / rows.size)
-    mean_prev = float(np.cumsum(events.since_prev[rows])[-1] / rows.size)
+    mean_first = float(np.cumsum(since_first[rows])[-1] / rows.size)
+    mean_prev = float(np.cumsum(since_prev[rows])[-1] / rows.size)
     return (mean_first if mean_first > 0 else 1.0, mean_prev if mean_prev > 0 else 1.0)
 
 
-def encode_dataset(records: Iterable[PrefixRecord], spec: EncodingSpec) -> Dataset:
-    """Encode and stack prefix records in their given order."""
-    records = list(records)
-    events = _prefix_events(records, spec.k)
-    n_events = len(events.events)
-    activity = np.fromiter(
-        (spec.activity_index(event.activity) for event in events.events), np.intp, n_events
-    )
+def encode_dataset(prefixes: Prefixes, spec: EncodingSpec) -> Dataset:
+    """Encode and stack prefixes in their given order."""
+    log = prefixes.log
+    rows = _prefix_rows(prefixes, spec.k)
+    n_events = log.event_count
+    labels = np.array([spec._index.get(label, -1) for label in log.vocabulary], dtype=np.intp)
+    activity = labels[log.activity]  # the spec's index of each event's activity, -1 if none
+    if np.any(labels < 0):  # only an event that some prefix reads must be in the vocabulary
+        read = rows[rows < n_events]
+        missing = read[activity[read] < 0]
+        if missing.size:
+            spec.activity_index(tuple(log.vocabulary)[log.activity[missing[0]]])
+    position, since_first, since_prev = _elapsed(log)
     va = spec.vocab_size
     table = np.zeros((n_events + 1, spec.width))  # the last row is the padding
-    table[np.arange(n_events), activity] = 1.0
-    table[:n_events, va] = events.position + 1  # raw 1-based index, deliberately not normalized
-    table[:n_events, va + 1] = events.since_first / spec.mean_since_first
-    table[:n_events, va + 2] = events.since_prev / spec.mean_since_prev
-    table[:n_events, va + 3] = events.stamps % 86400 / 86400.0
-    table[:n_events, va + 4] = (events.stamps // 86400 + 3) % 7 / 6.0
-    delta = np.array([record.target_delta for record in records], dtype=np.float64)
+    known = np.flatnonzero(activity >= 0)
+    table[known, activity[known]] = 1.0
+    table[:n_events, va] = position + 1  # raw 1-based index, deliberately not normalized
+    table[:n_events, va + 1] = since_first / spec.mean_since_first
+    table[:n_events, va + 2] = since_prev / spec.mean_since_prev
+    table[:n_events, va + 3] = log.stamps % 86400 / 86400.0
+    table[:n_events, va + 4] = (log.stamps // 86400 + 3) % 7 / 6.0
     return Dataset(
-        x=table.astype(np.float32)[events.rows],
-        y_activity=np.array([record.target_activity for record in records], dtype=np.int64),
-        y_time=(delta / spec.mean_since_prev).astype(np.float32),
-        ids=tuple(record.instance_id for record in records),
-        prefix_lengths=tuple(record.length for record in records),
+        x=table.astype(np.float32)[rows],
+        y_activity=prefixes.target.astype(np.int64),
+        y_time=(prefixes.delta / spec.mean_since_prev).astype(np.float32),
+        ids=prefixes.instance_ids(),
+        prefix_lengths=tuple(prefixes.length.tolist()),
     )

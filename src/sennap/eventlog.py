@@ -1,58 +1,54 @@
-"""Event-log parsing, chronological splitting, and prefix generation.
+"""Event-log parsing, chronological splitting, and prefix generation, as arrays.
 
 A log is a set of cases; a case is the time-ordered event sequence of one
-process instance.  Everything here is pure and deterministic: re-parsing the
-same file yields identical logs, splits, and prefix sets.
+process instance.  `parse_csv` reads the rows once into per-event columns,
+sorted stably by case, then time: case c's events are `case_start[c]:case_start[c + 1]`.
+A part of the split is an array of case numbers into the log, and a prefix set
+is one array per field.  Everything here is pure and deterministic.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+
+import numpy as np
 
 from .errors import ConfigError, LogParseError
 from .runfiles import read_bytes
 
 
 @dataclass(frozen=True)
-class Event:
-    case_id: str
-    activity: str
-    timestamp: int  # epoch seconds, UTC
-
-
-@dataclass(frozen=True)
-class Case:
-    case_id: str
-    events: tuple[Event, ...]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def first_timestamp(self) -> int:
-        return self.events[0].timestamp
-
-
-@dataclass(frozen=True)
 class EventLog:
-    cases: tuple[Case, ...]
+    case_ids: tuple[str, ...]   # case labels, first-appearance order: case c is case_ids[c]
     vocabulary: dict[str, int]  # activity -> index 0..|A|-1, first-appearance order
     k: int                      # max case length over the log
     case_count: int
     event_count: int
+    case_start: np.ndarray      # (C + 1,) int64 offset of each case's first event; E last
+    activity: np.ndarray        # (E,) int64 vocabulary index, case after case, in time order
+    stamps: np.ndarray          # (E,) int64 epoch seconds, UTC, in the same order
+
+
+@dataclass(frozen=True)
+class Cases:
+    log: EventLog
+    index: np.ndarray  # (n,) int64 numbers of some of the log's cases, in a given order
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train: tuple[Case, ...]
-    validation: tuple[Case, ...]
-    test: tuple[Case, ...]
+    train: Cases
+    validation: Cases
+    test: Cases
 
 
 @dataclass(frozen=True)
@@ -65,30 +61,32 @@ class ColumnMap:
 
 
 @dataclass(frozen=True)
-class PrefixRecord:
-    """One prediction instance: the first `length` events of a case.
+class Prefixes:
+    """Prediction instances: prefix i is the first `length[i]` events of case `case[i]`.
 
-    `target_activity` is a vocabulary index; the end-of-sequence class sits at
-    index len(vocabulary).  `target_delta` is the raw time in seconds until the
-    next event (0.0 for the end-of-sequence target).
+    `target` is a vocabulary index; the end-of-sequence class sits at index
+    len(vocabulary).  `delta` is the raw time in seconds until the next event
+    (0.0 for the end-of-sequence target).
     """
 
-    case: Case
-    length: int
-    target_activity: int
-    target_delta: float
+    log: EventLog
+    case: np.ndarray    # (N,) int64
+    length: np.ndarray  # (N,) int64
+    target: np.ndarray  # (N,) int64
+    delta: np.ndarray   # (N,) float64
 
-    @property
-    def instance_id(self) -> str:
-        return f"{self.case.case_id}#{self.length}"
+    def __len__(self) -> int:
+        return len(self.case)
 
-    @property
-    def events(self) -> tuple[Event, ...]:
-        return self.case.events[: self.length]
+    def instance_ids(self) -> tuple[str, ...]:
+        names = self.log.case_ids
+        return tuple(f"{names[c]}#{n}" for c, n in zip(self.case.tolist(), self.length.tolist()))
 
 
 # 9999-12-31T23:59:59Z, the last second `datetime` can hold
 MAX_TIMESTAMP = 253_402_300_799
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
 
 
 def _parse_timestamp(raw: str, line_no: int) -> int:
@@ -99,18 +97,19 @@ def _parse_timestamp(raw: str, line_no: int) -> int:
     text = raw.strip()
     if not text:
         raise LogParseError(f"line {line_no}: empty timestamp")
-    try:
-        stamp = int(text)
+    try:  # `int()` never accepts a `:` or a `T`, so an ISO stamp raises nothing here
+        stamp = int(text) if ":" not in text and "T" not in text else None
     except ValueError:
+        stamp = None
+    if stamp is None:
         try:
             moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
         except ValueError:
             raise LogParseError(
                 f"line {line_no}: timestamp {raw!r} is neither epoch seconds nor ISO-8601"
             ) from None
-        if moment.tzinfo is None:
-            moment = moment.replace(tzinfo=timezone.utc)
-        stamp = math.floor(moment.timestamp())
+        epoch = _EPOCH if moment.tzinfo is None else _EPOCH_UTC  # naive = UTC
+        stamp = math.floor((moment - epoch).total_seconds())  # as `timestamp()` computes it
     if not 0 <= stamp <= MAX_TIMESTAMP:
         raise LogParseError(
             f"line {line_no}: timestamp {raw!r} is not in "
@@ -122,16 +121,16 @@ def _parse_timestamp(raw: str, line_no: int) -> int:
 def parse_csv(
     path: str | Path, columns: ColumnMap | None = None, *, data: bytes | None = None
 ) -> EventLog:
-    """Parse a UTF-8 CSV event log with a header row.
+    """Parse a UTF-8 CSV event log with a header row; a leading BOM is skipped.
 
-    Events are grouped by case id (cases kept in first-appearance order) and
-    sorted by timestamp within each case, stable on ties so file order wins.
-    A caller that has read the file already passes its bytes as `data`;
-    `path` then only names the log in errors.
+    Cases are numbered in first-appearance order, and each case's events are
+    sorted by timestamp, stable on ties so file order wins.  A caller that has
+    read the file already passes its bytes as `data`; `path` then only names
+    the log in errors.
     """
     columns = columns or ColumnMap()
     path = Path(path)
-    raw = read_bytes(path) if data is None else data
+    raw = (read_bytes(path) if data is None else data).removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -143,50 +142,54 @@ def parse_csv(
             header = next(reader)
         except StopIteration:
             raise LogParseError(f"{path}: file is empty") from None
-        positions = {}
-        for logical, physical in (
-            ("case", columns.case),
-            ("activity", columns.activity),
-            ("timestamp", columns.timestamp),
-        ):
+        positions = []
+        for logical in ("case", "activity", "timestamp"):
+            physical = getattr(columns, logical)
             try:
-                positions[logical] = header.index(physical)
+                positions.append(header.index(physical))
             except ValueError:
                 raise ConfigError(
                     f"{path}: required column {physical!r} (for {logical}) "
                     f"not found in header {header}"
                 ) from None
-        needed = max(positions.values())
+        at_case, at_activity, at_stamp = positions
+        needed = max(positions)
 
-        by_case: dict[str, list[Event]] = {}
+        case_index: dict[str, int] = {}
         vocabulary: dict[str, int] = {}
-        event_count = 0
+        cases, activities, stamps = [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) <= needed:
                 raise LogParseError(f"{path}: line {line_no}: too few columns")
-            case_id = row[positions["case"]].strip()
-            activity = row[positions["activity"]].strip()
+            case_id = row[at_case].strip()
+            activity = row[at_activity].strip()
             if not case_id:
                 raise LogParseError(f"{path}: line {line_no}: empty case id")
             if not activity:
                 raise LogParseError(f"{path}: line {line_no}: empty activity")
-            stamp = _parse_timestamp(row[positions["timestamp"]], line_no)
-            by_case.setdefault(case_id, []).append(Event(case_id, activity, stamp))
-            if activity not in vocabulary:
-                vocabulary[activity] = len(vocabulary)
-            event_count += 1
+            stamps.append(_parse_timestamp(row[at_stamp], line_no))
+            cases.append(case_index.setdefault(case_id, len(case_index)))
+            activities.append(vocabulary.setdefault(activity, len(vocabulary)))
 
-    if not by_case:
+    if not cases:
         raise LogParseError(f"{path}: no event rows found")
 
-    cases = tuple(
-        Case(case_id, tuple(sorted(events, key=lambda e: e.timestamp)))
-        for case_id, events in by_case.items()
+    case = np.array(cases, dtype=np.int64)
+    stamp = np.array(stamps, dtype=np.int64)
+    order = np.lexsort((stamp, case))  # stable: ties keep file order
+    counts = np.bincount(case)
+    return EventLog(
+        case_ids=tuple(case_index),
+        vocabulary=vocabulary,
+        k=int(counts.max()),
+        case_count=len(case_index),
+        event_count=len(cases),
+        case_start=np.concatenate(([0], np.cumsum(counts))),
+        activity=np.array(activities, dtype=np.int64)[order],
+        stamps=stamp[order],
     )
-    k = max(len(case) for case in cases)
-    return EventLog(cases, vocabulary, k, len(cases), event_count)
 
 
 def split_chronological(log: EventLog) -> SplitSpec:
@@ -196,25 +199,19 @@ def split_chronological(log: EventLog) -> SplitSpec:
     validation part is the chronologically latest tenth of the pool, at least
     one case.
     """
-    n = len(log.cases)
+    n = log.case_count
     if n < 3:
         raise ConfigError(f"need at least 3 cases to split, got {n}")
-    ordered = sorted(log.cases, key=lambda case: case.first_timestamp)
+    ordered = np.argsort(log.stamps[log.case_start[:-1]], kind="stable")
     pool = -(-2 * n // 3)  # ceil(2n/3)
     val_n = max(pool // 10, 1)
-    return SplitSpec(
-        train=tuple(ordered[: pool - val_n]),
-        validation=tuple(ordered[pool - val_n : pool]),
-        test=tuple(ordered[pool:]),
-    )
+    train, validation, test = np.split(ordered, [pool - val_n, pool])
+    return SplitSpec(Cases(log, train), Cases(log, validation), Cases(log, test))
 
 
 def generate_prefixes(
-    cases: Iterable[Case],
-    vocabulary: dict[str, int],
-    k: int,
-    purpose: str = "train",
-) -> list[PrefixRecord]:
+    cases: Cases, vocabulary: dict[str, int], k: int, purpose: str = "train"
+) -> Prefixes:
     """Expand cases into prefix instances with next-activity / next-delta targets.
 
     purpose="train" emits prefixes of length 1..len(case); purpose="eval"
@@ -223,22 +220,25 @@ def generate_prefixes(
     """
     if purpose not in ("train", "eval"):
         raise ConfigError(f"unknown prefix purpose {purpose!r}")
-    eos = len(vocabulary)
+    log = cases.log
+    first = log.case_start[cases.index]
+    sizes = log.case_start[cases.index + 1] - first
+    if np.any(sizes > k):
+        i = int(np.argmax(sizes > k))
+        raise ConfigError(
+            f"case {log.case_ids[cases.index[i]]!r} has {sizes[i]} events but k={k}"
+        )
     start = 1 if purpose == "train" else 2
-    records = []
-    for case in cases:
-        length = len(case)
-        if length > k:
-            raise ConfigError(
-                f"case {case.case_id!r} has {length} events but k={k}"
-            )
-        for ell in range(start, length + 1):
-            if ell == length:
-                records.append(PrefixRecord(case, ell, eos, 0.0))
-            else:
-                nxt = case.events[ell]
-                delta = float(nxt.timestamp - case.events[ell - 1].timestamp)
-                records.append(
-                    PrefixRecord(case, ell, vocabulary[nxt.activity], delta)
-                )
-    return records
+    counts = np.maximum(sizes - start + 1, 0)
+    ends = np.cumsum(counts)
+    length = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - start, counts)
+    full = length == np.repeat(sizes, counts)
+    nxt = np.where(full, 0, np.repeat(first, counts) + length)  # next event; 0 after a full one
+    labels = np.array([vocabulary[label] for label in log.vocabulary], dtype=np.int64)
+    return Prefixes(
+        log=log,
+        case=np.repeat(cases.index, counts),
+        length=length,
+        target=np.where(full, len(vocabulary), labels[log.activity[nxt]]),
+        delta=np.where(full, 0.0, (log.stamps[nxt] - log.stamps[nxt - 1]).astype(np.float64)),
+    )

@@ -18,8 +18,10 @@ import pytest
 from sennap import runfiles
 from sennap.encoding import EncodingSpec, encode_dataset, fit_normalizers
 from sennap.errors import LogParseError
-from sennap.eventlog import Case, Event, EventLog, generate_prefixes, split_chronological
+from sennap.eventlog import Cases, EventLog, Prefixes, generate_prefixes, split_chronological
 from sennap.training import TrainConfig, fit
+
+from oracles import Case, Event, PrefixRecord
 
 # transition table: activity -> ((successor, probability), ...); None = case end
 _TRANSITIONS = {
@@ -60,18 +62,39 @@ def make_markov_cases(n_cases: int, seed: int = 11) -> list[Case]:
 
 
 def build_log(cases: Sequence[Case]) -> EventLog:
-    """Assemble an EventLog from ready-made cases (vocabulary in first-appearance order)."""
+    """The columnar log of ready-made, time-sorted cases (vocabulary in first-appearance order)."""
     if not cases:
         raise LogParseError("event log contains no cases")
+    events = [event for case in cases for event in case.events]
     vocabulary: dict[str, int] = {}
-    event_count = 0
-    for case in cases:
-        for event in case.events:
-            if event.activity not in vocabulary:
-                vocabulary[event.activity] = len(vocabulary)
-            event_count += 1
-    k = max(len(case) for case in cases)
-    return EventLog(tuple(cases), vocabulary, k, len(cases), event_count)
+    for event in events:
+        vocabulary.setdefault(event.activity, len(vocabulary))
+    return EventLog(
+        case_ids=tuple(case.case_id for case in cases),
+        vocabulary=vocabulary,
+        k=max(len(case) for case in cases),
+        case_count=len(cases),
+        event_count=len(events),
+        case_start=np.cumsum([0] + [len(case) for case in cases]),
+        activity=np.array([vocabulary[event.activity] for event in events], dtype=np.int64),
+        stamps=np.array([event.timestamp for event in events], dtype=np.int64),
+    )
+
+
+def all_cases(log: EventLog) -> Cases:
+    return Cases(log, np.arange(log.case_count))
+
+
+def prefixes_of(cases: Sequence[Case], records: Sequence[PrefixRecord]) -> Prefixes:
+    """The columnar prefix set of `records`, whose cases are among `cases`."""
+    slot = {id(case): i for i, case in enumerate(cases)}
+    return Prefixes(
+        log=build_log(cases),
+        case=np.array([slot[id(r.case)] for r in records], dtype=np.int64),
+        length=np.array([r.length for r in records], dtype=np.int64),
+        target=np.array([r.target_activity for r in records], dtype=np.int64),
+        delta=np.array([r.target_delta for r in records], dtype=np.float64),
+    )
 
 
 def write_markov_csv(path: Path, n_cases: int, seed: int = 11):

@@ -2,8 +2,12 @@
 
 `lstm_cell_step` is the exp-based single-instance LSTM cell that the fused
 tanh kernels must match; `max_rel_error` checks analytic gradients against
-central finite differences; `fit_normalizers_loop` and `encode_dataset_loop`
-encode one prefix at a time, event by event, which the gathers in
+central finite differences; `parse_csv_loop`, `split_chronological_loop`
+and `generate_prefixes_loop` are the per-event path from CSV bytes to prefix
+records, one `Event`, `Case` and `PrefixRecord` object each, whose results
+the columns of `sennap.eventlog` must give back (`cases_of` reads a columnar
+log back as `Case` objects); `fit_normalizers_loop` and `encode_dataset_loop`
+encode one prefix record at a time, event by event, which the gathers in
 `sennap.encoding` must match bit for bit; `round_estimates_per_event_row` is
 the post-hoc round that scores one event row's candidates per `predict` call,
 which the per-draw calls of `sennap.posthoc` must match bit for bit;
@@ -25,14 +29,20 @@ LSTMs, which `sennap.neural.lstm_prefix_forward` on its workspace and
 from __future__ import annotations
 
 import bisect
+import codecs
+import csv
+import io
+import math
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from sennap.encoding import Dataset, EncodingSpec
-from sennap.errors import EncodingError
-from sennap.eventlog import PrefixRecord
+from sennap.errors import ConfigError, EncodingError, LogParseError
+from sennap.eventlog import MAX_TIMESTAMP, ColumnMap, EventLog
 from sennap.model import INFER_CHUNK, Inference, NapModelParams, infer_weights, prefix_tree
 from sennap.neural import (
     PROJECTION_ROWS,
@@ -114,6 +124,182 @@ def max_rel_error(
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             worst = max(worst, rel)
     return worst
+
+
+@dataclass(frozen=True)
+class Event:
+    case_id: str
+    activity: str
+    timestamp: int  # epoch seconds, UTC
+
+
+@dataclass(frozen=True)
+class Case:
+    case_id: str
+    events: tuple[Event, ...]
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    @property
+    def first_timestamp(self) -> int:
+        return self.events[0].timestamp
+
+
+@dataclass(frozen=True)
+class LogLoop:
+    cases: tuple[Case, ...]     # first-appearance order
+    vocabulary: dict[str, int]  # activity -> index, first-appearance order
+    k: int
+    case_count: int
+    event_count: int
+
+
+@dataclass(frozen=True)
+class PrefixRecord:
+    """The first `length` events of a case, with its next-activity and next-delta targets."""
+
+    case: Case
+    length: int
+    target_activity: int
+    target_delta: float
+
+    @property
+    def instance_id(self) -> str:
+        return f"{self.case.case_id}#{self.length}"
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        return self.case.events[: self.length]
+
+
+def cases_of(log: EventLog) -> tuple[Case, ...]:
+    """A columnar log's cases as `Case` objects, in case-number order."""
+    labels = tuple(log.vocabulary)
+    bounds = log.case_start.tolist()
+    return tuple(
+        Case(case_id, tuple(
+            Event(case_id, labels[a], t)
+            for a, t in zip(log.activity[lo:hi].tolist(), log.stamps[lo:hi].tolist())
+        ))
+        for case_id, lo, hi in zip(log.case_ids, bounds, bounds[1:])
+    )
+
+
+def _parse_timestamp_loop(raw: str, line_no: int) -> int:
+    text = raw.strip()
+    if not text:
+        raise LogParseError(f"line {line_no}: empty timestamp")
+    try:
+        stamp = int(text)
+    except ValueError:
+        try:
+            moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError:
+            raise LogParseError(
+                f"line {line_no}: timestamp {raw!r} is neither epoch seconds nor ISO-8601"
+            ) from None
+        if moment.tzinfo is None:
+            moment = moment.replace(tzinfo=timezone.utc)
+        stamp = math.floor(moment.timestamp())
+    if not 0 <= stamp <= MAX_TIMESTAMP:
+        raise LogParseError(
+            f"line {line_no}: timestamp {raw!r} is not in "
+            "1970-01-01T00:00:00Z..9999-12-31T23:59:59Z"
+        )
+    return stamp
+
+
+def parse_csv_loop(path: str | Path, columns: ColumnMap | None = None, *, data: bytes) -> LogLoop:
+    """`eventlog.parse_csv`, one `Event` per row, grouped and sorted per case in Python."""
+    columns = columns or ColumnMap()
+    path = Path(path)
+    raw = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise LogParseError(f"{path}: line {line_no}: not valid UTF-8") from None
+    with io.StringIO(text, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise LogParseError(f"{path}: file is empty") from None
+        positions = {}
+        for logical in ("case", "activity", "timestamp"):
+            physical = getattr(columns, logical)
+            try:
+                positions[logical] = header.index(physical)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: required column {physical!r} (for {logical}) "
+                    f"not found in header {header}"
+                ) from None
+        needed = max(positions.values())
+        by_case: dict[str, list[Event]] = {}
+        vocabulary: dict[str, int] = {}
+        event_count = 0
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) <= needed:
+                raise LogParseError(f"{path}: line {line_no}: too few columns")
+            case_id = row[positions["case"]].strip()
+            activity = row[positions["activity"]].strip()
+            if not case_id:
+                raise LogParseError(f"{path}: line {line_no}: empty case id")
+            if not activity:
+                raise LogParseError(f"{path}: line {line_no}: empty activity")
+            stamp = _parse_timestamp_loop(row[positions["timestamp"]], line_no)
+            by_case.setdefault(case_id, []).append(Event(case_id, activity, stamp))
+            if activity not in vocabulary:
+                vocabulary[activity] = len(vocabulary)
+            event_count += 1
+    if not by_case:
+        raise LogParseError(f"{path}: no event rows found")
+    cases = tuple(
+        Case(case_id, tuple(sorted(events, key=lambda e: e.timestamp)))
+        for case_id, events in by_case.items()
+    )
+    k = max(len(case) for case in cases)
+    return LogLoop(cases, vocabulary, k, len(cases), event_count)
+
+
+def split_chronological_loop(log: LogLoop) -> tuple[tuple[Case, ...], ...]:
+    """`eventlog.split_chronological` as (train, validation, test) tuples of cases."""
+    n = len(log.cases)
+    if n < 3:
+        raise ConfigError(f"need at least 3 cases to split, got {n}")
+    ordered = sorted(log.cases, key=lambda case: case.first_timestamp)
+    pool = -(-2 * n // 3)
+    val_n = max(pool // 10, 1)
+    return (
+        tuple(ordered[: pool - val_n]), tuple(ordered[pool - val_n : pool]), tuple(ordered[pool:])
+    )
+
+
+def generate_prefixes_loop(
+    cases: Iterable[Case], vocabulary: dict[str, int], k: int, purpose: str = "train"
+) -> list[PrefixRecord]:
+    """`eventlog.generate_prefixes`, one `PrefixRecord` per prefix."""
+    if purpose not in ("train", "eval"):
+        raise ConfigError(f"unknown prefix purpose {purpose!r}")
+    eos = len(vocabulary)
+    start = 1 if purpose == "train" else 2
+    records = []
+    for case in cases:
+        length = len(case)
+        if length > k:
+            raise ConfigError(f"case {case.case_id!r} has {length} events but k={k}")
+        for ell in range(start, length + 1):
+            if ell == length:
+                records.append(PrefixRecord(case, ell, eos, 0.0))
+            else:
+                nxt = case.events[ell]
+                delta = float(nxt.timestamp - case.events[ell - 1].timestamp)
+                records.append(PrefixRecord(case, ell, vocabulary[nxt.activity], delta))
+    return records
 
 
 def _event_features(record: PrefixRecord):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import codecs
+import hashlib
 import json
 import multiprocessing
 import os
@@ -420,6 +422,24 @@ class TestCliErrors:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0], err
+
+    def test_prepare_and_train_on_a_log_with_a_bom_and_crlf(self, tmp_path):
+        """As Excel's "CSV UTF-8" writes it: the BOM is skipped, the digest covers it."""
+        plain = tmp_path / "plain.csv"
+        write_markov_csv(plain, n_cases=30, seed=4)
+        lines = plain.read_bytes().replace(b"\r\n", b"\n").split(b"\n")
+        excel = tmp_path / "excel.csv"
+        excel.write_bytes(codecs.BOM_UTF8 + b"\r\n".join(lines))
+        for path in (plain, excel):
+            assert main(["prepare", "--data", str(path), "--out", str(tmp_path / path.stem)]) == 0
+        manifests = [read_manifest(tmp_path / name / "prepare" / "manifest.txt")
+                     for name in ("plain", "excel")]
+        assert manifests[1]["data.sha256"] == hashlib.sha256(excel.read_bytes()).hexdigest()
+        for manifest in manifests:
+            del manifest["data"], manifest["data.sha256"]
+        assert manifests[0] == manifests[1]
+        assert main(["train", "--out", str(tmp_path / "excel"), "--mode", "baseline",
+                     "--epochs", "1", "--patience", "1"]) == 0
 
     def test_baseline_with_cardinality_weight(self, workdir, capsys):
         _, out = workdir

@@ -19,7 +19,7 @@ from sennap.selfexplain import (
     senn_losses,
 )
 
-from conftest import build_log, make_markov_cases
+from conftest import all_cases, build_log, make_markov_cases
 from sennap.eventlog import generate_prefixes
 from sennap.encoding import encode_dataset
 
@@ -27,8 +27,8 @@ from sennap.encoding import encode_dataset
 def _toy_spec_and_x(n_cases=30, seed=6):
     log = build_log(make_markov_cases(n_cases, seed=seed))
     spec = EncodingSpec(tuple(log.vocabulary), log.k, 900.0, 700.0)
-    records = generate_prefixes(log.cases, log.vocabulary, log.k, "train")
-    data = encode_dataset(records, spec)
+    prefixes = generate_prefixes(all_cases(log), log.vocabulary, log.k, "train")
+    data = encode_dataset(prefixes, spec)
     return spec, data
 
 
