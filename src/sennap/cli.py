@@ -4,8 +4,11 @@ Configuration comes from UTF-8 key=value files plus flags (flags win);
 `OPTIONS` declares every option once, with its type, default and help.
 `prepare`, `train` and `gridsearch` write a manifest next to their outputs and
 `verify` a summary; `explain` and `report` write only their records.  `train`
-and `gridsearch` fit in one-BLAS-thread worker processes and keep each fit in
-the cell store `models/cells/`, so a rerun loads what it fitted before.
+fits in this process with OpenBLAS pinned to one thread, or in a one-BLAS-thread
+worker process where no OpenBLAS is found; `gridsearch` fits and scores its
+cells in one-BLAS-thread worker processes.  Both keep each fit in the cell store
+`models/cells/`, and `gridsearch` keeps each cell's scores beside it, so a
+rerun loads what it fitted before and scores only what it has not scored.
 Commands are idempotent for a fixed config and seed, modulo recorded wall
 times in explanation files.
 """

@@ -175,8 +175,11 @@ def map_in_workers(job, task: Callable, items: Sequence) -> Iterator:
     ends, raises or is closed.  The job's directory is named after this
     process, and the directories that processes no longer running left
     behind are removed first.  Workers import the caller's main module,
-    which needs the `if __name__ == "__main__":` guard.
+    which needs the `if __name__ == "__main__":` guard.  No items start no
+    pool and write no job.
     """
+    if len(items) == 0:
+        return
     _remove_stale_job_directories()
     with tempfile.TemporaryDirectory(prefix=f"{_POOL_PREFIX}{os.getpid()}-") as scratch:
         path = Path(scratch) / "job.pickle"
@@ -197,66 +200,33 @@ def map_in_workers(job, task: Callable, items: Sequence) -> Iterator:
             pool.shutdown(cancel_futures=True)
 
 
-class _PhdrInfo(ctypes.Structure):
-    """The two leading fields of `struct dl_phdr_info` (<link.h>), all that is read."""
-
-    _fields_ = [("dlpi_addr", ctypes.c_size_t), ("dlpi_name", ctypes.c_char_p)]
-
-
-def _loaded_libraries() -> list[str]:
-    """Paths of the shared libraries loaded in this process; empty without `dl_iterate_phdr`."""
-    paths: list[str] = []
-
-    def visit(info, size, data):
-        if info.contents.dlpi_name:
-            paths.append(os.fsdecode(info.contents.dlpi_name))
-        return 0
-
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):  # no process-wide symbol table on this platform
-        return paths
-    if not hasattr(libc, "dl_iterate_phdr"):
-        return paths
-    callback = ctypes.CFUNCTYPE(
-        ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_char_p
-    )(visit)
-    libc.dl_iterate_phdr.argtypes = [type(callback), ctypes.c_char_p]
-    libc.dl_iterate_phdr.restype = ctypes.c_int
-    libc.dl_iterate_phdr(callback, None)
-    return paths
-
-
 @functools.lru_cache(maxsize=1)
 def _openblas():
-    """(get, set, threads) for the OpenBLAS numpy loaded, or None.
+    """(get, set, threads) for the OpenBLAS numpy calls, or None.
 
     `get` and `set` are its thread-count functions, and `threads` is the
-    count it had when first found here, before any pin.  They are found as
-    threadpoolctl finds them: among the libraries loaded in this process, one
-    with "openblas" in its file name that exports `openblas_set_num_threads`
-    or scipy-openblas's `scipy_openblas_set_num_threads64_`.  A library in a
-    directory of numpy's own, such as a wheel's `numpy.libs`, comes first.
+    count it had when first found here, before any pin.  They are looked up
+    on numpy's own `_multiarray_umath` module, and `dlsym` on that handle
+    searches the module and the libraries it links, so the OpenBLAS found is
+    the one numpy calls: `openblas_set_num_threads`, or scipy-openblas's
+    `scipy_openblas_set_num_threads64_`.  None for a numpy on another BLAS,
+    or where the module cannot be opened this way.
     """
-    import numpy  # noqa: F401  (loads its BLAS, if nothing has yet)
-
-    paths = [
-        os.path.normpath(p) for p in _loaded_libraries()
-        if "openblas" in os.path.basename(p).lower()
-    ]
-    paths.sort(key=lambda p: not os.path.basename(os.path.dirname(p)).startswith("numpy"))
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
-            continue
-        for prefix, suffix in (("", ""), ("scipy_", "64_"), ("", "64_"), ("scipy_", "")):
-            get = getattr(library, f"{prefix}openblas_get_num_threads{suffix}", None)
-            put = getattr(library, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put, get()
+    try:
+        from numpy._core import _multiarray_umath as core  # numpy 2
+    except ImportError:
+        from numpy.core import _multiarray_umath as core  # numpy 1.x
+    try:
+        library = ctypes.CDLL(core.__file__, mode=getattr(os, "RTLD_NOLOAD", 0))
+    except OSError:
+        return None
+    for prefix, suffix in (("", ""), ("scipy_", "64_"), ("", "64_"), ("scipy_", "")):
+        get = getattr(library, f"{prefix}openblas_get_num_threads{suffix}", None)
+        put = getattr(library, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put, get()
     return None
 
 
@@ -281,10 +251,11 @@ _pin_saved = 1
 def one_blas_thread():
     """The process's OpenBLAS runs one thread inside; the count is restored on the last exit.
 
-    Reference-counted, so nested and concurrent holders share one pin.  The
-    count is process-wide: any thread's BLAS call, an in-process `fit` too,
-    sees one thread while some holder is inside.  Without OpenBLAS it does
-    nothing.  It does not stop OpenBLAS's own worker, which busy-waits for a
+    Yields whether it holds the pin.  Reference-counted, so nested and
+    concurrent holders share one pin.  The count is process-wide: any
+    thread's BLAS call, an in-process `fit` too, sees one thread while some
+    holder is inside.  Without OpenBLAS it does nothing and yields False.
+    It does not stop OpenBLAS's own worker, which busy-waits for a
     while after a multi-threaded call, so threads started right after one
     share a CPU with it: on 2 CPUs, chunk-parallel `infer` of 4,905 rows took
     212 ms against 219 ms serial right after a 2-thread matmul loop, and
@@ -293,7 +264,7 @@ def one_blas_thread():
     global _pin_depth, _pin_saved
     blas = _openblas()
     if blas is None:
-        yield
+        yield False
         return
     get, put, _ = blas
     with _pin_lock:
@@ -302,7 +273,7 @@ def one_blas_thread():
             put(1)
         _pin_depth += 1
     try:
-        yield
+        yield True
     finally:
         with _pin_lock:
             _pin_depth -= 1

@@ -5,16 +5,20 @@ best-epoch parameter selection.  All randomness (init, shuffling, dropout,
 complement sampling) derives from one seed, so identical configurations yield
 byte-identical checkpoints under the same BLAS thread count.
 
-`fit` trains in the calling process.  `fit_cell` (one model) and
-`grid_search` (one per cell) run it as cells of one job on
-`runfiles.map_in_workers`, in spawned worker processes with one BLAS thread
-each, so their bytes do not depend on the caller's thread settings.  A
-worker loads its cell from the store, or fits it and writes it there, keyed
-by everything the fit reads; it hands back only the cell's record and whether
-the store held it, and the caller loads the one checkpoint it needs.  A cell's
-worker writes that cell and the caller writes the rest, each file with
-`runfiles.write_atomic`, so a killed run keeps every cell finished before the
-kill.
+`fit` trains in the calling process with the caller's BLAS threads.
+`fit_cell` (one model) and `grid_search` (one per cell) run it as cells of a
+store keyed by everything the fit reads, with one BLAS thread, so their bytes
+do not depend on the caller's thread settings.  `fit_cell` fits in the calling
+process with OpenBLAS pinned to one thread (`runfiles.one_blas_thread`), or,
+where no OpenBLAS is found, in one spawned worker.  `grid_search` runs the
+cells it has not yet scored on `runfiles.map_in_workers`, in spawned worker
+processes with one BLAS thread each.  A grid worker loads its cell from the
+store, or fits it and writes it there, then scores it and stores the record,
+keyed by the cell and everything the scoring reads; it hands back only the
+record and whether the store held the fit, and the caller loads the one
+checkpoint it needs.  A cell's worker writes that cell and the caller writes
+the rest, each file with `runfiles.write_atomic`, so a killed run keeps every
+cell finished before the kill, and a rerun scores no cell twice.
 
 Checkpoint container layout (little-endian):
     magic "SENNAPCK" | u32 version | u64 metadata length | metadata UTF-8
@@ -44,7 +48,10 @@ from .evaluation import Explanation, summarize, verify_explanations
 from .model import NapModelParams, forward_graph, infer, infer_weights, init_model
 from .neural import AdamState, adam_step, backward, masked_blend_value, subset_mask
 from .posthoc import check_verification
-from .runfiles import key_values, map_in_workers, parse_key_values, read_bytes, write_atomic
+from .runfiles import (
+    key_values, map_in_workers, one_blas_thread, parse_key_values, read_bytes, read_text,
+    write_atomic,
+)
 from .selfexplain import FeatureSampler, dual_propagate, senn_loss_values, senn_losses
 
 LEARNING_RATE_GRID = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -333,7 +340,8 @@ def _cell_keys(
 
     That is the encoding spec, the train and validation arrays, the config,
     and the checkpoint and package versions.  Selection inputs are not part
-    of it: a cell's metrics are computed again on every search.
+    of it: a grid keeps a cell's scores in a record named by this key and
+    `_selection_key`, so one fit serves every selection it is scored on.
     """
     base = hashlib.sha256(json.dumps(spec.to_metadata(), sort_keys=True).encode())
     for data in (train, validation):
@@ -347,6 +355,21 @@ def _cell_keys(
         digest.update(json.dumps(config.to_metadata(), sort_keys=True).encode())
         keys.append(digest.hexdigest())
     return keys
+
+
+def _selection_key(selection: Dataset, limit: int, delta: float, n_samples: int) -> str:
+    """SHA-256 over everything `_cell_metrics` reads beyond the cell.
+
+    That is the selection set's inputs, targets and instance ids, and the
+    limit, delta and sample count; the sampler is fitted on the train set,
+    which the cell key holds.
+    """
+    digest = hashlib.sha256()
+    for array in (selection.x, selection.y_activity):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array))
+    digest.update(json.dumps([list(selection.ids), limit, repr(delta), n_samples]).encode())
+    return digest.hexdigest()
 
 
 @dataclass
@@ -368,10 +391,14 @@ class _GridJob(_FitJob):
     limit: int
     delta: float
     n_samples: int
+    selection_key: str
+
+    def record_path(self, key: str) -> Path:
+        return self.store / f"{key}.{self.selection_key}.json"
 
 
 def _load_or_fit(job: _FitJob, cell: tuple[TrainConfig, str]) -> tuple[Checkpoint, bool]:
-    """A worker's task for one cell: load it from the store, or fit it and store it.
+    """One cell of the store: load it, or fit it and store it.
 
     Returns the checkpoint and whether it came from the store.  An unreadable
     stored file is fitted again; a failed fit raises `TrainingError` and
@@ -396,20 +423,11 @@ def _store_cell(job: _FitJob, cell: tuple[TrainConfig, str]) -> bool:
     return _load_or_fit(job, cell)[1]
 
 
-def _score_cell(job: _GridJob, cell: tuple[TrainConfig, str]) -> tuple[GridCell, bool]:
-    """A grid worker's task for one cell: its record, and whether the store held it.
+_METRICS = ("val_accuracy", "val_faithfulness", "mean_size")
 
-    A cell whose fit fails is recorded as failed.
-    """
-    config, _ = cell
-    try:
-        ckpt, stored = _load_or_fit(job, cell)
-    except TrainingError as exc:
-        return GridCell(config.learning_rate, config.xi, "failed", error=str(exc)), False
-    acc, faith, size = _cell_metrics(
-        ckpt, job.selection, job.sampler, job.limit, job.delta, job.n_samples
-    )
-    record = GridCell(
+
+def _scored(config: TrainConfig, ckpt: Checkpoint, acc: float, faith: float, size: float):
+    return GridCell(
         config.learning_rate, config.xi, "ok",
         val_accuracy=acc,
         val_faithfulness=faith,
@@ -417,7 +435,44 @@ def _score_cell(job: _GridJob, cell: tuple[TrainConfig, str]) -> tuple[GridCell,
         best_val_loss=ckpt.best_val_loss,
         epochs_run=len(ckpt.history),
     )
+
+
+def _record_text(cell: GridCell) -> str:
+    return json.dumps(cell.to_record(), sort_keys=True) + "\n"
+
+
+def _score_cell(job: _GridJob, cell: tuple[TrainConfig, str]) -> tuple[GridCell, bool]:
+    """A grid worker's task for one cell: its record, and whether the store held its fit.
+
+    The record is also written to the store (`_GridJob.record_path`).  A
+    cell whose fit fails is recorded as failed, and that record is not stored.
+    """
+    config, key = cell
+    try:
+        ckpt, stored = _load_or_fit(job, cell)
+    except TrainingError as exc:
+        return GridCell(config.learning_rate, config.xi, "failed", error=str(exc)), False
+    record = _scored(config, ckpt, *_cell_metrics(
+        ckpt, job.selection, job.sampler, job.limit, job.delta, job.n_samples
+    ))
+    write_atomic(job.record_path(key), _record_text(record))
     return record, stored
+
+
+def _stored_record(job: _GridJob, config: TrainConfig, key: str) -> GridCell | None:
+    """The cell's stored record, or None unless it and the cell's checkpoint read back.
+
+    The record must be, byte for byte, the one `_score_cell` writes for
+    this config and checkpoint with the metrics it holds.
+    """
+    try:
+        text = read_text(job.record_path(key))
+        fields = json.loads(text)
+        metrics = [float(fields[name]) for name in _METRICS]
+        record = _scored(config, load_checkpoint(job.store / f"{key}.ckpt"), *metrics)
+    except (SennapError, ValueError, TypeError, KeyError):
+        return None
+    return record if _record_text(record) == text else None
 
 
 def fit_cell(
@@ -427,22 +482,27 @@ def fit_cell(
     config: TrainConfig,
     checkpoint_dir: str | Path,
 ) -> tuple[Checkpoint, bool]:
-    """`fit` as a one-cell job on the grid's worker pool and cell store.
+    """`fit` as one cell of the grid's cell store, with one BLAS thread.
 
-    The fit runs in one spawned worker with one BLAS thread, so its bytes do
-    not depend on the caller's thread settings.  A checkpoint stored under
-    `checkpoint_dir` with the same key (`_cell_keys`) is loaded instead;
-    otherwise the worker stores its new fit there, and this loads it back.
-    Returns the checkpoint and whether it came from the store.  A calling
-    script needs the `if __name__ == "__main__":` guard, as for `grid_search`.
+    A checkpoint stored under `checkpoint_dir` with the same key
+    (`_cell_keys`) is loaded instead; otherwise the new fit is stored there.
+    Returns the checkpoint and whether it came from the store.  Where
+    `runfiles` finds the OpenBLAS numpy calls, the fit runs in this process
+    with it pinned to one thread (`one_blas_thread`).  Elsewhere, as with
+    numpy on MKL or Accelerate, only a new process's environment holds BLAS
+    at one thread, so the fit runs as a one-cell job on `map_in_workers`,
+    and a calling script needs the `if __name__ == "__main__":` guard, as
+    for `grid_search`.  Either way the bytes do not depend on the caller's
+    thread settings.
     """
     (key,) = _cell_keys(train, validation, spec, [config])
-    store = Path(checkpoint_dir)
+    job = _FitJob(train, validation, spec, Path(checkpoint_dir))
+    with one_blas_thread() as pinned:
+        if pinned:
+            return _load_or_fit(job, (config, key))
     # unpacking reads the generator to its end, which shuts the pool down
-    [stored] = map_in_workers(
-        _FitJob(train, validation, spec, store), _store_cell, [(config, key)]
-    )
-    return load_checkpoint(store / f"{key}.ckpt"), stored
+    [stored] = map_in_workers(job, _store_cell, [(config, key)])
+    return load_checkpoint(job.store / f"{key}.ckpt"), stored
 
 
 def _rank(cell: GridCell):
@@ -464,15 +524,19 @@ def grid_search(
 ) -> tuple[GridResult, Checkpoint]:
     """Train one self-explaining model per (learning rate, xi) combination.
 
-    Cells run on `runfiles.map_in_workers`: spawned worker processes, one per
-    available CPU and at most one per cell, each with one BLAS thread, so
-    records and checkpoints do not depend on the pool size.  `checkpoint_dir`
-    is the cell store: a cell whose key (`_cell_keys`) has a readable
-    checkpoint there is loaded instead of trained, and the worker that trains
-    a cell writes it there as soon as it is trained.  Workers hand back only
-    records; the selected cell's checkpoint is loaded from the store.  Each
-    worker imports the caller's main module, so a calling script needs the
-    `if __name__ == "__main__":` guard.
+    `checkpoint_dir` is the cell store.  A cell already scored on these
+    selection inputs has its record there, `<cell key>.<selection key>.json`
+    (`_cell_keys`, `_selection_key`); when that record and the cell's
+    checkpoint read back, the cell is taken as it is and logged as stored.
+    The other cells run on `runfiles.map_in_workers`: spawned worker
+    processes, one per available CPU and at most one per cell, each with one
+    BLAS thread, so records and checkpoints do not depend on the pool size.
+    A worker loads its cell's checkpoint from the store, or trains the cell
+    and writes it there, then scores it and writes its record; a failed cell
+    writes no record.  With every cell scored, no worker starts.  Workers
+    hand back only records; the selected cell's checkpoint is loaded from
+    the store.  Each worker imports the caller's main module, so a calling
+    script needs the `if __name__ == "__main__":` guard.
 
     Selection: highest validation accuracy, ties broken by higher
     faithfulness rate, then smaller mean explanation size.  Failed cells are
@@ -490,13 +554,17 @@ def grid_search(
     job = _GridJob(
         train, validation, spec, Path(checkpoint_dir),
         selection, FeatureSampler.fit(spec, train.x), selection_limit, delta, n_samples,
+        _selection_key(selection, selection_limit, delta, n_samples),
     )
+    scored = [_stored_record(job, cfg, key) for cfg, key in zip(configs, keys)]
 
     cells: list[GridCell] = []
     best, best_key = None, None
-    results = map_in_workers(job, _score_cell, list(zip(configs, keys)))
+    unscored = [(cfg, key) for cfg, key, record in zip(configs, keys, scored) if record is None]
+    results = map_in_workers(job, _score_cell, unscored)
     try:
-        for cell_no, (key, (cell, stored)) in enumerate(zip(keys, results), 1):
+        for cell_no, (key, record) in enumerate(zip(keys, scored), 1):
+            cell, stored = (record, True) if record is not None else next(results)
             if log:
                 log(
                     f"grid cell {cell_no}/{len(plan)}: lr={cell.learning_rate:g} "

@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 
 import sennap
-from sennap import runfiles
+from sennap import runfiles, training
 from sennap.cli import COMMANDS, OPTIONS, Prepared, Settings, build_parser, main
 from sennap.evaluation import accuracy
 from sennap.eventlog import ColumnMap
 from sennap.posthoc import AnchorConfig
-from sennap.runfiles import read_manifest, write_manifest
+from sennap.runfiles import map_in_workers, read_manifest, write_manifest
 from sennap.training import TrainConfig, load_checkpoint, save_checkpoint
 
 from conftest import write_markov_csv
@@ -245,6 +245,52 @@ class TestPipelineArtifacts:
             runs.append(_tree_bytes(out / "models"))
         assert runs[0] == runs[1]
         assert len(runs[0]) == 6  # two checkpoints, two manifests, two stored cells
+
+    def test_train_worker_fallback_gives_the_in_process_bytes(self, tmp_path, monkeypatch):
+        # where no OpenBLAS is found to pin, `train` fits in a one-BLAS-thread worker;
+        # on this log an unpinned in-process fit gives other bytes
+        csv_path = tmp_path / "log.csv"
+        _write_helpdesk_shaped_csv(csv_path, 40)
+        pinned = runfiles._openblas() is not None
+        workers = []
+
+        def spy(job, task, items):
+            workers.append(task.__name__)
+            return map_in_workers(job, task, items)
+
+        monkeypatch.setattr(training, "map_in_workers", spy)
+        runs = []
+        for found in (True, False):
+            if not found:
+                monkeypatch.setattr(runfiles, "_openblas", lambda: None)
+            out = tmp_path / f"runs-{found}"
+            assert main(["prepare", "--data", str(csv_path), "--out", str(out)]) == 0
+            for mode in ("baseline", "selfexplain"):
+                assert main(["train", "--out", str(out), "--seed", "1", "--mode", mode,
+                             "--epochs", "3"]) == 0
+            runs.append(_tree_bytes(out / "models"))
+        assert workers == ["_store_cell"] * (2 if pinned else 4)
+        assert runs[0] == runs[1] and len(runs[0]) == 6
+
+    def test_gridsearch_over_scored_cells_starts_no_pool(self, workdir, tmp_path, monkeypatch):
+        out = _copy_runs(workdir, tmp_path)
+        argv = ["gridsearch", "--out", str(out), "--seed", "5", "--grid", "small",
+                "--epochs", "1", "--eval-limit", "2", "--samples", "10"]
+        assert main(argv) == 0
+        grid = out / "models" / "grid_small"
+        fresh = {name: (grid / name).read_bytes() for name in ("result.jsonl", "selected.ckpt")}
+        (grid / "result.jsonl").unlink()
+        (grid / "selected.ckpt").unlink()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(runfiles, "ProcessPoolExecutor", no_pool)
+        records = {r: r.stat().st_ino for r in (out / "models" / "cells").glob("*.json")}
+        assert len(records) == 10
+        assert main(argv) == 0
+        assert {name: (grid / name).read_bytes() for name in fresh} == fresh
+        assert {r: r.stat().st_ino for r in (out / "models" / "cells").glob("*.json")} == records
 
     def test_explanation_records_shape(self, workdir):
         _, out = workdir
@@ -806,9 +852,14 @@ class TestCliErrors:
                      ["--out", str(tmp_path / "none"), "--mode", "baseline"]):
             assert main(["train", *argv]) == 1
             _assert_one_error_line(capsys)
-        # the same command with valid settings reaches the pool
+        # with valid settings the fit runs in this process under the OpenBLAS pin,
+        # and reaches the pool only where no OpenBLAS is found
+        valid = ["train", "--out", str(out), "--mode", "baseline", "--epochs", "1"]
+        if runfiles._openblas() is not None:
+            assert main(valid) == 0
+        monkeypatch.setattr(runfiles, "_openblas", lambda: None)
         with pytest.raises(AssertionError, match="worker pool"):
-            main(["train", "--out", str(out), "--mode", "baseline", "--epochs", "1"])
+            main(valid)
 
     def test_unprepared_directory(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "none"), "--mode", "baseline"]) == 1
@@ -954,7 +1005,9 @@ class TestKillAndRerun:
 
         Each command is a CLI process in a session of its own, so one SIGKILL
         to its process group ends it and every worker it spawned.  The rerun
-        loads every cell the killed run stored.  A kill inside `write_atomic`
+        loads every cell the killed run stored, and scores only the grid cells
+        that have no score record, leaving each record the killed run wrote
+        as it is.  A kill inside `write_atomic`
         may leave a `.<name>.<pid>.tmp` file beside its target, which nothing
         reads; every other file equals an uninterrupted run's.
         """
@@ -983,6 +1036,9 @@ class TestKillAndRerun:
         def cells(out):
             return set((out / "models" / "cells").glob("*.ckpt"))
 
+        def records(out):
+            return {r: r.stat().st_ino for r in (out / "models" / "cells").glob("*.json")}
+
         reference = tmp_path / "reference"
         shutil.copytree(prepared, reference)
         wall_s = []
@@ -1002,8 +1058,11 @@ class TestKillAndRerun:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate(timeout=30)
                 _wait_until_gone(proc.pid)
-                kept = cells(out) - before
+                kept, scored = cells(out) - before, records(out)
                 assert finish(argv, out).count("(stored)") == len(kept), argv
+                after = records(out)
+                assert {r: after[r] for r in scored} == scored, argv
+                assert len(after) == (10 if argv[0] == "gridsearch" else 0), argv
             got = _tree_bytes(out)
             for name in [name for name in got if name.name.endswith(".tmp")]:
                 target = re.fullmatch(r"\.(.+)\.\d+\.tmp", name.name)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import sennap
+from sennap import runfiles
 from sennap.errors import ConfigError
 from sennap.runfiles import map_in_workers, write_atomic
 
@@ -114,6 +115,18 @@ def test_map_in_workers_removes_its_job_directory(tmp_path, monkeypatch, ending)
         assert next(results) == ("job", 1)
         assert len(list(tmp_path.glob("sennap-pool-*"))) == 1
         results.close()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_map_in_workers_with_no_items_starts_no_pool_and_writes_no_job(tmp_path, monkeypatch):
+    # a grid whose every cell is scored maps no items
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(runfiles, "ProcessPoolExecutor", no_pool)
+    assert list(map_in_workers("job", _echo, [])) == []
+    assert list(map_in_workers("job", _echo, range(0))) == []
     assert list(tmp_path.iterdir()) == []
 
 

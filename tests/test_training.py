@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sennap
-from sennap import model, training
+from sennap import model, runfiles, training
 from sennap.encoding import Dataset, EncodingSpec
 from sennap.errors import CheckpointError, ConfigError, TrainingError
 from sennap.evaluation import accuracy
@@ -612,6 +612,93 @@ class TestGridSearch:
         assert result.selected is ok
         assert best.config.learning_rate == 0.002
 
+    def test_failed_cell_writes_no_record_and_is_fitted_again(
+        self, tiny_sets, tmp_path, monkeypatch
+    ):
+        spec, train, val = tiny_sets
+        config = TrainConfig(max_epochs=1, batch_size=64, seed=21)
+        mapped = []
+
+        def spy(job, task, items):
+            mapped.append([config.learning_rate for config, _ in items])
+            return map_in_workers(job, task, items)
+
+        monkeypatch.setattr(training, "map_in_workers", spy)
+
+        def run():
+            lines = []
+            result, _ = grid_search(
+                train, val, spec, config, tmp_path, grid=((0.002, 1e30), (1e-9,)),
+                selection_limit=4, n_samples=10, log=lines.append,
+            )
+            return result, lines
+
+        first, _ = run()
+        assert [c.status for c in first.cells] == ["ok", "failed"]
+        (record,) = tmp_path.glob("*.json")
+        assert json.loads(record.read_text()) == first.cells[0].to_record()
+        # the rerun takes the scored cell as stored and fits the failed one again
+        again, lines = run()
+        assert mapped == [[0.002, 1e30], [1e30]]
+        assert again.cells == first.cells
+        assert [line.endswith(" (stored)") for line in lines] == [True, False]
+        assert list(tmp_path.glob("*.json")) == [record]
+
+    @pytest.mark.parametrize("change", ["truncated", "not an object", "edited", "no checkpoint",
+                                        "eval limit", "delta", "samples", "selection set"])
+    def test_scores_are_taken_only_for_the_same_selection_and_a_readable_record(
+        self, tiny_sets, tmp_path, monkeypatch, change
+    ):
+        spec, train, val = tiny_sets
+        config = TrainConfig(max_epochs=1, seed=21)
+        mapped = []
+
+        def spy(job, task, items):
+            mapped.append(len(items))
+            return map_in_workers(job, task, items)
+
+        monkeypatch.setattr(training, "map_in_workers", spy)
+        store = tmp_path / "cells"
+        grid = dict(grid=((0.002, 0.01), (1e-9,)), selection_limit=4, n_samples=10)
+        first, _ = grid_search(train, val, spec, config, store, **grid)
+        records = sorted(store.glob("*.json"))
+        fits = {f: f.read_bytes() for f in store.glob("*.ckpt")}
+        assert mapped == [2] and len(records) == 2
+        # unchanged, every cell is taken from the store and no pool starts
+        assert grid_search(train, val, spec, config, store, **grid)[0] == first
+        assert mapped == [2, 0]
+
+        damaged = records[1]
+        text = damaged.read_text()
+        if change == "truncated":
+            damaged.write_bytes(damaged.read_bytes()[:20])
+        elif change == "not an object":
+            damaged.write_text("[1, 2]\n")
+        elif change == "edited":  # still valid JSON, but not the record this cell's fit gives
+            edited = json.dumps({**json.loads(text), "epochs_run": 7}, sort_keys=True)
+            damaged.write_text(edited + "\n")
+        elif change == "no checkpoint":
+            (store / f"{damaged.name.split('.')[0]}.ckpt").unlink()
+        elif change == "eval limit":
+            grid["selection_limit"] = 3
+        elif change == "delta":
+            grid["delta"] = 0.9
+        elif change == "samples":
+            grid["n_samples"] = 11
+        else:
+            grid["selection_set"] = _subset(val, 15)
+        again, _ = grid_search(train, val, spec, config, store, **grid)
+        selection_changed = change in ("eval limit", "delta", "samples", "selection set")
+        assert mapped == [2, 0, 2 if selection_changed else 1]
+        assert {f: f.read_bytes() for f in store.glob("*.ckpt")} == fits
+        if selection_changed:
+            # the new selection's records are kept beside the old ones
+            assert len(list(store.glob("*.json"))) == 4
+        else:
+            assert again == first
+            assert sorted(store.glob("*.json")) == records
+            assert damaged.read_text() == text
+
     def test_empty_selection_set_rejected_before_training(self, tiny_sets, tmp_path):
         spec, train, val = tiny_sets
         with pytest.raises(ConfigError, match="selection"):
@@ -629,15 +716,21 @@ class TestGridSearch:
             grid=((0.002, 0.01), (1e-6,)), selection_limit=4, n_samples=10,
             checkpoint_dir=store,
         )
-        files = sorted(store.iterdir())
-        assert [f.suffix for f in files] == [".ckpt", ".ckpt"]
+        # a checkpoint and a score record per cell: <cell key>.ckpt, <cell key>.<selection key>.json
+        fits = sorted(store.glob("*.ckpt"))
+        records = sorted(store.glob("*.json"))
+        assert len(fits) == 2 and len(list(store.iterdir())) == 4
+        assert [r.name.split(".")[0] for r in records] == [f.stem for f in fits]
+        assert len({r.name.split(".")[1] for r in records}) == 1
+        assert sorted(json.loads(r.read_text())["learning_rate"] for r in records) == [0.002, 0.01]
         save_checkpoint(best, tmp_path / "selected.ckpt")
-        assert (tmp_path / "selected.ckpt").read_bytes() in {f.read_bytes() for f in files}
+        assert (tmp_path / "selected.ckpt").read_bytes() in {f.read_bytes() for f in fits}
         assert result.selected.learning_rate == best.config.learning_rate
 
     def test_workers_hand_back_records_and_flags_only(self, tiny_sets, tmp_path, monkeypatch):
         # each cell's worker writes its checkpoint; what crosses back to this
-        # process is the grid's record and flag, or `fit_cell`'s flag
+        # process is the grid's record and flag.  `fit_cell` fits in this
+        # process, unless no OpenBLAS is found to pin, when its worker hands back a flag
         spec, train, val = tiny_sets
         crossed = []
 
@@ -656,7 +749,8 @@ class TestGridSearch:
                     selection_limit=4, n_samples=10)
         _, stored = fit_cell(train, val, spec, config, tmp_path)
         assert not stored
-        assert [type(pickle.loads(blob)) for blob in crossed] == [tuple, tuple, bool]
+        fit_cell_worker = [bool] if runfiles._openblas() is None else []
+        assert [type(pickle.loads(blob)) for blob in crossed] == [tuple, tuple, *fit_cell_worker]
         assert max(len(blob) for blob in crossed) < 1024
         assert all(f.stat().st_size > 8 * 1024 for f in tmp_path.glob("*.ckpt"))
         assert len(list(tmp_path.glob("*.ckpt"))) == 3
